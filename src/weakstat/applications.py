@@ -12,7 +12,7 @@ import numpy as np
 
 from .bounds import BoundCertificate, auc_certificate, uniform_bound
 from .complexity import ComplexityEstimate
-from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class, parallel_map
+from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
 from .statistics import LossFunction, WeightFunction, f_zeta_weight, l_statistic, smoothed_auc
 
@@ -81,10 +81,6 @@ def _rank_weights(losses: np.ndarray, weight: WeightFunction) -> np.ndarray:
     return w
 
 
-def _rank_objective(losses: np.ndarray, weight: WeightFunction) -> float:
-    return l_statistic(weight, losses)
-
-
 def _plus_plus_init(data: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
     """Distance-squared-proportional seeding."""
     n = data.shape[0]
@@ -126,7 +122,7 @@ def _lloyd_run(data: np.ndarray, K: int, weight: WeightFunction, max_iters: int,
                 reseeds += 1
                 reseeded = True
         d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        obj = _rank_objective(np.min(d2, axis=1), weight)
+        obj = l_statistic(weight, np.min(d2, axis=1))
         history.append(obj)
         if not reseeded and obj > prev + _DESCENT_TOL:
             raise DescentViolationError(
@@ -162,7 +158,7 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
     def run(r: int):
         return _lloyd_run(data, K, weight, max_iters, rng.split(r).generator())
 
-    outcomes = parallel_map(run, range(max(1, restarts)))
+    outcomes = [run(r) for r in range(max(1, restarts))]
     best = None
     for centers, history, reseeds in outcomes:
         if best is None or history[-1] < best[1][-1]:

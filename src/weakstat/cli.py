@@ -5,7 +5,7 @@
 The JSON config file is the source of truth (validated against the shipped
 schema); flags only override the seed and the output path.  Every result
 document embeds the fully resolved config, and identical configs produce
-byte-identical documents regardless of the worker count.
+byte-identical documents.
 
 Exit codes: 0 success, 1 config or runtime error, 2 completed run with a
 failed check (so CI can tell bound violations from bugs).
@@ -121,7 +121,9 @@ def _build_statistic(config: dict):
     elif family == "ridge":
         problem = stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1)))
         f = stats.ridge_error_statistic(problem, n)
-        report = None  # resolved by the caller via derivative_seminorms
+        report = lambda: smn.derivative_seminorms(
+            f, f.domain.diameter, probes=4, rng=SeededRng(config["seed"]).split(1)
+        )
     else:
         raise ConfigError(f"config.statistic.family: unknown family {family!r}")
     return f, report
@@ -149,20 +151,14 @@ def _build_class(config: dict, domain_hint=None):
 
 def _run_seminorm(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
-    rng = SeededRng(config["seed"])
     budget = int(config.get("budget", 20000))
-    emp = smn.empirical_seminorms(f, budget, rng)
-    out = {
+    emp = smn.empirical_seminorms(f, budget, SeededRng(config["seed"]))
+    return {
         "statistic": f.label,
         "n": f.n,
         "empirical": emp.to_dict(),
+        "upper_bound": report_fn().to_dict(),
     }
-    if report_fn is not None:
-        out["upper_bound"] = report_fn().to_dict()
-    else:
-        dom_diam = f.domain.diameter
-        out["upper_bound"] = smn.derivative_seminorms(f, dom_diam, probes=4, rng=rng.split(1)).to_dict()
-    return out
 
 
 def _run_complexity(config: dict) -> dict:
@@ -182,10 +178,7 @@ def _run_complexity(config: dict) -> dict:
 def _run_bound(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
     rng = SeededRng(config["seed"])
-    if report_fn is not None:
-        report = report_fn()
-    else:
-        report = smn.derivative_seminorms(f, f.domain.diameter, probes=4, rng=rng.split(1))
+    report = report_fn()
     fclass, _ = _build_class(config, domain_hint=f.domain)
     reps = config.get("replicates", {})
     g = cpx.class_complexity(

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FunctionClass, SeededRng, evaluate_class, parallel_map
+from .core import FunctionClass, SeededRng, evaluate_class
 
 __all__ = [
     "GAUSSIAN",
@@ -124,7 +124,7 @@ def class_complexity(fclass: FunctionClass, raw_sampler, n: int, kind: str,
         vectors = np.stack([c.points.reshape(-1) for c in configs])
         return inner(vectors, inner_reps, stream.split(1)).mean
 
-    means = np.array(parallel_map(one, range(outer_reps)))
+    means = np.array([one(r) for r in range(outer_reps)])
     return ComplexityEstimate(
         mean=float(means.mean()),
         std_error=float(means.std(ddof=1) / math.sqrt(outer_reps)),

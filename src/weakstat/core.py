@@ -6,8 +6,6 @@ threads.  Indices are 0-based throughout the public API.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,8 +25,6 @@ __all__ = [
     "unit_interval",
     "symmetric_interval",
     "box",
-    "worker_count",
-    "parallel_map",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -277,25 +273,3 @@ class SeededRng:
         child = _splitmix64((self.stream_id ^ _splitmix64(index & _MASK64)) & _MASK64)
         return SeededRng(self.seed, child)
 
-
-def worker_count() -> int:
-    """Worker cap from the WEAKSTAT_THREADS environment variable (default 1)."""
-    raw = os.environ.get("WEAKSTAT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """Map preserving order; uses threads only when WEAKSTAT_THREADS > 1.
-
-    Tasks must be independent (indexed RNG streams, no shared mutable
-    state), so results do not depend on the worker count.
-    """
-    items = list(items)
-    w = worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(w, len(items))) as ex:
-        return list(ex.map(fn, items))

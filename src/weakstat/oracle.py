@@ -1,10 +1,10 @@
 """Brute-force and identity checks of the machinery behind the bounds, at
 sample sizes where exhaustive subset enumeration is feasible.
 
-The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') is evaluated
-by enumerating all 2^k interpolating configurations per coordinate, with
-compensated summation so that residuals stay at the 1e-9 scale the identity
-checks assert.
+The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') evaluates f
+once on each of the 2^n swap configurations and sums each term's 2^k
+subset differences with compensated summation, so that residuals stay at
+the 1e-9 scale the identity checks assert.
 """
 from __future__ import annotations
 
@@ -104,32 +104,6 @@ def _kahan_add(total: float, comp: float, value: float) -> tuple[float, float]:
     return t, comp
 
 
-class _SwapTable:
-    """Caches f on configurations that take rows from x' on a bitmask and
-    from x elsewhere."""
-
-    def __init__(self, f: Statistic, x: np.ndarray, xp: np.ndarray):
-        self.f = f
-        self.x = x
-        self.xp = xp
-        self.n = x.shape[0]
-        self._bits = np.arange(self.n)
-        self._cache: dict[int, float] = {}
-
-    def value(self, mask: int) -> float:
-        v = self._cache.get(mask)
-        if v is None:
-            take = ((mask >> self._bits) & 1).astype(bool)
-            pts = np.where(take[:, None], self.xp, self.x)
-            v = self.f.value(pts)
-            self._cache[mask] = v
-        return v
-
-    @property
-    def evals(self) -> int:
-        return len(self._cache)
-
-
 def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
     a, b = as_points(x), as_points(xp)
     if a.shape != b.shape:
@@ -143,56 +117,48 @@ def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _fk_from_table(table: _SwapTable, k: int, tail_form: bool) -> float:
-    """F_k via subset enumeration over the first k coordinates.
-
-    ``tail_form`` switches the second summand from the full complement mask
-    to the prefix-plus-tail mask; the two sums agree because complementation
-    permutes the subsets of the prefix.
-    """
-    n = table.n
-    full = (1 << n) - 1
-    bit = 1 << k
-    tail = (full >> k) << k  # bits k..n-1
-    total, comp = 0.0, 0.0
-    for A in range(1 << k):  # masks over bits 0..k-1
-        second = (A | tail) if tail_form else (full ^ A)
-        term = (
-            table.value(A)
-            - table.value(A | bit)
-            + table.value(second & ~bit)
-            - table.value(second)
-        )
-        total, comp = _kahan_add(total, comp, term)
-    return total / float(2 ** (k + 1))
-
-
-def fk_decompose(f: Statistic, x, xp, *, tail_form: bool = False) -> FkDecomposition:
+def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     """Exact telescoping decomposition of f(x) - f(x') into n per-coordinate
     terms, each a 2^k-subset average of partial differences.
+
+    f is evaluated once on each of the 2^n swap configurations, which take
+    rows from x' on a bitmask and from x elsewhere.  F_k sums, over the
+    masks A of the first k coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c)
+    with the complement A^c taken in all n coordinates.
 
     The residual |f(x) - f(x') - sum terms| is zero in exact arithmetic for
     every f; it is reported so callers can assert float-level smallness.
     """
     a, b = _check_pair(f, x, xp)
-    table = _SwapTable(f, a, b)
-    n = table.n
+    n = a.shape[0]
+    bits = np.arange(n)
+    vals = np.array([
+        f.value(np.where(((mask >> bits) & 1).astype(bool)[:, None], b, a))
+        for mask in range(1 << n)
+    ])
+    full = (1 << n) - 1
     terms = []
     for k in range(n):
-        terms.append(_fk_from_table(table, k, tail_form))
-    lhs = table.value(0) - table.value((1 << n) - 1)
+        bit = 1 << k
+        A = np.arange(1 << k)
+        rest = full ^ A
+        total, comp = 0.0, 0.0
+        for term in (vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist():
+            total, comp = _kahan_add(total, comp, term)
+        terms.append(total / float(2 ** (k + 1)))
+    lhs = float(vals[0] - vals[full])
     total, comp = 0.0, 0.0
     for t in terms:
         total, comp = _kahan_add(total, comp, t)
     return FkDecomposition(n=n, terms=tuple(terms), lhs=lhs, residual=abs(lhs - total))
 
 
-def fk_term(f: Statistic, x, xp, k: int, *, tail_form: bool = False) -> float:
+def fk_term(f: Statistic, x, xp, k: int) -> float:
     """Single telescoping term F_k(x, x')."""
-    a, b = _check_pair(f, x, xp)
-    if not 0 <= k < a.shape[0]:
-        raise IndexError(f"coordinate index k={k} out of range for n={a.shape[0]}")
-    return _fk_from_table(_SwapTable(f, a, b), k, tail_form)
+    terms = fk_decompose(f, x, xp).terms
+    if not 0 <= k < len(terms):
+        raise IndexError(f"coordinate index k={k} out of range for n={len(terms)}")
+    return terms[k]
 
 
 def vk_vector(x, xp, k: int, m_lip: float, j_lip: float) -> VkVector:
@@ -284,10 +250,6 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass, raw_sampler,
     return DeviationEstimate(mean=float(vals.mean()), std_error=se, replicates=outer_reps)
 
 
-def _interval_diam(a: float, b: float) -> float:
-    return abs(a - b)
-
-
 def _intersection_diam(a: float, b: float, c: float, d: float) -> float:
     lo = max(min(a, b), min(c, d))
     hi = min(max(a, b), max(c, d))
@@ -316,7 +278,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     b = pts.copy()
     b[k, 0] = yp
     d1 = lf(a) - lf(b)
-    rhs1 = F.sup_norm * _interval_diam(y, yp) / n
+    rhs1 = F.sup_norm * abs(y - yp) / n
     first = CheckResult(
         name="lstat_first_order",
         passed=abs(d1) <= rhs1 + tol,

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SeededRng, Statistic, as_points, parallel_map
+from .core import SeededRng, Statistic, as_points
 from .statistics import WeightFunction
 
 __all__ = [
@@ -151,16 +151,32 @@ def _perturb(gen, value, lower, upper, sigma):
     return np.clip(value + gen.normal(0.0, sigma, size=value.shape), lower, upper)
 
 
-def _first_order_search(f: Statistic, evals: int, rng: SeededRng, floor: float,
-                        explore_frac: float):
-    """Shared probe stream scoring both the ratio (m_lip) and the absolute
-    difference (m_plain).  Sharing guarantees m_plain <= m_lip * diameter
-    pointwise, since every absolute candidate also enters the ratio race."""
+def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
+            explore_frac: float):
+    """Search for n^(order-1) * |order-th difference| / dist (the Lipschitz
+    seminorm) and n^(order-1) * |order-th difference| (the range seminorm).
+
+    A probe fixes ``order`` distinct coordinates and one row pair per
+    coordinate ((y, y') for k, then (z, z') for l).  Its difference is the
+    signed sum over the 2^order corner configurations, bit j of the corner
+    choosing the primed row at coordinate j: even corners minus odd corners,
+    which is f(y) - f(y') at order 1 and (v0 + v3) - (v1 + v2) at order 2.
+    The distance is |y - y'|.  Both objectives share the probe stream, which
+    guarantees the range value <= the Lipschitz value * diameter pointwise,
+    since every absolute candidate also enters the ratio race.
+    """
     gen = rng.generator()
     dom = f.domain
     lo, hi, widths = dom.lower, dom.upper, dom.widths
     n = f.n
-    probes = max(evals // 2, 1)
+    if n < order:
+        return 0.0, 0.0, None, 0
+    corners = 1 << order
+    # per corner: whether it is odd, and the row it takes at each coordinate
+    plan = [(bin(c).count("1") % 2, [2 * j + ((c >> j) & 1) for j in range(order)])
+            for c in range(corners)]
+    scale = n ** (order - 1)
+    probes = max(evals // corners, 1)
     explore = max(int(round(probes * explore_frac)), 1)
     refine = max(probes - explore, 0)
 
@@ -169,116 +185,56 @@ def _first_order_search(f: Statistic, evals: int, rng: SeededRng, floor: float,
     used = 0
     value = f.value
 
-    def consider(k, x, y, yp):
+    def consider(idx, x, rows):
         nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
-        dist = float(np.linalg.norm(y - yp))
+        dist = float(np.linalg.norm(rows[0] - rows[1]))
         if dist < floor:
-            return
-        a = x.copy()
-        a[k] = y
-        b = x.copy()
-        b[k] = yp
-        diff = abs(value(a) - value(b))
-        used += 2
+            return False
+        even = odd = 0.0
+        for is_odd, picks in plan:
+            a = x.copy()
+            for i, p in zip(idx, picks):
+                a[i] = rows[p]
+            if is_odd:
+                odd += value(a)
+            else:
+                even += value(a)
+        used += corners
+        diff = scale * abs(even - odd)
         if diff / dist > best_ratio:
             best_ratio = diff / dist
-            wit_ratio = (k, x, y, yp)
+            wit_ratio = (*idx, x, *rows)
         if diff > best_abs:
             best_abs = diff
-            wit_abs = (k, x, y, yp)
+            wit_abs = (*idx, x, *rows)
+        return True
 
-    # exploration draws are batched; pairs under the separation floor are
-    # redrawn individually (rare for floors well below the box widths)
+    # exploration draws are batched; consider() refuses pairs under the
+    # separation floor, which are then redrawn individually (rare for floors
+    # well below the box widths)
     xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
-    ys = gen.uniform(lo, hi, size=(explore, dom.d))
-    yps = gen.uniform(lo, hi, size=(explore, dom.d))
-    for t in range(explore):
-        y, yp = ys[t], yps[t]
-        if float(np.linalg.norm(y - yp)) < floor:
-            y, yp = _sample_pair(gen, lo, hi, floor)
-        consider(t % n, xs[t], y, yp)
+    draws = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
+    if order == 2:
+        ks = gen.integers(n, size=explore)
+        ls = gen.integers(n - 1, size=explore)
+    for t, rows in enumerate(zip(*draws)):
+        if order == 1:
+            idx = (t % n,)
+        else:
+            k, l = int(ks[t]), int(ls[t])
+            idx = (k, l + 1 if l >= k else l)
+        if not consider(idx, xs[t], rows):
+            consider(idx, xs[t], (*_sample_pair(gen, lo, hi, floor), *rows[2:]))
 
     for t in range(refine):
         wit = wit_ratio if t % 2 == 0 else wit_abs
         if wit is None:
             continue
-        k, x, y, yp = wit
+        idx, x, rows = wit[:order], wit[order], wit[order + 1:]
         frac = 0.25 * (1.0 - t / max(refine, 1)) + 0.01
         sigma = frac * widths
         xc = np.clip(x + gen.normal(0.0, 1.0, size=x.shape) * sigma, lo, hi)
-        yc = _perturb(gen, y, lo, hi, sigma)
-        ypc = _perturb(gen, yp, lo, hi, sigma)
-        consider(k, xc, yc, ypc)
-
-    return best_ratio, best_abs, wit_ratio, used
-
-
-def _second_order_search(f: Statistic, evals: int, rng: SeededRng, floor: float,
-                         explore_frac: float):
-    """As the first-order search, for n * |double difference| / dist and
-    n * |double difference|."""
-    gen = rng.generator()
-    dom = f.domain
-    lo, hi, widths = dom.lower, dom.upper, dom.widths
-    n = f.n
-    if n < 2:
-        return 0.0, 0.0, None, 0
-    probes = max(evals // 4, 1)
-    explore = max(int(round(probes * explore_frac)), 1)
-    refine = max(probes - explore, 0)
-
-    best_ratio, best_abs = 0.0, 0.0
-    wit_ratio = wit_abs = None
-    used = 0
-    value = f.value
-
-    def consider(k, l, x, y, yp, z, zp):
-        nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
-        dist = float(np.linalg.norm(y - yp))
-        if dist < floor:
-            return
-        vals = []
-        for rk, rl in ((y, z), (yp, z), (y, zp), (yp, zp)):
-            a = x.copy()
-            a[k] = rk
-            a[l] = rl
-            vals.append(value(a))
-        used += 4
-        dd = n * abs((vals[0] + vals[3]) - (vals[1] + vals[2]))
-        if dd / dist > best_ratio:
-            best_ratio = dd / dist
-            wit_ratio = (k, l, x, y, yp, z, zp)
-        if dd > best_abs:
-            best_abs = dd
-            wit_abs = (k, l, x, y, yp, z, zp)
-
-    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
-    ys = gen.uniform(lo, hi, size=(explore, dom.d))
-    yps = gen.uniform(lo, hi, size=(explore, dom.d))
-    zs = gen.uniform(lo, hi, size=(explore, dom.d))
-    zps = gen.uniform(lo, hi, size=(explore, dom.d))
-    ks = gen.integers(n, size=explore)
-    ls = gen.integers(n - 1, size=explore)
-    for t in range(explore):
-        k = int(ks[t])
-        l = int(ls[t])
-        if l >= k:
-            l += 1
-        y, yp = ys[t], yps[t]
-        if float(np.linalg.norm(y - yp)) < floor:
-            y, yp = _sample_pair(gen, lo, hi, floor)
-        consider(k, l, xs[t], y, yp, zs[t], zps[t])
-
-    for t in range(refine):
-        wit = wit_ratio if t % 2 == 0 else wit_abs
-        if wit is None:
-            continue
-        k, l, x, y, yp, z, zp = wit
-        frac = 0.25 * (1.0 - t / max(refine, 1)) + 0.01
-        sigma = frac * widths
-        xc = np.clip(x + gen.normal(0.0, 1.0, size=x.shape) * sigma, lo, hi)
-        consider(k, l, xc, _perturb(gen, y, lo, hi, sigma), _perturb(gen, yp, lo, hi, sigma),
-                 _perturb(gen, z, lo, hi, sigma), _perturb(gen, zp, lo, hi, sigma))
+        consider(idx, xc, [_perturb(gen, r, lo, hi, sigma) for r in rows])
 
     return best_ratio, best_abs, wit_ratio, used
 
@@ -301,29 +257,22 @@ def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
     floor = (PAIR_SEPARATION_FRACTION * f.domain.diameter
              if min_separation is None else float(min_separation))
     restarts = max(1, int(restarts))
-    per_first = max(budget // 2 // restarts, 2)
-    per_second = max(budget // 2 // restarts, 4)
 
-    def run_first(r: int):
-        return _first_order_search(f, per_first, rng.split(r), floor, explore_frac)
-
-    def run_second(r: int):
-        return _second_order_search(f, per_second, rng.split(restarts + r), floor, explore_frac)
-
-    first = parallel_map(run_first, range(restarts))
-    second = parallel_map(run_second, range(restarts))
-
-    m_lip, m_plain, witness, evals = 0.0, 0.0, None, 0
-    for ratio, absval, wit, used in first:
-        evals += used
-        if ratio > m_lip:
-            m_lip, witness = ratio, wit
-        m_plain = max(m_plain, absval)
-    j_lip, j_plain = 0.0, 0.0
-    for ratio, absval, _, used in second:
-        evals += used
-        j_lip = max(j_lip, ratio)
-        j_plain = max(j_plain, absval)
+    found = []
+    evals = 0
+    for order in (1, 2):
+        per_search = max(budget // 2 // restarts, 2 ** order)
+        lip, plain, witness = 0.0, 0.0, None
+        for r in range(restarts):
+            ratio, absval, wit, used = _search(f, order, per_search,
+                                               rng.split((order - 1) * restarts + r),
+                                               floor, explore_frac)
+            evals += used
+            if ratio > lip:
+                lip, witness = ratio, wit
+            plain = max(plain, absval)
+        found.append((lip, plain, witness))
+    (m_lip, m_plain, witness), (j_lip, j_plain, _) = found
 
     return SeminormReport(
         m_lip=m_lip, j_lip=j_lip, m_plain=m_plain, j_plain=j_plain,

@@ -149,12 +149,6 @@ class TestDeterminism:
         b, _ = run(_seminorm_config(seed=11))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
-    def test_thread_count_does_not_change_document(self, monkeypatch):
-        a, _ = run(_seminorm_config(seed=12))
-        monkeypatch.setenv("WEAKSTAT_THREADS", "4")
-        b, _ = run(_seminorm_config(seed=12))
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-
 
 class TestEmitTable:
     def test_single_result_has_header_and_row(self):

@@ -14,7 +14,6 @@ from weakstat import (
     uniform_raw_space,
     unit_interval,
 )
-from weakstat.core import parallel_map, worker_count
 
 
 class TestDomain:
@@ -125,28 +124,6 @@ class TestSeededRng:
         a = empirical_seminorms(f, 2000, SeededRng(9))
         b = empirical_seminorms(f, 2000, SeededRng(9))
         assert (a.m_lip, a.j_lip, a.m_plain, a.j_plain) == (b.m_lip, b.j_lip, b.m_plain, b.j_plain)
-
-
-class TestWorkers:
-    def test_worker_count_reads_env(self, monkeypatch):
-        monkeypatch.setenv("WEAKSTAT_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("WEAKSTAT_THREADS", "bogus")
-        assert worker_count() == 1
-
-    def test_parallel_map_matches_serial(self, monkeypatch):
-        items = list(range(20))
-        serial = parallel_map(lambda i: i * i, items)
-        monkeypatch.setenv("WEAKSTAT_THREADS", "4")
-        threaded = parallel_map(lambda i: i * i, items)
-        assert serial == threaded
-
-    def test_search_results_independent_of_thread_count(self, monkeypatch):
-        f = mean_statistic(5)
-        one = empirical_seminorms(f, 4000, SeededRng(2))
-        monkeypatch.setenv("WEAKSTAT_THREADS", "3")
-        many = empirical_seminorms(f, 4000, SeededRng(2))
-        assert one.m_lip == many.m_lip and one.j_lip == many.j_lip
 
 
 def test_linear_class_builds_ordered_members():

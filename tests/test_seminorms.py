@@ -159,6 +159,20 @@ class TestEmpiricalSearch:
         assert rc.m_lip <= a * rf.m_lip + b * rg.m_lip + 1e-12
         assert rc.j_lip <= a * rf.j_lip + b * rg.j_lip + 1e-12
 
+    @pytest.mark.parametrize("f, expected", [
+        (mean_statistic(5),
+         (0.20000000000000717, 6.569466937814278e-14, 0.20000000000000012,
+          2.220446049250313e-15, 3928)),
+        (lstat_statistic(f_zeta_weight(0.25), 8),
+         (0.16666666666667385, 0.3333333333333476, 0.16516620076404076,
+          0.2518255178810733, 3960)),
+    ])
+    def test_golden_values(self, f, expected):
+        # exact floats of the search at a fixed seed, pinned so that a
+        # refactor of the search cannot change any result document
+        rep = empirical_seminorms(f, 4000, SeededRng(13))
+        assert (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain, rep.search_evals) == expected
+
     def test_range_values_bounded_by_lipschitz_times_diameter(self):
         for f in (
             mean_statistic(5),

@@ -32,7 +32,6 @@ from .complexity import (
     rademacher_average,
 )
 from .core import (
-    Configuration,
     Domain,
     DomainViolationError,
     FunctionClass,

@@ -14,7 +14,8 @@ from .bounds import BoundCertificate, auc_certificate, uniform_bound
 from .complexity import ComplexityEstimate
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
-from .statistics import LossFunction, WeightFunction, f_zeta_weight, l_statistic, smoothed_auc
+from .statistics import (LossFunction, WeightFunction, _squared_distances, f_zeta_weight,
+                         l_statistic, smoothed_auc)
 
 __all__ = [
     "ClusteringResult",
@@ -86,9 +87,7 @@ def _plus_plus_init(data: np.ndarray, K: int, gen: np.random.Generator) -> np.nd
     n = data.shape[0]
     centers = [data[int(gen.integers(n))]]
     for _ in range(K - 1):
-        d2 = np.min(
-            np.sum((data[:, None, :] - np.stack(centers)[None, :, :]) ** 2, axis=2), axis=1
-        )
+        d2 = np.min(_squared_distances(data, np.stack(centers)), axis=1)
         total = d2.sum()
         if total <= 0:
             centers.append(data[int(gen.integers(n))])
@@ -105,7 +104,7 @@ def _lloyd_run(data: np.ndarray, K: int, weight: WeightFunction, max_iters: int,
     reseeds = 0
     prev = math.inf
     for _ in range(max_iters):
-        d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _squared_distances(data, centers)
         assign = np.argmin(d2, axis=1)
         losses = d2[np.arange(n), assign]
         w = _rank_weights(losses, weight)
@@ -121,7 +120,7 @@ def _lloyd_run(data: np.ndarray, K: int, weight: WeightFunction, max_iters: int,
                 centers[k] = data[int(np.argmax(w * losses))]
                 reseeds += 1
                 reseeded = True
-        d2 = np.sum((data[:, None, :] - centers[None, :, :]) ** 2, axis=2)
+        d2 = _squared_distances(data, centers)
         obj = l_statistic(weight, np.min(d2, axis=1))
         history.append(obj)
         if not reseeded and obj > prev + _DESCENT_TOL:
@@ -210,7 +209,7 @@ def select_ranker(candidates: FunctionClass, data, loss: LossFunction,
     two-block sample (first half positives, second half negatives) and
     attach the population-AUC lower bound.  Ties go to the lowest index."""
     configs = evaluate_class(candidates, data)
-    n = configs[0].n
+    n = configs.shape[1]
     if n % 2 != 0:
         raise ValueError(f"the two-block sample must have even size, got n={n}")
     values = np.array([smoothed_auc(loss, c) for c in configs])
@@ -308,7 +307,8 @@ def linear_ranker_class(dim: int, count: int, raw_space: RawSpace,
         w[0] = math.cos(theta)
         if dim > 1:
             w[1] = math.sin(theta)
-        return lambda x: np.array([float(np.dot(w, x)) / norm])
+        # a dot product per row, as X @ w can round differently in the last bit
+        return lambda X: (np.asarray(X, dtype=float)[:, None, :] @ w)[:, 0] / norm
 
     members = tuple(make(t) for t in angles)
     domain = box([-1.0], [1.0])

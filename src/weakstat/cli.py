@@ -4,7 +4,8 @@
 
 The JSON config file is the source of truth (validated against the shipped
 schema); flags only override the seed and the output path.  Every result
-document embeds the fully resolved config, and identical configs produce
+document embeds the config as read, with only a ``--seed`` override
+applied (defaults are not filled in), and identical configs produce
 byte-identical documents.
 
 Exit codes: 0 success, 1 config or runtime error, 2 completed run with a
@@ -96,6 +97,8 @@ def _build_statistic(config: dict):
     s = config["statistic"]
     lower = float(s.get("lower", 0.0))
     upper = float(s.get("upper", 1.0))
+    if lower > upper:
+        raise ConfigError(f"config.statistic.lower: {lower} exceeds statistic.upper {upper}")
     dom = box([lower], [upper])
 
     if family == "mean":
@@ -134,7 +137,6 @@ def _build_class(config: dict, domain_hint=None):
     sampler_cfg = config.get("sampler", {"kind": "uniform", "low": -1.0, "high": 1.0})
     low = float(sampler_cfg.get("low", -1.0))
     high = float(sampler_cfg.get("high", 1.0))
-    space = uniform_raw_space(low, high)
     count = int(cls.get("count", 16))
     if cls["kind"] == "linear":
         weights = [(j + 1) / count for j in range(count)]
@@ -146,7 +148,7 @@ def _build_class(config: dict, domain_hint=None):
         raise ConfigError(f"config.function_class.kind: unknown kind {cls['kind']!r}")
     ends = [w * e for w in weights for e in (low, high)]
     dom = domain_hint if domain_hint is not None else box([min(ends)], [max(ends)])
-    return linear_class(weights, space, dom), space
+    return linear_class(weights, uniform_raw_space(low, high), dom)
 
 
 def _run_seminorm(config: dict) -> dict:
@@ -162,12 +164,12 @@ def _run_seminorm(config: dict) -> dict:
 
 
 def _run_complexity(config: dict) -> dict:
-    fclass, _ = _build_class(config)
+    fclass = _build_class(config)
     n = int(_field(config, "statistic.n", 16))
     kind = config.get("complexity_kind", "gaussian")
     reps = config.get("replicates", {})
     est = cpx.class_complexity(
-        fclass, None, n, kind,
+        fclass, n, kind,
         outer_reps=int(reps.get("outer", 64)),
         inner_reps=int(reps.get("inner", 2048)),
         rng=SeededRng(config["seed"]),
@@ -179,10 +181,10 @@ def _run_bound(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
     rng = SeededRng(config["seed"])
     report = report_fn()
-    fclass, _ = _build_class(config, domain_hint=f.domain)
+    fclass = _build_class(config, domain_hint=f.domain)
     reps = config.get("replicates", {})
     g = cpx.class_complexity(
-        fclass, None, f.n, config.get("complexity_kind", "gaussian"),
+        fclass, f.n, config.get("complexity_kind", "gaussian"),
         outer_reps=int(reps.get("outer", 64)),
         inner_reps=int(reps.get("inner", 2048)),
         rng=rng.split(2),
@@ -258,6 +260,11 @@ def _run_verify(config: dict) -> dict:
     return {"statistic": f.label, "records": records, "all_passed": all(r["pass"] for r in records)}
 
 
+def _nearest_center_loss(centers: np.ndarray):
+    """Class member: each row's squared distance to its nearest center."""
+    return lambda X: np.min(stats._squared_distances(X, centers), axis=1)
+
+
 def _run_cluster(config: dict) -> dict:
     opts = config.get("cluster", {})
     n = int(opts.get("n", 240))
@@ -298,21 +305,17 @@ def _run_cluster(config: dict) -> dict:
                                 rng=rng.split(1).split(r)).centers
             for r in range(restarts)
         ]
-
-        def member(centers):
-            return lambda xrow: np.array([stats.kmeans_loss(centers, np.asarray(xrow))])
-
         space = RawSpace(
             lambda gen, m: apps.gaussian_mixture_with_noise(
                 m, true_centers, std, noise, radius, gen
             ),
             label="mixture",
         )
-        loss_class = FunctionClass(tuple(member(c) for c in runs), space, loss_box,
-                                   label="restart-losses")
+        loss_class = FunctionClass(tuple(_nearest_center_loss(c) for c in runs), space,
+                                   loss_box, label="restart-losses")
         reps = config.get("replicates", {})
         g = cpx.class_complexity(
-            loss_class, None, n, "gaussian",
+            loss_class, n, "gaussian",
             outer_reps=int(reps.get("outer", 16)),
             inner_reps=int(reps.get("inner", 512)),
             rng=rng.split(3),
@@ -340,7 +343,7 @@ def _run_rank(config: dict) -> dict:
     loss = stats.ramp_loss(width)
     reps = config.get("replicates", {})
     g = cpx.class_complexity(
-        candidates, None, n, "gaussian",
+        candidates, n, "gaussian",
         outer_reps=int(reps.get("outer", 32)),
         inner_reps=int(reps.get("inner", 1024)),
         rng=rng.split(0),

@@ -100,7 +100,7 @@ def rademacher_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate
                     lambda gen, r, N: gen.integers(0, 2, size=(r, N)).astype(float) * 2.0 - 1.0)
 
 
-def class_complexity(fclass: FunctionClass, raw_sampler, n: int, kind: str,
+def class_complexity(fclass: FunctionClass, n: int, kind: str,
                      outer_reps: int = 64, inner_reps: int = 2048,
                      rng: SeededRng = SeededRng(0)) -> ComplexityEstimate:
     """Expected complexity of the evaluated class: outer replicates draw a
@@ -114,14 +114,12 @@ def class_complexity(fclass: FunctionClass, raw_sampler, n: int, kind: str,
         raise ValueError(f"unknown complexity kind {kind!r}")
     if outer_reps < 2:
         raise ValueError("at least 2 outer replicates are required")
-    sampler = raw_sampler if raw_sampler is not None else fclass.raw_space.sampler
     inner = gaussian_average if kind == GAUSSIAN else rademacher_average
 
     def one(r: int) -> float:
         stream = rng.split(r)
-        raw = sampler(stream.split(0).generator(), n)
-        configs = evaluate_class(fclass, raw)
-        vectors = np.stack([c.points.reshape(-1) for c in configs])
+        raw = fclass.raw_space.sampler(stream.split(0).generator(), n)
+        vectors = evaluate_class(fclass, raw).reshape(fclass.size, -1)
         return inner(vectors, inner_reps, stream.split(1)).mean
 
     means = np.array([one(r) for r in range(outer_reps)])

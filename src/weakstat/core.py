@@ -1,5 +1,5 @@
-"""Domain types shared by every module: sample-space boxes, configurations,
-statistics, finite function classes and deterministic seeded randomness.
+"""Domain types shared by every module: sample-space boxes, statistics,
+finite function classes and deterministic seeded randomness.
 
 All containers are immutable after construction and safe to share across
 threads.  Indices are 0-based throughout the public API.
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Domain",
-    "Configuration",
     "Statistic",
     "RawSpace",
     "FunctionClass",
@@ -77,13 +76,6 @@ class Domain:
         """Euclidean diameter of the box."""
         return float(np.linalg.norm(self.upper - self.lower))
 
-    def contains(self, points: np.ndarray, atol: float = 1e-12) -> bool:
-        p = np.atleast_2d(points)
-        return bool(np.all(p >= self.lower - atol) and np.all(p <= self.upper + atol))
-
-    def clip(self, points: np.ndarray) -> np.ndarray:
-        return np.clip(points, self.lower, self.upper)
-
     def uniform(self, gen: np.random.Generator, n: int) -> np.ndarray:
         """Draw n points uniformly from the box, shape (n, d)."""
         return gen.uniform(self.lower, self.upper, size=(n, self.d))
@@ -101,41 +93,9 @@ def box(lower: Sequence[float], upper: Sequence[float]) -> Domain:
     return Domain(np.asarray(lower, dtype=float), np.asarray(upper, dtype=float))
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A point of the sample space U^n: an (n, d) array whose rows lie in U."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.points, dtype=float)
-        if p.ndim == 1:
-            p = p[:, None]
-        if p.ndim != 2 or p.shape[0] < 1:
-            raise ValueError(f"points must be an (n, d) array with n >= 1, got shape {p.shape}")
-        object.__setattr__(self, "points", _readonly(p))
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.points.shape[1]
-
-    @classmethod
-    def in_domain(cls, points: np.ndarray, domain: Domain) -> "Configuration":
-        cfg = cls(points)
-        if cfg.d != domain.d:
-            raise ValueError(f"point dimension {cfg.d} does not match domain dimension {domain.d}")
-        if not domain.contains(cfg.points):
-            raise DomainViolationError("configuration has rows outside the domain box")
-        return cfg
-
-
 def as_points(x) -> np.ndarray:
-    """Accept a Configuration, array, or sequence and return an (n, d) float array."""
-    p = x.points if isinstance(x, Configuration) else np.asarray(x, dtype=float)
+    """Accept an array or sequence and return an (n, d) float array."""
+    p = np.asarray(x, dtype=float)
     if p.ndim == 1:
         p = p[:, None]
     return p
@@ -165,8 +125,8 @@ class Statistic:
 class RawSpace:
     """Opaque raw-data space X, carried as a sampler plus a label.
 
-    ``sampler(gen, n)`` returns a sequence of n raw data (any datum type a
-    class member can consume; an (n, p) array works, iterated by rows).
+    ``sampler(gen, n)`` returns a raw sample of n data that class members
+    map whole, such as an (n,) array of scalars or an (n, p) array of rows.
     """
 
     sampler: Callable[[np.random.Generator, int], Sequence]
@@ -175,7 +135,11 @@ class RawSpace:
 
 @dataclass(frozen=True)
 class FunctionClass:
-    """A finite ordered class of maps h: raw datum -> point of the domain box."""
+    """A finite ordered class of maps h: raw datum -> point of the domain box.
+
+    A member maps a whole raw sample of n data to its n images at once (row
+    i from datum i alone): an (n, d) array, or an (n,) array when d = 1.
+    """
 
     members: tuple
     raw_space: RawSpace
@@ -192,29 +156,32 @@ class FunctionClass:
         return len(self.members)
 
 
-def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> list[Configuration]:
-    """Apply every member to the raw sample: entry j is (h_j(x_1), ..., h_j(x_n)).
+def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
+    """Apply every member to the raw sample and return the (size, n, d) array
+    whose entry j is the configuration (h_j(x_1), ..., h_j(x_n)).
 
-    Raises DomainViolationError naming the member and coordinate if any
-    output leaves the domain box.
+    Raises DomainViolationError naming the member, datum and coordinate if
+    any output leaves the domain box.
     """
+    n = len(raw_sample)
+    if n < 1:
+        raise ValueError("the raw sample must hold at least one datum")
     dom = fclass.domain
-    out = []
+    out = np.empty((fclass.size, n, dom.d))
     for j, h in enumerate(fclass.members):
-        rows = np.array([np.atleast_1d(np.asarray(h(r), dtype=float)) for r in raw_sample])
-        if rows.ndim != 2 or rows.shape[1] != dom.d:
+        rows = as_points(h(raw_sample))
+        if rows.shape != (n, dom.d):
             raise ValueError(
-                f"member {j} returned points of dimension {rows.shape[-1]}, expected {dom.d}"
+                f"member {j} returned points of shape {rows.shape}, expected {(n, dom.d)}"
             )
-        low_bad = rows < dom.lower - 1e-12
-        high_bad = rows > dom.upper + 1e-12
-        if low_bad.any() or high_bad.any():
-            i, c = np.argwhere(low_bad | high_bad)[0]
+        bad = (rows < dom.lower - 1e-12) | (rows > dom.upper + 1e-12)
+        if bad.any():
+            i, c = np.argwhere(bad)[0]
             raise DomainViolationError(
                 f"member {j} maps datum {i} outside the domain box at coordinate {c}: "
                 f"value {rows[i, c]!r} not in [{dom.lower[c]!r}, {dom.upper[c]!r}]"
             )
-        out.append(Configuration(rows))
+        out[j] = rows
     return out
 
 
@@ -232,7 +199,7 @@ def linear_class(weights: Sequence[float], raw_space: RawSpace, domain: Domain,
     """Scalar linear members h_w(x) = w * x, one per weight."""
 
     def make(w: float):
-        return lambda x: np.array([w * float(x)])
+        return lambda x: w * np.asarray(x, dtype=float)
 
     members = tuple(make(float(w)) for w in weights)
     return FunctionClass(members, raw_space, domain, label=label)

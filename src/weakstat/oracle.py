@@ -218,7 +218,7 @@ def fk_difference_check(f: Statistic, x, xp, y, yp, k: int, m_lip: float,
     )
 
 
-def sup_deviation_estimate(f: Statistic, fclass: FunctionClass, raw_sampler,
+def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
                            outer_reps: int, pop_reps: int,
                            rng: SeededRng) -> DeviationEstimate:
     """Monte-Carlo estimate of E sup_h [ E f(h(X')) - f(h(X)) ].
@@ -230,7 +230,7 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass, raw_sampler,
     """
     if outer_reps < 1 or pop_reps < 1:
         raise ValueError("replicate counts must be positive")
-    sampler = raw_sampler if raw_sampler is not None else fclass.raw_space.sampler
+    sampler = fclass.raw_space.sampler
     n = f.n
 
     def one(r: int) -> float:

@@ -2,8 +2,8 @@
 two-sample ranking statistic, rank-weighted L-statistics, K-means losses
 and the ridge-regression error functional.
 
-Every operation is a pure function of its arguments.  Functions accept a
-Configuration, an (n, d) array, or a plain sequence (treated as d=1).
+Every operation is a pure function of its arguments.  Functions accept an
+(n, d) array or a plain sequence (treated as d=1).
 """
 from __future__ import annotations
 
@@ -231,13 +231,18 @@ def f_zeta(t, zeta: float):
     return out if isinstance(t, np.ndarray) else float(out)
 
 
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, K) squared Euclidean distances from each of n points to each of K centers."""
+    return np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
+
+
 def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:
     """Squared Euclidean distance to the nearest center."""
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     p = np.asarray(point, dtype=float)
     if p.shape != (c.shape[1],):
         raise ValueError(f"point shape {p.shape} does not match centers of dimension {c.shape[1]}")
-    return float(np.min(np.sum((c - p) ** 2, axis=1)))
+    return float(np.min(_squared_distances(p[None], c)))
 
 
 def _ridge_split(x, problem: RidgeProblem):

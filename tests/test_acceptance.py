@@ -142,7 +142,7 @@ def test_criterion_4_symmetrization_simulation():
     fclass = _sign_class(16)
     f = mean_statistic(n, dom)
 
-    g = class_complexity(fclass, None, n, "gaussian", outer_reps=64, inner_reps=2048,
+    g = class_complexity(fclass, n, "gaussian", outer_reps=64, inner_reps=2048,
                          rng=SeededRng(1000))
     report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
     bound = symmetrization_bound(report, g.inflated(3.0))
@@ -150,7 +150,7 @@ def test_criterion_4_symmetrization_simulation():
     # single-draw estimates per seed: the 100 seeds are the replication, so
     # the halved bound can be caught by genuine sampling fluctuation
     estimates = [
-        sup_deviation_estimate(f, fclass, None, outer_reps=1, pop_reps=1,
+        sup_deviation_estimate(f, fclass, outer_reps=1, pop_reps=1,
                                rng=SeededRng(2000 + seed)).mean
         for seed in range(100)
     ]
@@ -170,7 +170,7 @@ def test_criterion_5_uniform_bound_coverage():
     dom = symmetric_interval(1.0)
     fclass = _sign_class(16)
     report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
-    g = class_complexity(fclass, None, n, "gaussian", outer_reps=64, inner_reps=2048,
+    g = class_complexity(fclass, n, "gaussian", outer_reps=64, inner_reps=2048,
                          rng=SeededRng(1100))
     total = uniform_bound(report, g, n, delta).total
 
@@ -275,7 +275,7 @@ def test_criterion_10_ranking_certificate():
     candidates = linear_ranker_class(2, count, space)
     loss = ramp_loss(1.0)
     hold_loss = indicator_loss()
-    g = class_complexity(candidates, None, n, "gaussian", outer_reps=32,
+    g = class_complexity(candidates, n, "gaussian", outer_reps=32,
                          inner_reps=1024, rng=SeededRng(5000))
     covered = 0
     for seed in range(trials):

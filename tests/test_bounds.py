@@ -186,7 +186,7 @@ class TestCoverageSmoke:
         from weakstat import analytic_seminorms_lstat, constant_weight
 
         report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
-        g = class_complexity(fclass, None, n, "gaussian", outer_reps=16, inner_reps=512,
+        g = class_complexity(fclass, n, "gaussian", outer_reps=16, inner_reps=512,
                              rng=SeededRng(100))
         total = uniform_bound(report, g, n, delta).total
         violations = 0

@@ -221,6 +221,31 @@ class TestMainEntry:
         assert status == EXIT_ERROR
         assert "config.budget" in capsys.readouterr().err
 
+    def _bad_input(self, tmp_path, capsys, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        status = main([config["kind"], "--config", str(cfg_path)])
+        return status, capsys.readouterr().err
+
+    def test_one_dimensional_cluster_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys,
+                                      {"kind": "cluster", "seed": 0, "cluster": {"dim": 1}})
+        assert status == EXIT_ERROR
+        assert "config.cluster.dim" in err
+
+    def test_odd_rank_sample_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys,
+                                      {"kind": "rank", "seed": 0, "rank": {"n": 41}})
+        assert status == EXIT_ERROR
+        assert "config.rank.n" in err
+
+    def test_inverted_statistic_box_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, _seminorm_config(
+            statistic={"family": "mean", "n": 8, "lower": 1.0, "upper": 0.0}
+        ))
+        assert status == EXIT_ERROR
+        assert "config.statistic.lower" in err
+
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_seminorm_config()))

@@ -88,48 +88,48 @@ def _point_mass_space(value: float) -> RawSpace:
 class TestClassComplexity:
     def test_constant_member_is_mean_zero(self):
         fc = FunctionClass(
-            (lambda x: np.array([0.5]),), uniform_raw_space(), symmetric_interval(1.0)
+            (lambda x: np.full(len(x), 0.5),), uniform_raw_space(), symmetric_interval(1.0)
         )
-        est = class_complexity(fc, None, 8, "gaussian", outer_reps=8, inner_reps=2000,
+        est = class_complexity(fc, 8, "gaussian", outer_reps=8, inner_reps=2000,
                                rng=SeededRng(0))
         assert abs(est.mean) <= 3.0 * max(est.std_error, 1e-3)
 
     def test_sign_pair_class_matches_closed_form(self):
         n = 16
         fc = FunctionClass(
-            (lambda x: np.array([x]), lambda x: np.array([-x])),
+            (lambda x: x, lambda x: -x),
             _point_mass_space(1.0),
             symmetric_interval(1.0),
         )
-        est = class_complexity(fc, None, n, "gaussian", outer_reps=8, inner_reps=20000,
+        est = class_complexity(fc, n, "gaussian", outer_reps=8, inner_reps=20000,
                                rng=SeededRng(1))
         target = math.sqrt(2.0 * n / math.pi)
         assert abs(est.mean - target) <= 3.0 * max(est.std_error, 0.01)
 
     def test_duplicates_do_not_change_matched_seed_estimate(self):
-        members = (lambda x: np.array([x]), lambda x: np.array([-x]))
+        members = (lambda x: x, lambda x: -x)
         base = FunctionClass(members, uniform_raw_space(-1, 1), symmetric_interval(1.0))
         doubled = FunctionClass(members + members, uniform_raw_space(-1, 1),
                                 symmetric_interval(1.0))
-        a = class_complexity(base, None, 6, "rademacher", outer_reps=4, inner_reps=500,
+        a = class_complexity(base, 6, "rademacher", outer_reps=4, inner_reps=500,
                              rng=SeededRng(2))
-        b = class_complexity(doubled, None, 6, "rademacher", outer_reps=4, inner_reps=500,
+        b = class_complexity(doubled, 6, "rademacher", outer_reps=4, inner_reps=500,
                              rng=SeededRng(2))
         assert a.mean == b.mean
 
     def test_outer_replicate_floor(self):
-        fc = FunctionClass((lambda x: np.array([x]),), uniform_raw_space(), symmetric_interval())
+        fc = FunctionClass((lambda x: x,), uniform_raw_space(), symmetric_interval())
         with pytest.raises(ValueError):
-            class_complexity(fc, None, 4, "gaussian", outer_reps=1, rng=SeededRng(0))
+            class_complexity(fc, 4, "gaussian", outer_reps=1, rng=SeededRng(0))
 
     def test_domain_violations_propagate(self):
         from weakstat import DomainViolationError
 
         fc = FunctionClass(
-            (lambda x: np.array([5.0]),), uniform_raw_space(), symmetric_interval(1.0)
+            (lambda x: np.full(len(x), 5.0),), uniform_raw_space(), symmetric_interval(1.0)
         )
         with pytest.raises(DomainViolationError):
-            class_complexity(fc, None, 4, "gaussian", outer_reps=2, inner_reps=16,
+            class_complexity(fc, 4, "gaussian", outer_reps=2, inner_reps=16,
                              rng=SeededRng(0))
 
 

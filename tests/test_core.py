@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from weakstat import (
-    Configuration,
     DomainViolationError,
     FunctionClass,
     SeededRng,
@@ -32,59 +31,41 @@ class TestDomain:
     def test_uniform_draws_stay_inside(self):
         dom = box([-2.0, 0.0], [-1.0, 3.0])
         pts = dom.uniform(SeededRng(5).generator(), 100)
-        assert dom.contains(pts)
-
-
-class TestConfiguration:
-    def test_scalar_sequence_becomes_column(self):
-        cfg = Configuration([0.1, 0.2, 0.3])
-        assert cfg.points.shape == (3, 1)
-        assert cfg.n == 3 and cfg.d == 1
-
-    def test_in_domain_rejects_outside_rows(self):
-        with pytest.raises(DomainViolationError):
-            Configuration.in_domain(np.array([[0.5], [1.5]]), unit_interval())
-
-    def test_points_are_immutable(self):
-        cfg = Configuration([0.1, 0.2])
-        with pytest.raises(ValueError):
-            cfg.points[0] = 9.0
+        assert np.all((pts >= dom.lower) & (pts <= dom.upper))
 
 
 class TestEvaluateClass:
     def test_identity_member(self):
-        fc = FunctionClass(
-            (lambda x: np.array([x]),), uniform_raw_space(), unit_interval()
-        )
-        (cfg,) = evaluate_class(fc, [0.2, 0.7])
-        assert cfg.points[:, 0].tolist() == [0.2, 0.7]
+        fc = FunctionClass((lambda x: x,), uniform_raw_space(), unit_interval())
+        out = evaluate_class(fc, np.array([0.2, 0.7]))
+        assert out.shape == (1, 2, 1)
+        assert out[0, :, 0].tolist() == [0.2, 0.7]
 
     def test_identity_and_constant_members(self):
         fc = FunctionClass(
-            (lambda x: np.array([x]), lambda x: np.array([0.0])),
+            (lambda x: x, lambda x: np.zeros(len(x))),
             uniform_raw_space(),
             unit_interval(),
         )
-        a, b = evaluate_class(fc, [0.5])
-        assert a.points[0, 0] == 0.5
-        assert b.points[0, 0] == 0.0
+        a, b = evaluate_class(fc, np.array([0.5]))
+        assert a[0, 0] == 0.5
+        assert b[0, 0] == 0.0
 
     def test_linear_member_on_vector_datum(self):
         w = np.array([1.0, 1.0])
-        fc = FunctionClass(
-            (lambda x: np.array([float(w @ x)]),), uniform_raw_space(), unit_interval()
-        )
-        (cfg,) = evaluate_class(fc, [np.array([0.3, 0.4])])
-        assert cfg.points[0, 0] == pytest.approx(0.7)
+        fc = FunctionClass((lambda X: X @ w,), uniform_raw_space(), unit_interval())
+        (cfg,) = evaluate_class(fc, np.array([[0.3, 0.4]]))
+        assert cfg[0, 0] == pytest.approx(0.7)
 
     def test_violation_names_member_and_coordinate(self):
         fc = FunctionClass(
-            (lambda x: np.array([x]), lambda x: np.array([2.0])),
+            (lambda x: x, lambda x: np.where(x > 0.4, 2.0, x)),
             uniform_raw_space(),
             unit_interval(),
         )
-        with pytest.raises(DomainViolationError, match=r"member 1 .* coordinate 0"):
-            evaluate_class(fc, [0.5])
+        with pytest.raises(DomainViolationError,
+                           match=r"member 1 maps datum 1 .* coordinate 0"):
+            evaluate_class(fc, np.array([0.3, 0.5]))
 
     def test_clipped_linear_classes_stay_inside(self):
         # domain closure: members that clip into the box can never trip the check
@@ -93,13 +74,13 @@ class TestEvaluateClass:
         for _ in range(20):
             w = float(gen.uniform(-3, 3))
             fc = FunctionClass(
-                (lambda x, w=w: np.clip(np.array([w * x]), dom.lower, dom.upper),),
+                (lambda x, w=w: np.clip(w * x, dom.lower, dom.upper),),
                 uniform_raw_space(-1.0, 1.0),
                 dom,
             )
             raw = fc.raw_space.sampler(gen, 50)
             (cfg,) = evaluate_class(fc, raw)
-            assert dom.contains(cfg.points)
+            assert np.all((cfg >= dom.lower) & (cfg <= dom.upper))
 
 
 class TestSeededRng:
@@ -129,5 +110,5 @@ class TestSeededRng:
 def test_linear_class_builds_ordered_members():
     fc = linear_class([0.5, 1.0], uniform_raw_space(), unit_interval())
     a, b = evaluate_class(fc, [0.8])
-    assert a.points[0, 0] == pytest.approx(0.4)
-    assert b.points[0, 0] == pytest.approx(0.8)
+    assert a[0, 0] == pytest.approx(0.4)
+    assert b[0, 0] == pytest.approx(0.8)

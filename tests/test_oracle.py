@@ -175,7 +175,7 @@ class TestSupDeviation:
         dom = symmetric_interval(1.0)
         fclass = linear_class([1.0], uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
-        est = sup_deviation_estimate(f, fclass, None, outer_reps=64, pop_reps=8,
+        est = sup_deviation_estimate(f, fclass, outer_reps=64, pop_reps=8,
                                      rng=SeededRng(0))
         assert abs(est.mean) <= 3.0 * est.std_error
 
@@ -184,7 +184,7 @@ class TestSupDeviation:
         dom = symmetric_interval(1.0)
         fclass = linear_class([1.0, -1.0], uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
-        est = sup_deviation_estimate(f, fclass, None, outer_reps=300, pop_reps=4,
+        est = sup_deviation_estimate(f, fclass, outer_reps=300, pop_reps=4,
                                      rng=SeededRng(1))
         # independent oracle: sup over {h, -h} of (pop - emp) is
         # |pop_mean - sample_mean|; simulate it with plain numpy
@@ -205,10 +205,10 @@ class TestSupDeviation:
         fclass = linear_class(weights + [-w for w in weights],
                               uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
-        r_hat = class_complexity(fclass, None, n, "rademacher", outer_reps=16,
+        r_hat = class_complexity(fclass, n, "rademacher", outer_reps=16,
                                  inner_reps=1024, rng=SeededRng(3))
         for seed in range(3):
-            est = sup_deviation_estimate(f, fclass, None, outer_reps=32, pop_reps=16,
+            est = sup_deviation_estimate(f, fclass, outer_reps=32, pop_reps=16,
                                          rng=SeededRng(seed, 30))
             bound = (2.0 / n) * (r_hat.mean + 3.0 * r_hat.std_error)
             assert est.mean <= bound + 3.0 * est.std_error

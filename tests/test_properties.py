@@ -1,0 +1,83 @@
+"""Property tests: evaluate_class on whole-sample members equals, bit for
+bit, a reference loop that maps one datum at a time."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from weakstat import (
+    FunctionClass,
+    box,
+    evaluate_class,
+    kmeans_loss,
+    linear_class,
+    linear_ranker_class,
+    two_block_ranking_space,
+    uniform_raw_space,
+)
+from weakstat.cli import _nearest_center_loss
+
+_SETTINGS = settings(deadline=None, max_examples=60)
+
+
+def _samples(low, high, dim=None, rows=st.integers(1, 24)):
+    shape = rows if dim is None else st.tuples(rows, st.just(dim))
+    return arrays(np.float64, shape, elements=st.floats(low, high, width=64))
+
+
+@_SETTINGS
+@given(weights=st.lists(st.floats(-2.0, 2.0, width=64), min_size=1, max_size=9),
+       raw=_samples(-1.0, 1.0))
+def test_linear_class_matches_per_datum_loop(weights, raw):
+    out = evaluate_class(linear_class(weights, uniform_raw_space(-1, 1), box([-2.0], [2.0])), raw)
+    ref = np.array([[[w * float(x)] for x in raw] for w in weights])
+    assert out.shape == (len(weights), len(raw), 1)
+    assert (out == ref).all()
+
+
+@_SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), count=st.integers(1, 9))
+def test_linear_ranker_class_matches_per_datum_loop(data, dim, count):
+    X = data.draw(_samples(-3.0, 3.0, dim))
+    out = evaluate_class(linear_ranker_class(dim, count, two_block_ranking_space(dim, 1.0)), X)
+    norm = 3.0 * math.sqrt(dim)
+    ref = np.empty((count, X.shape[0], 1))
+    for j, theta in enumerate(np.arange(count) * 2.0 * math.pi / count):
+        w = np.zeros(dim)
+        w[0] = math.cos(theta)
+        if dim > 1:
+            w[1] = math.sin(theta)
+        for i, x in enumerate(X):
+            ref[j, i, 0] = float(np.dot(w, x)) / norm
+    assert (out == ref).all()
+
+
+@_SETTINGS
+@given(data=st.data(), dim=st.integers(1, 4), k=st.integers(1, 5), size=st.integers(1, 4))
+def test_cluster_loss_member_matches_kmeans_loss(data, dim, k, size):
+    runs = [data.draw(_samples(-6.0, 6.0, dim, rows=st.just(k))) for _ in range(size)]
+    X = data.draw(_samples(-6.0, 6.0, dim))
+    fclass = FunctionClass(tuple(_nearest_center_loss(c) for c in runs),
+                           uniform_raw_space(), box([0.0], [1e4]))
+    out = evaluate_class(fclass, X)
+    ref = np.array([[[kmeans_loss(c, x)] for x in X] for c in runs])
+    assert (out == ref).all()
+
+
+def test_empty_sample_is_rejected():
+    fclass = linear_class([1.0], uniform_raw_space(), box([0.0], [1.0]))
+    with pytest.raises(ValueError, match="at least one datum"):
+        evaluate_class(fclass, np.array([]))
+
+
+@pytest.mark.parametrize("member", [
+    lambda x: np.stack([x, x], axis=1),  # two coordinates for a d = 1 box
+    lambda x: x[:-1],                    # one image short
+    lambda x: 0.5,                       # a scalar, not one image per datum
+])
+def test_wrong_shape_names_the_member(member):
+    fclass = FunctionClass((lambda x: x, member), uniform_raw_space(), box([0.0], [1.0]))
+    with pytest.raises(ValueError, match=r"member 1 returned points of shape"):
+        evaluate_class(fclass, np.array([0.25, 0.5, 0.75]))

@@ -106,6 +106,11 @@ def _build_statistic(config: dict):
         report = lambda: smn.analytic_seminorms_lstat(stats.constant_weight(1.0), dom.diameter, n)
     elif family in ("ustat", "vstat"):
         kernel = stats.product_kernel()
+        if n < kernel.m:
+            raise ConfigError(
+                f"config.statistic.n: the {family} family needs n >= {kernel.m} "
+                f"(the kernel arity), got {n}"
+            )
         build = stats.u_stat_statistic if family == "ustat" else stats.v_stat_statistic
         f = build(kernel, n, dom)
         report = lambda: smn.analytic_seminorms_ustat(
@@ -137,6 +142,8 @@ def _build_class(config: dict, domain_hint=None):
     sampler_cfg = config.get("sampler", {"kind": "uniform", "low": -1.0, "high": 1.0})
     low = float(sampler_cfg.get("low", -1.0))
     high = float(sampler_cfg.get("high", 1.0))
+    if low > high:
+        raise ConfigError(f"config.sampler.low: {low} exceeds sampler.high {high}")
     count = int(cls.get("count", 16))
     if cls["kind"] == "linear":
         weights = [(j + 1) / count for j in range(count)]
@@ -269,6 +276,8 @@ def _run_cluster(config: dict) -> dict:
     opts = config.get("cluster", {})
     n = int(opts.get("n", 240))
     K = int(opts.get("k", 3))
+    if K > n:
+        raise ConfigError(f"config.cluster.k: {K} clusters exceed cluster.n = {n} points")
     zeta = float(opts.get("zeta", 0.125))
     dim = int(opts.get("dim", 2))
     radius = float(opts.get("ball_radius", 6.0))

@@ -28,6 +28,13 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# Configurations per evaluator call in Statistic.batch.  The V-statistic at
+# n = 12 holds about 4.6 KB of intermediates per configuration: evaluating
+# all 4096 swap configurations of fk_decompose at once raised the peak RSS
+# of the telescoping benchmark from 43 to 61 MB, while blocks of 128 need
+# about 0.6 MB and leave it at 43 MB.
+BATCH_BLOCK = 128
+
 
 class DomainViolationError(ValueError):
     """A function-class member produced a point outside the domain box."""
@@ -107,15 +114,36 @@ class Statistic:
 
     ``evaluator`` receives the raw (n, d) points array and must be
     deterministic: the same array always yields the bit-identical float.
+    With ``batched`` set, it also accepts a (B, n, d) stack and returns the
+    (B,) values, each bit-identical to its value on that configuration
+    alone; the family builders of ``weakstat.statistics`` all set it.
     """
 
     evaluator: Callable[[np.ndarray], float]
     domain: Domain
     n: int
     label: str = ""
+    batched: bool = False
 
     def value(self, points: np.ndarray) -> float:
         return float(self.evaluator(points))
+
+    def batch(self, stack) -> np.ndarray:
+        """Values at each configuration of a (B, n, d) stack, as a (B,)
+        float array equal to ``[self.value(p) for p in stack]``.
+
+        A batched evaluator is called once per block of BATCH_BLOCK
+        configurations; otherwise ``value`` is called per configuration.
+        """
+        stack = np.ascontiguousarray(stack, dtype=float)
+        if stack.ndim != 3:
+            raise ValueError(f"batch expects a (B, n, d) stack, got shape {stack.shape}")
+        if not self.batched:
+            return np.array([self.value(p) for p in stack], dtype=float)
+        out = np.empty(stack.shape[0])
+        for s in range(0, stack.shape[0], BATCH_BLOCK):
+            out[s:s + BATCH_BLOCK] = self.evaluator(stack[s:s + BATCH_BLOCK])
+        return out
 
     def __call__(self, x) -> float:
         return self.value(as_points(x))

@@ -4,7 +4,9 @@ sample sizes where exhaustive subset enumeration is feasible.
 The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') evaluates f
 once on each of the 2^n swap configurations and sums each term's 2^k
 subset differences with compensated summation, so that residuals stay at
-the 1e-9 scale the identity checks assert.
+the 1e-9 scale the identity checks assert.  The swap table is built in
+blocks of BATCH_BLOCK consecutive masks, each evaluated by one
+``Statistic.batch`` call, so its memory stays bounded at every n.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .core import FunctionClass, SeededRng, Statistic, as_points, evaluate_class
+from .core import BATCH_BLOCK, FunctionClass, SeededRng, Statistic, as_points, evaluate_class
 from .seminorms import BudgetError, partial_difference
 
 __all__ = [
@@ -97,11 +99,15 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _kahan_add(total: float, comp: float, value: float) -> tuple[float, float]:
-    y = value - comp
-    t = total + y
-    comp = (t - total) - y
-    return t, comp
+def _kahan_sum(values) -> float:
+    """Compensated sum of the values, in their order."""
+    total = comp = 0.0
+    for value in values:
+        y = value - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return total
 
 
 def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
@@ -122,9 +128,10 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     terms, each a 2^k-subset average of partial differences.
 
     f is evaluated once on each of the 2^n swap configurations, which take
-    rows from x' on a bitmask and from x elsewhere.  F_k sums, over the
-    masks A of the first k coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c)
-    with the complement A^c taken in all n coordinates.
+    rows from x' on a bitmask and from x elsewhere, one block of masks per
+    ``f.batch`` call.  F_k sums, over the masks A of the first k
+    coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c) with the complement
+    A^c taken in all n coordinates.
 
     The residual |f(x) - f(x') - sum terms| is zero in exact arithmetic for
     every f; it is reported so callers can assert float-level smallness.
@@ -132,25 +139,22 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     a, b = _check_pair(f, x, xp)
     n = a.shape[0]
     bits = np.arange(n)
-    vals = np.array([
-        f.value(np.where(((mask >> bits) & 1).astype(bool)[:, None], b, a))
-        for mask in range(1 << n)
-    ])
+    vals = np.empty(1 << n)
+    for start in range(0, 1 << n, BATCH_BLOCK):
+        masks = np.arange(start, min(start + BATCH_BLOCK, 1 << n))
+        swapped = ((masks[:, None] >> bits) & 1).astype(bool)
+        vals[start:start + len(masks)] = f.batch(np.where(swapped[..., None], b, a))
     full = (1 << n) - 1
     terms = []
     for k in range(n):
         bit = 1 << k
         A = np.arange(1 << k)
         rest = full ^ A
-        total, comp = 0.0, 0.0
-        for term in (vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist():
-            total, comp = _kahan_add(total, comp, term)
+        total = _kahan_sum((vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist())
         terms.append(total / float(2 ** (k + 1)))
     lhs = float(vals[0] - vals[full])
-    total, comp = 0.0, 0.0
-    for t in terms:
-        total, comp = _kahan_add(total, comp, t)
-    return FkDecomposition(n=n, terms=tuple(terms), lhs=lhs, residual=abs(lhs - total))
+    return FkDecomposition(n=n, terms=tuple(terms), lhs=lhs,
+                           residual=abs(lhs - _kahan_sum(terms)))
 
 
 def fk_term(f: Statistic, x, xp, k: int) -> float:
@@ -236,12 +240,11 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
     def one(r: int) -> float:
         stream = rng.split(r)
         gen_data = stream.split(0).generator()
-        emp = np.array([f(c) for c in evaluate_class(fclass, sampler(gen_data, n))])
+        emp = f.batch(evaluate_class(fclass, sampler(gen_data, n)))
         gen_pop = stream.split(1).generator()
         pop = np.zeros(fclass.size)
         for _ in range(pop_reps):
-            fresh = sampler(gen_pop, n)
-            pop += np.array([f(c) for c in evaluate_class(fclass, fresh)])
+            pop += f.batch(evaluate_class(fclass, sampler(gen_pop, n)))
         pop /= pop_reps
         return float(np.max(pop - emp))
 
@@ -270,14 +273,13 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
         raise ValueError("the L-statistic conditions are stated for scalar data")
     n = pts.shape[0]
 
-    def lf(p: np.ndarray) -> float:
-        return l_statistic(F, p)
-
-    a = pts.copy()
-    a[k, 0] = y
-    b = pts.copy()
-    b[k, 0] = yp
-    d1 = lf(a) - lf(b)
+    # the two first-order configurations, then the four second-order corners
+    stack = np.repeat(pts[None], 6, axis=0)
+    stack[:2, k, 0] = (y, yp)
+    stack[2:, k, 0] = (y, yp, y, yp)
+    stack[2:, l, 0] = (z, z, zp, zp)
+    vals = l_statistic(F, stack).tolist()
+    d1 = vals[0] - vals[1]
     rhs1 = F.sup_norm * abs(y - yp) / n
     first = CheckResult(
         name="lstat_first_order",
@@ -288,13 +290,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
         inputs_digest=_digest(pts, [k, l], [y, yp, z, zp]),
     )
 
-    vals = []
-    for rk, rl in ((y, z), (yp, z), (y, zp), (yp, zp)):
-        c = pts.copy()
-        c[k, 0] = rk
-        c[l, 0] = rl
-        vals.append(lf(c))
-    d2 = vals[0] - vals[1] - vals[2] + vals[3]
+    d2 = vals[2] - vals[3] - vals[4] + vals[5]
     rhs2 = F.lip_norm * _intersection_diam(z, zp, y, yp) / (n * n)
     second = CheckResult(
         name="lstat_second_order",

@@ -164,6 +164,9 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     The distance is |y - y'|.  Both objectives share the probe stream, which
     guarantees the range value <= the Lipschitz value * diameter pointwise,
     since every absolute candidate also enters the ratio race.
+
+    Exploration evaluates the corners of all its probes with one
+    ``f.batch`` call; refinement perturbs the incumbent one probe at a time.
     """
     gen = rng.generator()
     dom = f.domain
@@ -180,16 +183,62 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     explore = max(int(round(probes * explore_frac)), 1)
     refine = max(probes - explore, 0)
 
+    # exploration: draw every probe, redraw the pairs under the separation
+    # floor in draw order (rare for floors well below the box widths), then
+    # evaluate all corners of the accepted probes at once
+    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
+    draws = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
+    if order == 1:
+        coords = (np.arange(explore) % n)[:, None]
+    else:
+        ks = gen.integers(n, size=explore)
+        ls = gen.integers(n - 1, size=explore)
+        coords = np.stack([ks, ls + (ls >= ks)], axis=1)
+    gap = draws[0] - draws[1]
+    # per-row np.linalg.norm: sqrt of the BLAS dot of the row with itself
+    dist = np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
+    for t in np.flatnonzero(dist < floor):
+        draws[0][t], draws[1][t] = _sample_pair(gen, lo, hi, floor)
+        dist[t] = float(np.linalg.norm(draws[0][t] - draws[1][t]))
+    keep = np.flatnonzero(dist >= floor)
+    xs, coords, dist = xs[keep], coords[keep], dist[keep]
+    draws = [r[keep] for r in draws]
+    probe = np.arange(len(keep))
+    configs = np.repeat(xs[:, None], corners, axis=1)
+    for c, (_, picks) in enumerate(plan):
+        for j, p in enumerate(picks):
+            configs[probe, c, coords[:, j]] = draws[p]
+    vals = f.batch(configs.reshape(-1, n, dom.d)).reshape(len(keep), corners)
+    even, odd = np.zeros(len(keep)), np.zeros(len(keep))
+    for c, (is_odd, _) in enumerate(plan):
+        if is_odd:
+            odd += vals[:, c]
+        else:
+            even += vals[:, c]
+    diff = scale * np.abs(even - odd)
+    ratio = diff / dist
+    used = corners * len(keep)
+
+    def witness(t):
+        return (*coords[t].tolist(), xs[t], *(r[t] for r in draws))
+
     best_ratio, best_abs = 0.0, 0.0
     wit_ratio = wit_abs = None
-    used = 0
+    if len(keep):
+        # np.argmax takes the first maximum, as a sequential strict > scan would
+        t = int(np.argmax(ratio))
+        if ratio[t] > best_ratio:
+            best_ratio, wit_ratio = float(ratio[t]), witness(t)
+        t = int(np.argmax(diff))
+        if diff[t] > best_abs:
+            best_abs, wit_abs = float(diff[t]), witness(t)
     value = f.value
 
     def consider(idx, x, rows):
         nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
         dist = float(np.linalg.norm(rows[0] - rows[1]))
         if dist < floor:
-            return False
+            return
         even = odd = 0.0
         for is_odd, picks in plan:
             a = x.copy()
@@ -207,24 +256,6 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
         if diff > best_abs:
             best_abs = diff
             wit_abs = (*idx, x, *rows)
-        return True
-
-    # exploration draws are batched; consider() refuses pairs under the
-    # separation floor, which are then redrawn individually (rare for floors
-    # well below the box widths)
-    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
-    draws = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
-    if order == 2:
-        ks = gen.integers(n, size=explore)
-        ls = gen.integers(n - 1, size=explore)
-    for t, rows in enumerate(zip(*draws)):
-        if order == 1:
-            idx = (t % n,)
-        else:
-            k, l = int(ks[t]), int(ls[t])
-            idx = (k, l + 1 if l >= k else l)
-        if not consider(idx, xs[t], rows):
-            consider(idx, xs[t], (*_sample_pair(gen, lo, hi, floor), *rows[2:]))
 
     for t in range(refine):
         wit = wit_ratio if t % 2 == 0 else wit_abs

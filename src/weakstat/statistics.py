@@ -3,12 +3,17 @@ two-sample ranking statistic, rank-weighted L-statistics, K-means losses
 and the ridge-regression error functional.
 
 Every operation is a pure function of its arguments.  Functions accept an
-(n, d) array or a plain sequence (treated as d=1).
+(n, d) array or a plain sequence (treated as d=1).  The statistic families
+(the mean, the shared-kernel V/U-statistics, the smoothed AUC, the
+L-statistic and the ridge error) also accept a (B, n, d) stack and return
+its (B,) values, each bit-identical to the value of that configuration
+alone; the builders at the end mark their statistics ``batched``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Mapping, Union
 
@@ -53,8 +58,12 @@ class Kernel:
 
     ``evaluator`` takes m arguments, each shaped (..., d), and returns a
     (...)-shaped array (numpy broadcasting), so tuple enumeration can be
-    batched.  ``lipschitz_L`` bounds the change under moving one argument
-    (per unit Euclidean distance); ``range_B`` bounds the change itself.
+    batched: the V/U-statistics pass (T, d) arrays for one configuration
+    and (B, T, d) arrays for a stack of B, where T counts the index
+    tuples.  Each output entry must depend only on its own arguments, so
+    that a stack's values equal the lone configurations' bit for bit.
+    ``lipschitz_L`` bounds the change under moving one argument (per unit
+    Euclidean distance); ``range_B`` bounds the change itself.
     """
 
     m: int
@@ -72,7 +81,11 @@ class Kernel:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Rank weight F: [0,1] -> R with certified sup and Lipschitz norms."""
+    """Rank weight F: [0,1] -> R with certified sup and Lipschitz norms.
+
+    ``evaluator`` must be deterministic: l_statistic caches its weights
+    F(i/n) per (F, n).
+    """
 
     evaluator: Callable
     sup_norm: float
@@ -115,14 +128,24 @@ KernelSpec = Union[Kernel, Mapping[tuple, Kernel]]
 
 def _scalar_column(x, op: str) -> np.ndarray:
     pts = as_points(x)
-    if pts.shape[1] != 1:
-        raise ValueError(f"{op} requires d=1 configurations, got d={pts.shape[1]}")
-    return pts[:, 0]
+    if pts.shape[-1] != 1:
+        raise ValueError(f"{op} requires d=1 configurations, got d={pts.shape[-1]}")
+    return pts[..., 0]
+
+
+def _mean(v: np.ndarray):
+    """Mean over the last axis, with np.mean's pairwise sum and division."""
+    return np.add.reduce(v, axis=-1) / v.shape[-1]
+
+
+def _result(v):
+    """A float for one configuration, the (B,) array for a stack."""
+    return float(v) if np.ndim(v) == 0 else v
 
 
 def sample_mean(x) -> float:
     """Arithmetic mean of a scalar configuration."""
-    return float(np.mean(_scalar_column(x, "sample_mean")))
+    return _result(_mean(_scalar_column(x, "sample_mean")))
 
 
 def _shared_kernel(kernels: KernelSpec) -> Kernel | None:
@@ -144,6 +167,33 @@ def _check_arity(m: int, n: int) -> None:
         raise ValueError(f"kernel arity m={m} exceeds sample size n={n}")
 
 
+@lru_cache(maxsize=32)
+def _index_tuples(n: int, m: int, ordered: bool) -> np.ndarray:
+    """(m, T) array whose columns are the index tuples of a V-statistic
+    (all ordered tuples) or a U-statistic (strictly increasing ones)."""
+    if ordered:
+        idx = np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
+    else:
+        idx = np.array(list(combinations(range(n), m))).T
+    idx.setflags(write=False)
+    return idx
+
+
+def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray, count: int):
+    """Kernel sum over the index tuples in the columns of ``idx``, divided
+    by ``count``.  The sum runs along the last axis of a C-contiguous array,
+    so each configuration of a stack is summed pairwise, as it is alone; a
+    stack gathered by fancy indexing in the middle axis is not contiguous,
+    and numpy would then add its terms in sequence instead."""
+    vals = np.ascontiguousarray(kernel.evaluator(*(np.take(pts, i, axis=-2) for i in idx)))
+    return _result(np.add.reduce(vals, axis=-1) / count)
+
+
+def _one_configuration(pts: np.ndarray) -> None:
+    if pts.ndim != 2:
+        raise ValueError("per-index kernel families take one (n, d) configuration")
+
+
 def v_statistic(kernels: KernelSpec, x) -> float:
     """V-statistic: n^-m average of the kernel over all ordered index tuples.
 
@@ -152,14 +202,13 @@ def v_statistic(kernels: KernelSpec, x) -> float:
     per-index families such as two-sample layouts.
     """
     pts = as_points(x)
-    n = pts.shape[0]
+    n = pts.shape[-2]
     m = _kernel_arity(kernels)
     _check_arity(m, n)
     shared = _shared_kernel(kernels)
     if shared is not None:
-        idx = np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
-        vals = shared.evaluator(*(pts[idx[i]] for i in range(m)))
-        return float(np.sum(vals) / n**m)
+        return _kernel_average(shared, pts, _index_tuples(n, m, True), n**m)
+    _one_configuration(pts)
     total = 0.0
     for j in product(range(n), repeat=m):
         total += float(kernels[j].evaluator(*(pts[i] for i in j)))
@@ -169,14 +218,13 @@ def v_statistic(kernels: KernelSpec, x) -> float:
 def u_statistic(kernels: KernelSpec, x) -> float:
     """U-statistic: average of the kernel over strictly increasing index tuples."""
     pts = as_points(x)
-    n = pts.shape[0]
+    n = pts.shape[-2]
     m = _kernel_arity(kernels)
     _check_arity(m, n)
     shared = _shared_kernel(kernels)
     if shared is not None:
-        idx = np.array(list(combinations(range(n), m))).T
-        vals = shared.evaluator(*(pts[idx[i]] for i in range(m)))
-        return float(np.sum(vals) / math.comb(n, m))
+        return _kernel_average(shared, pts, _index_tuples(n, m, False), math.comb(n, m))
+    _one_configuration(pts)
     total = 0.0
     for j in combinations(range(n), m):
         total += float(kernels[j].evaluator(*(pts[i] for i in j)))
@@ -190,12 +238,13 @@ def smoothed_auc(loss: LossFunction, x) -> float:
     statistic; with a Lipschitz surrogate it is the smoothed variant.
     """
     s = _scalar_column(x, "smoothed_auc")
-    n = s.shape[0]
+    n = s.shape[-1]
     if n % 2 != 0:
         raise ValueError(f"smoothed_auc requires an even sample size, got n={n}")
     half = n // 2
-    diffs = s[:half, None] - s[None, half:]
-    return float(np.mean(np.asarray(loss.evaluator(diffs), dtype=float)))
+    diffs = s[..., :half, None] - s[..., None, half:]
+    vals = np.ascontiguousarray(loss.evaluator(diffs), dtype=float)
+    return _result(_mean(vals.reshape(*vals.shape[:-2], half * half)))
 
 
 def l_statistic(F: WeightFunction, x) -> float:
@@ -205,10 +254,17 @@ def l_statistic(F: WeightFunction, x) -> float:
     their input order (tied values contribute identically either way).
     """
     s = _scalar_column(x, "l_statistic")
-    n = s.shape[0]
-    order = np.sort(s, kind="stable")
-    w = np.asarray(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
-    return float(order @ w / n)
+    n = s.shape[-1]
+    order = np.sort(s, axis=-1, kind="stable")
+    return _result((order[..., None, :] @ _order_weights(F, n))[..., 0] / n)
+
+
+@lru_cache(maxsize=32)
+def _order_weights(F: WeightFunction, n: int) -> np.ndarray:
+    """The weights F(i/n), i = 1..n, computed once per (F, n)."""
+    w = np.array(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
+    w.setflags(write=False)
+    return w
 
 
 def f_zeta(t, zeta: float):
@@ -247,32 +303,36 @@ def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:
 
 def _ridge_split(x, problem: RidgeProblem):
     pts = as_points(x)
-    if pts.shape[1] != problem.d + 1:
+    if pts.shape[-1] != problem.d + 1:
         raise ValueError(
-            f"ridge rows must be (z, y) of length {problem.d + 1}, got d={pts.shape[1]}"
+            f"ridge rows must be (z, y) of length {problem.d + 1}, got d={pts.shape[-1]}"
         )
-    return pts[:, : problem.d], pts[:, problem.d]
+    return pts[..., : problem.d], pts[..., problem.d]
+
+
+def _ridge_weights(Z: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """(..., d, 1) ridge weights of (..., n, d) features and (..., n) targets."""
+    n, d = Z.shape[-2:]
+    Zt = np.swapaxes(Z, -1, -2)
+    A = Zt @ Z / n + lam * np.eye(d)
+    b = Zt @ y[..., None] / n
+    return np.linalg.solve(A, b)
 
 
 def ridge_solution(x, problem: RidgeProblem) -> np.ndarray:
-    """Closed-form regularized least-squares weights.
+    """Closed-form regularized least-squares weights, (d,) per configuration.
 
     Solves ((1/n) sum z_i z_i^T + lam I) w = (1/n) sum y_i z_i; the matrix
     is positive definite for lam > 0, so the solve cannot fail.
     """
-    Z, y = _ridge_split(x, problem)
-    n = Z.shape[0]
-    A = Z.T @ Z / n + problem.lam * np.eye(problem.d)
-    b = Z.T @ y / n
-    return np.linalg.solve(A, b)
+    return _ridge_weights(*_ridge_split(x, problem), problem.lam)[..., 0]
 
 
 def ridge_error(x, problem: RidgeProblem) -> float:
     """Mean squared residual of the closed-form ridge fit on its own sample."""
     Z, y = _ridge_split(x, problem)
-    w = ridge_solution(x, problem)
-    r = Z @ w - y
-    return float(np.mean(r * r))
+    r = (Z @ _ridge_weights(Z, y, problem.lam))[..., 0] - y
+    return _result(_mean(r * r))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +402,14 @@ def mean_statistic(n: int, domain: Domain | None = None) -> Statistic:
     dom = domain if domain is not None else unit_interval()
     if dom.d != 1:
         raise ValueError("mean_statistic requires a d=1 domain")
-    return Statistic(lambda pts: float(np.mean(pts[:, 0])), dom, n, label="mean")
+    return Statistic(sample_mean, dom, n, label="mean", batched=True)
 
 
 def v_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
     _check_arity(kernel.m, n)
     return Statistic(
         lambda pts: v_statistic(kernel, pts), domain, n,
-        label=f"vstat[{kernel.label},m={kernel.m}]",
+        label=f"vstat[{kernel.label},m={kernel.m}]", batched=True,
     )
 
 
@@ -357,7 +417,7 @@ def u_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
     _check_arity(kernel.m, n)
     return Statistic(
         lambda pts: u_statistic(kernel, pts), domain, n,
-        label=f"ustat[{kernel.label},m={kernel.m}]",
+        label=f"ustat[{kernel.label},m={kernel.m}]", batched=True,
     )
 
 
@@ -366,7 +426,7 @@ def auc_statistic(loss: LossFunction, n: int, domain: Domain | None = None) -> S
         raise ValueError(f"smoothed ranking statistic requires even n, got {n}")
     dom = domain if domain is not None else unit_interval()
     return Statistic(
-        lambda pts: smoothed_auc(loss, pts), dom, n, label=f"auc[{loss.label}]"
+        lambda pts: smoothed_auc(loss, pts), dom, n, label=f"auc[{loss.label}]", batched=True
     )
 
 
@@ -374,14 +434,15 @@ def lstat_statistic(F: WeightFunction, n: int, domain: Domain | None = None) -> 
     dom = domain if domain is not None else unit_interval()
     if dom.d != 1:
         raise ValueError("lstat_statistic requires a d=1 domain")
-    return Statistic(lambda pts: l_statistic(F, pts), dom, n, label=f"lstat[{F.label}]")
+    return Statistic(lambda pts: l_statistic(F, pts), dom, n, label=f"lstat[{F.label}]",
+                     batched=True)
 
 
 def ridge_error_statistic(problem: RidgeProblem, n: int) -> Statistic:
     dom = box([-1.0] * (problem.d + 1), [1.0] * (problem.d + 1))
     return Statistic(
         lambda pts: ridge_error(pts, problem), dom, n,
-        label=f"ridge_error[lam={problem.lam},d={problem.d}]",
+        label=f"ridge_error[lam={problem.lam},d={problem.d}]", batched=True,
     )
 
 

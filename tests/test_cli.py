@@ -246,6 +246,30 @@ class TestMainEntry:
         assert status == EXIT_ERROR
         assert "config.statistic.lower" in err
 
+    def test_more_clusters_than_points_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys,
+                                      {"kind": "cluster", "seed": 0, "cluster": {"n": 2, "k": 3}})
+        assert status == EXIT_ERROR
+        assert "config.cluster.k" in err
+
+    def test_inverted_sampler_range_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "complexity", "seed": 0,
+            "statistic": {"family": "mean", "n": 8},
+            "sampler": {"kind": "uniform", "low": 1.0, "high": -1.0},
+            "replicates": {"outer": 2, "inner": 8},
+        })
+        assert status == EXIT_ERROR
+        assert "config.sampler.low" in err
+
+    @pytest.mark.parametrize("family", ["ustat", "vstat"])
+    def test_sample_below_kernel_arity_names_field(self, tmp_path, capsys, family):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "verify", "seed": 0, "statistic": {"family": family, "n": 1},
+        })
+        assert status == EXIT_ERROR
+        assert "config.statistic.n" in err
+
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_seminorm_config()))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,17 @@ from weakstat import (
     jlip_lemma_check,
     linear_class,
     lstat_condition_check,
+    lstat_statistic,
     mean_statistic,
+    product_kernel,
     sup_deviation_estimate,
     symmetric_interval,
     uniform_raw_space,
     unit_interval,
+    v_stat_statistic,
     vk_vector,
 )
+from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import BudgetError
 
 
@@ -71,6 +76,21 @@ class TestFkDecompose:
                              0.031118690518820203, 0.29870458431168295, 0.17924664662621553)
         assert dec.lhs == 0.8769191735668596
         assert dec.residual == 0.0
+
+    @pytest.mark.parametrize("f", [
+        v_stat_statistic(product_kernel(), 9, unit_interval()),
+        lstat_statistic(f_zeta_weight(0.25), 9),
+    ], ids=["vstat", "lstat"])
+    def test_batched_equals_scalar_evaluation(self, f):
+        # the 2^9 swap configurations span several blocks of the batched path
+        assert f.batched and 2**9 > 2 * BATCH_BLOCK
+        gen = SeededRng(8).generator()
+        x, xp = gen.uniform(size=(9, 1)), gen.uniform(size=(9, 1))
+        batched = fk_decompose(f, x, xp)
+        scalar = fk_decompose(dataclasses.replace(f, batched=False), x, xp)
+        assert batched.terms == scalar.terms
+        assert batched.lhs == scalar.lhs
+        assert batched.residual == scalar.residual
 
     def test_size_budget(self):
         f = mean_statistic(15)

@@ -1,5 +1,6 @@
 """Property tests: evaluate_class on whole-sample members equals, bit for
-bit, a reference loop that maps one datum at a time."""
+bit, a reference loop that maps one datum at a time, and Statistic.batch on
+a stack equals, bit for bit, Statistic.value on each configuration."""
 import math
 
 import numpy as np
@@ -9,15 +10,27 @@ from hypothesis.extra.numpy import arrays
 
 from weakstat import (
     FunctionClass,
+    RidgeProblem,
+    Statistic,
+    auc_statistic,
     box,
     evaluate_class,
+    f_zeta_weight,
     kmeans_loss,
     linear_class,
     linear_ranker_class,
+    lstat_statistic,
+    mean_statistic,
+    product_kernel,
+    ramp_loss,
+    ridge_error_statistic,
     two_block_ranking_space,
+    u_stat_statistic,
     uniform_raw_space,
+    v_stat_statistic,
 )
 from weakstat.cli import _nearest_center_loss
+from weakstat.core import BATCH_BLOCK
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -81,3 +94,57 @@ def test_wrong_shape_names_the_member(member):
     fclass = FunctionClass((lambda x: x, member), uniform_raw_space(), box([0.0], [1.0]))
     with pytest.raises(ValueError, match=r"member 1 returned points of shape"):
         evaluate_class(fclass, np.array([0.25, 0.5, 0.75]))
+
+
+def _cube(d):
+    return box([-1.0] * d, [1.0] * d)
+
+
+# family -> (builder of (n, d), smallest n, step of n, whether d is free)
+_FAMILIES = {
+    "mean": (lambda n, d: mean_statistic(n, _cube(1)), 1, 1, False),
+    "ustat": (lambda n, d: u_stat_statistic(product_kernel(), n, _cube(d)), 2, 1, True),
+    "vstat": (lambda n, d: v_stat_statistic(product_kernel(), n, _cube(d)), 2, 1, True),
+    "auc": (lambda n, d: auc_statistic(ramp_loss(0.5), n, _cube(1)), 2, 2, False),
+    "lstat": (lambda n, d: lstat_statistic(f_zeta_weight(0.125), n, _cube(1)), 1, 1, False),
+    "ridge": (lambda n, d: ridge_error_statistic(RidgeProblem(0.5, d), n), 1, 1, True),
+    # a user statistic written for one (n, d) configuration: batch falls
+    # back to calling value on each configuration
+    "unbatched": (lambda n, d: Statistic(lambda p: float(p[:, 0] @ np.sin(p[:, -1])),
+                                         _cube(d), n), 1, 1, True),
+}
+
+
+def _family_statistic(family, n, d):
+    build, _, _, _ = _FAMILIES[family]
+    f = build(n, d)
+    assert f.batched == (family != "unbatched")
+    return f
+
+
+@_SETTINGS
+@given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES)), size=st.integers(1, 9))
+def test_batch_equals_per_configuration_values(data, family, size):
+    _, low, step, free_d = _FAMILIES[family]
+    n = step * data.draw(st.integers(-(-low // step), 24 // step))
+    d = data.draw(st.integers(1, 3)) if free_d else 1
+    f = _family_statistic(family, n, d)
+    stack = data.draw(arrays(np.float64, (size, n, f.domain.d),
+                             elements=st.floats(-1.0, 1.0, width=64)))
+    out = f.batch(stack)
+    assert out.shape == (size,) and out.dtype == np.float64
+    assert (out == np.array([f.value(p) for p in stack])).all()
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_batch_of_a_stack_larger_than_a_block(family):
+    f = _family_statistic(family, 8, 2)
+    gen = np.random.default_rng(11)
+    stack = gen.uniform(f.domain.lower, f.domain.upper, size=(2 * BATCH_BLOCK + 3, 8, f.domain.d))
+    assert (f.batch(stack) == np.array([f.value(p) for p in stack])).all()
+
+
+def test_batch_rejects_a_lone_configuration():
+    f = mean_statistic(4)
+    with pytest.raises(ValueError, match=r"\(B, n, d\) stack"):
+        f.batch(np.zeros((4, 1)))

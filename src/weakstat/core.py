@@ -32,7 +32,9 @@ _MASK64 = (1 << 64) - 1
 # n = 12 holds about 4.6 KB of intermediates per configuration: evaluating
 # all 4096 swap configurations of fk_decompose at once raised the peak RSS
 # of the telescoping benchmark from 43 to 61 MB, while blocks of 128 need
-# about 0.6 MB and leave it at 43 MB.
+# about 0.6 MB and leave it at 43 MB.  The V/U intermediates grow as n^m
+# per configuration, so a block costs more at large n: about 41 MB for the
+# pairwise V-statistic at n = 100, where one configuration needs 0.5 MB.
 BATCH_BLOCK = 128
 
 

@@ -6,7 +6,8 @@ once on each of the 2^n swap configurations and sums each term's 2^k
 subset differences with compensated summation, so that residuals stay at
 the 1e-9 scale the identity checks assert.  The swap table is built in
 blocks of BATCH_BLOCK consecutive masks, each evaluated by one
-``Statistic.batch`` call, so its memory stays bounded at every n.
+``Statistic.batch`` call, so only one block of configurations exists at a
+time, never the whole 2^n table.
 """
 from __future__ import annotations
 

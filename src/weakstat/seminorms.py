@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SeededRng, Statistic, as_points
+from .core import BATCH_BLOCK, SeededRng, Statistic, as_points
 from .statistics import WeightFunction
 
 __all__ = [
@@ -135,12 +135,18 @@ def double_difference(f: Statistic, x, k: int, l: int, y, y_prime, z, z_prime) -
     return (vals[0] + vals[3]) - (vals[1] + vals[2])
 
 
+def _distance(gap: np.ndarray):
+    """Euclidean norm over the last axis: the square root of the BLAS dot
+    of each row with itself, as np.linalg.norm computes it for one row."""
+    return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
+
+
 def _sample_pair(gen: np.random.Generator, lower, upper, floor: float,
                  max_tries: int = 64) -> tuple[np.ndarray, np.ndarray]:
     y = gen.uniform(lower, upper)
     for _ in range(max_tries):
         yp = gen.uniform(lower, upper)
-        if float(np.linalg.norm(y - yp)) >= floor:
+        if _distance(y - yp) >= floor:
             return y, yp
     # Boxes wider than the floor always admit a separated second point.
     yp = np.where(y - lower >= upper - y, lower, upper)
@@ -149,6 +155,38 @@ def _sample_pair(gen: np.random.Generator, lower, upper, floor: float,
 
 def _perturb(gen, value, lower, upper, sigma):
     return np.clip(value + gen.normal(0.0, sigma, size=value.shape), lower, upper)
+
+
+def _probe_differences(f: Statistic, plan, xs: np.ndarray, coords: np.ndarray,
+                       rows: list) -> np.ndarray:
+    """|even corners - odd corners| of each probe, summed in plan order.
+
+    Probe t takes the base configuration xs[t], the coordinates coords[t]
+    and, at coordinate j, the row that ``plan`` names for each corner out
+    of rows[2j][t] and rows[2j + 1][t].  The corners of BATCH_BLOCK //
+    2^order probes at a time go to one ``f.batch`` call, so the corner
+    stack stays one block long.
+    """
+    corners = len(plan)
+    per_call = max(BATCH_BLOCK // corners, 1)
+    out = np.empty(len(xs))
+    for s in range(0, len(xs), per_call):
+        part = slice(s, s + per_call)
+        x, idx = xs[part], coords[part]
+        probe = np.arange(len(x))
+        configs = np.repeat(x[:, None], corners, axis=1)
+        for c, (_, picks) in enumerate(plan):
+            for j, p in enumerate(picks):
+                configs[probe, c, idx[:, j]] = rows[p][part]
+        vals = f.batch(configs.reshape(-1, *x.shape[1:])).reshape(len(x), corners)
+        even, odd = np.zeros(len(x)), np.zeros(len(x))
+        for c, (is_odd, _) in enumerate(plan):
+            if is_odd:
+                odd += vals[:, c]
+            else:
+                even += vals[:, c]
+        out[part] = np.abs(even - odd)
+    return out
 
 
 def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
@@ -165,8 +203,9 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     guarantees the range value <= the Lipschitz value * diameter pointwise,
     since every absolute candidate also enters the ratio race.
 
-    Exploration evaluates the corners of all its probes with one
-    ``f.batch`` call; refinement perturbs the incumbent one probe at a time.
+    Exploration draws all its probes up front and evaluates them together;
+    refinement perturbs the incumbent one probe at a time.  Both phases go
+    through _probe_differences and the same witness update.
     """
     gen = rng.generator()
     dom = f.domain
@@ -183,89 +222,59 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     explore = max(int(round(probes * explore_frac)), 1)
     refine = max(probes - explore, 0)
 
-    # exploration: draw every probe, redraw the pairs under the separation
-    # floor in draw order (rare for floors well below the box widths), then
-    # evaluate all corners of the accepted probes at once
-    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
-    draws = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
-    if order == 1:
-        coords = (np.arange(explore) % n)[:, None]
-    else:
-        ks = gen.integers(n, size=explore)
-        ls = gen.integers(n - 1, size=explore)
-        coords = np.stack([ks, ls + (ls >= ks)], axis=1)
-    gap = draws[0] - draws[1]
-    # per-row np.linalg.norm: sqrt of the BLAS dot of the row with itself
-    dist = np.sqrt((gap[:, None, :] @ gap[:, :, None])[:, 0, 0])
-    for t in np.flatnonzero(dist < floor):
-        draws[0][t], draws[1][t] = _sample_pair(gen, lo, hi, floor)
-        dist[t] = float(np.linalg.norm(draws[0][t] - draws[1][t]))
-    keep = np.flatnonzero(dist >= floor)
-    xs, coords, dist = xs[keep], coords[keep], dist[keep]
-    draws = [r[keep] for r in draws]
-    probe = np.arange(len(keep))
-    configs = np.repeat(xs[:, None], corners, axis=1)
-    for c, (_, picks) in enumerate(plan):
-        for j, p in enumerate(picks):
-            configs[probe, c, coords[:, j]] = draws[p]
-    vals = f.batch(configs.reshape(-1, n, dom.d)).reshape(len(keep), corners)
-    even, odd = np.zeros(len(keep)), np.zeros(len(keep))
-    for c, (is_odd, _) in enumerate(plan):
-        if is_odd:
-            odd += vals[:, c]
-        else:
-            even += vals[:, c]
-    diff = scale * np.abs(even - odd)
-    ratio = diff / dist
-    used = corners * len(keep)
-
-    def witness(t):
-        return (*coords[t].tolist(), xs[t], *(r[t] for r in draws))
-
     best_ratio, best_abs = 0.0, 0.0
     wit_ratio = wit_abs = None
-    if len(keep):
-        # np.argmax takes the first maximum, as a sequential strict > scan would
+    used = 0
+
+    def offer(xs, coords, rows, dist):
+        """Evaluate the probes and keep the first strict maximum of each
+        objective (np.argmax, as a sequential > scan would)."""
+        nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
+        if not len(xs):
+            return
+        diff = scale * _probe_differences(f, plan, xs, coords, rows)
+        ratio = diff / dist
+        used += corners * len(xs)
+
+        def witness(t):
+            return (*coords[t].tolist(), xs[t], *(r[t] for r in rows))
+
         t = int(np.argmax(ratio))
         if ratio[t] > best_ratio:
             best_ratio, wit_ratio = float(ratio[t]), witness(t)
         t = int(np.argmax(diff))
         if diff[t] > best_abs:
             best_abs, wit_abs = float(diff[t]), witness(t)
-    value = f.value
 
-    def consider(idx, x, rows):
-        nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
-        dist = float(np.linalg.norm(rows[0] - rows[1]))
-        if dist < floor:
-            return
-        even = odd = 0.0
-        for is_odd, picks in plan:
-            a = x.copy()
-            for i, p in zip(idx, picks):
-                a[i] = rows[p]
-            if is_odd:
-                odd += value(a)
-            else:
-                even += value(a)
-        used += corners
-        diff = scale * abs(even - odd)
-        if diff / dist > best_ratio:
-            best_ratio = diff / dist
-            wit_ratio = (*idx, x, *rows)
-        if diff > best_abs:
-            best_abs = diff
-            wit_abs = (*idx, x, *rows)
+    # exploration: draw every probe, redraw the pairs under the separation
+    # floor in draw order (rare for floors well below the box widths)
+    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
+    rows = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
+    if order == 1:
+        coords = (np.arange(explore) % n)[:, None]
+    else:
+        ks = gen.integers(n, size=explore)
+        ls = gen.integers(n - 1, size=explore)
+        coords = np.stack([ks, ls + (ls >= ks)], axis=1)
+    dist = _distance(rows[0] - rows[1])
+    for t in np.flatnonzero(dist < floor):
+        rows[0][t], rows[1][t] = _sample_pair(gen, lo, hi, floor)
+        dist[t] = _distance(rows[0][t] - rows[1][t])
+    keep = np.flatnonzero(dist >= floor)
+    offer(xs[keep], coords[keep], [r[keep] for r in rows], dist[keep])
 
     for t in range(refine):
         wit = wit_ratio if t % 2 == 0 else wit_abs
         if wit is None:
             continue
-        idx, x, rows = wit[:order], wit[order], wit[order + 1:]
+        idx, x, pairs = wit[:order], wit[order], wit[order + 1:]
         frac = 0.25 * (1.0 - t / max(refine, 1)) + 0.01
         sigma = frac * widths
         xc = np.clip(x + gen.normal(0.0, 1.0, size=x.shape) * sigma, lo, hi)
-        consider(idx, xc, [_perturb(gen, r, lo, hi, sigma) for r in rows])
+        pairs = [_perturb(gen, r, lo, hi, sigma)[None] for r in pairs]
+        dist = _distance(pairs[0] - pairs[1])
+        if dist[0] >= floor:
+            offer(xc[None], np.array([idx]), pairs, dist)
 
     return best_ratio, best_abs, wit_ratio, used
 

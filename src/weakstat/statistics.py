@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Mapping, Union
 
@@ -81,11 +80,7 @@ class Kernel:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Rank weight F: [0,1] -> R with certified sup and Lipschitz norms.
-
-    ``evaluator`` must be deterministic: l_statistic caches its weights
-    F(i/n) per (F, n).
-    """
+    """Rank weight F: [0,1] -> R with certified sup and Lipschitz norms."""
 
     evaluator: Callable
     sup_norm: float
@@ -167,16 +162,12 @@ def _check_arity(m: int, n: int) -> None:
         raise ValueError(f"kernel arity m={m} exceeds sample size n={n}")
 
 
-@lru_cache(maxsize=32)
 def _index_tuples(n: int, m: int, ordered: bool) -> np.ndarray:
     """(m, T) array whose columns are the index tuples of a V-statistic
     (all ordered tuples) or a U-statistic (strictly increasing ones)."""
     if ordered:
-        idx = np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
-    else:
-        idx = np.array(list(combinations(range(n), m))).T
-    idx.setflags(write=False)
-    return idx
+        return np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
+    return np.array(list(combinations(range(n), m))).T
 
 
 def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray, count: int):
@@ -185,7 +176,13 @@ def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray, count: int
     so each configuration of a stack is summed pairwise, as it is alone; a
     stack gathered by fancy indexing in the middle axis is not contiguous,
     and numpy would then add its terms in sequence instead."""
-    vals = np.ascontiguousarray(kernel.evaluator(*(np.take(pts, i, axis=-2) for i in idx)))
+    vals = np.ascontiguousarray(kernel.evaluator(*(pts.take(i, axis=-2) for i in idx)))
+    if vals.shape != pts.shape[:-2] + idx.shape[1:]:
+        raise ValueError(
+            f"kernel {kernel.label or kernel.evaluator!r} returned shape {vals.shape} for "
+            f"arguments of shape {pts.shape[:-2] + idx.shape[1:] + pts.shape[-1:]}; "
+            "it must reduce over the last axis only"
+        )
     return _result(np.add.reduce(vals, axis=-1) / count)
 
 
@@ -256,15 +253,8 @@ def l_statistic(F: WeightFunction, x) -> float:
     s = _scalar_column(x, "l_statistic")
     n = s.shape[-1]
     order = np.sort(s, axis=-1, kind="stable")
-    return _result((order[..., None, :] @ _order_weights(F, n))[..., 0] / n)
-
-
-@lru_cache(maxsize=32)
-def _order_weights(F: WeightFunction, n: int) -> np.ndarray:
-    """The weights F(i/n), i = 1..n, computed once per (F, n)."""
-    w = np.array(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
-    w.setflags(write=False)
-    return w
+    w = np.asarray(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
+    return _result((order[..., None, :] @ w)[..., 0] / n)
 
 
 def f_zeta(t, zeta: float):

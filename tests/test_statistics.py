@@ -19,8 +19,10 @@ from weakstat import (
     ridge_solution,
     sample_mean,
     smoothed_auc,
+    u_stat_statistic,
     u_statistic,
     unit_interval,
+    v_stat_statistic,
     v_statistic,
 )
 from weakstat.statistics import (
@@ -72,6 +74,20 @@ class TestVStatistic:
         }
         # (x0 + 2 x1) / 2 by direct expansion
         assert v_statistic(kernels, [3.0, 5.0]) == pytest.approx((3.0 + 10.0) / 2)
+
+    @pytest.mark.parametrize("build", [v_stat_statistic, u_stat_statistic])
+    @pytest.mark.parametrize("evaluator", [
+        lambda a, b: np.sum(a * b, axis=1),
+        lambda a, b: a[:, 0] * b[:, 0],
+    ], ids=["axis1", "positional"])
+    def test_kernel_reducing_the_wrong_axis_is_refused_on_a_stack(self, build, evaluator):
+        # right on one (T, d) configuration, wrong on a (B, T, d) stack
+        k = Kernel(2, evaluator, 1.0, 1.0, label="wrong_axis")
+        f = build(k, 4, unit_interval())
+        x = SeededRng(2).generator().uniform(size=(3, 4, 1))
+        assert f.value(x[0]) == build(product_kernel(), 4, unit_interval()).value(x[0])
+        with pytest.raises(ValueError, match=r"kernel 'wrong_axis' returned shape \(3, 1\)"):
+            f.batch(x)
 
 
 class TestUStatistic:

@@ -88,9 +88,9 @@ def _field(config: dict, path: str, default=None):
 def _build_statistic(config: dict):
     """Resolve the statistic family into (Statistic, upper-bound report fn).
 
-    The second element computes certified upper-bound seminorms for the
-    family; the ridge family uses the finite-difference route, all others
-    have closed forms.
+    The second element computes the family's upper-bound seminorms: closed
+    forms, except for ridge, whose finite-difference route is an estimate
+    that certificates still accept (a known defect).
     """
     family = _field(config, "statistic.family")
     n = int(_field(config, "statistic.n"))

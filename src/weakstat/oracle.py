@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BATCH_BLOCK, FunctionClass, SeededRng, Statistic, as_points, evaluate_class
-from .seminorms import BudgetError, partial_difference
+from .seminorms import BudgetError, _differences, _row
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -192,7 +192,11 @@ def jlip_lemma_check(f: Statistic, x, xp, k: int, a, b, j_lip_bound: float,
     if pa.shape != pb.shape:
         raise ValueError("configurations must share a shape")
     n = pa.shape[0]
-    lhs = partial_difference(f, pa, k, a, b) - partial_difference(f, pb, k, a, b)
+    if not 0 <= k < n:
+        raise IndexError(f"coordinate index k={k} out of range for n={n}")
+    diff = _differences(f, 1, np.stack([pa, pb]), np.array([[k], [k]]),
+                        [np.stack([_row(a)] * 2), np.stack([_row(b)] * 2)])
+    lhs = float(diff[0] - diff[1])
     dists = np.linalg.norm(pa - pb, axis=1)
     dists[k] = 0.0
     rhs = j_lip_bound / n * float(np.sum(dists))
@@ -280,6 +284,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     stack[2:, k, 0] = (y, yp, y, yp)
     stack[2:, l, 0] = (z, z, zp, zp)
     vals = l_statistic(F, stack).tolist()
+    digest = _digest(pts, [k, l], [y, yp, z, zp])
     d1 = vals[0] - vals[1]
     rhs1 = F.sup_norm * abs(y - yp) / n
     first = CheckResult(
@@ -288,7 +293,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
         slack=rhs1 + tol - abs(d1),
         lhs=abs(d1),
         rhs=rhs1,
-        inputs_digest=_digest(pts, [k, l], [y, yp, z, zp]),
+        inputs_digest=digest,
     )
 
     d2 = vals[2] - vals[3] - vals[4] + vals[5]
@@ -299,6 +304,6 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
         slack=rhs2 + tol - abs(d2),
         lhs=abs(d2),
         rhs=rhs2,
-        inputs_digest=_digest(pts, [k, l], [y, yp, z, zp]),
+        inputs_digest=digest,
     )
     return first, second

@@ -1,16 +1,21 @@
-"""Partial difference operators and the four interaction seminorms.
+"""The partial difference operator and the four interaction seminorms.
 
-Two routes are provided for every statistic:
+One signed operator, ``_differences``, evaluates first- and second-order
+differences for the difference functions, the search, the finite
+differences and ``oracle.jlip_lemma_check``.  Three routes are provided:
 
 * randomized empirical search (certified LOWER bounds: every candidate is a
   realized difference quotient, so the running maximum never exceeds the
-  true supremum), and
-* closed-form analytic bounds for the known families plus a
-  finite-difference route for smooth statistics (certified UPPER bounds).
+  true supremum),
+* closed-form analytic bounds for the known families (certified UPPER
+  bounds), and
+* finite differences for smooth statistics: an ESTIMATE from a few random
+  probes, which for ridge regression falls below the search.  Certificates
+  still accept it, which is a known defect.
 
-Reports carry a ``method`` tag so that bound certificates only ever consume
-upper bounds.  The sandwich empirical <= analytic is the primary
-correctness check of both routes.
+Reports carry a ``method`` tag so that bound certificates refuse search
+reports.  The sandwich empirical <= analytic is the primary correctness
+check of the search and the closed forms.
 """
 from __future__ import annotations
 
@@ -50,6 +55,10 @@ PAIR_SEPARATION_FRACTION = 1e-2
 
 _EXPLORE_FRACTION = 0.8
 _RESTARTS = 8
+# uniform redraws of the second point of a pair before the corner fallback
+_PAIR_TRIES = 64
+# mixed second-derivative blocks per probe point in derivative_seminorms
+_HESSIAN_PAIRS = 4
 
 
 class BudgetError(ValueError):
@@ -67,7 +76,8 @@ class SeminormReport:
     ``m_lip`` and ``j_lip`` are the Lipschitz first- and (n-scaled)
     second-order interaction seminorms; ``m_plain`` and ``j_plain`` are the
     range-based counterparts.  ``method`` records whether the values are
-    search lower bounds or certified upper bounds.
+    search lower bounds, closed-form upper bounds or finite-difference
+    estimates.
     """
 
     m_lip: float
@@ -106,11 +116,8 @@ def partial_difference(f: Statistic, x, k: int, y, y_prime) -> float:
     n = pts.shape[0]
     if not 0 <= k < n:
         raise IndexError(f"coordinate index k={k} out of range for n={n}")
-    a = pts.copy()
-    a[k] = _row(y)
-    b = pts.copy()
-    b[k] = _row(y_prime)
-    return f.value(a) - f.value(b)
+    return float(_differences(f, 1, pts[None], np.array([[k]]),
+                              [_row(y)[None], _row(y_prime)[None]])[0])
 
 
 def double_difference(f: Statistic, x, k: int, l: int, y, y_prime, z, z_prime) -> float:
@@ -123,16 +130,8 @@ def double_difference(f: Statistic, x, k: int, l: int, y, y_prime, z, z_prime) -
     for idx in (k, l):
         if not 0 <= idx < n:
             raise IndexError(f"coordinate index {idx} out of range for n={n}")
-    y, y_prime, z, z_prime = _row(y), _row(y_prime), _row(z), _row(z_prime)
-    vals = []
-    for rk, rl in ((y, z), (y_prime, z), (y, z_prime), (y_prime, z_prime)):
-        a = pts.copy()
-        a[k] = rk
-        a[l] = rl
-        vals.append(f.value(a))
-    # grouped so the result is bit-identical under exchanging the two
-    # difference operators (the middle terms just swap places)
-    return (vals[0] + vals[3]) - (vals[1] + vals[2])
+    rows = [_row(r)[None] for r in (y, y_prime, z, z_prime)]
+    return float(_differences(f, 2, pts[None], np.array([[k, l]]), rows)[0])
 
 
 def _distance(gap: np.ndarray):
@@ -141,10 +140,9 @@ def _distance(gap: np.ndarray):
     return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
 
 
-def _sample_pair(gen: np.random.Generator, lower, upper, floor: float,
-                 max_tries: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def _sample_pair(gen, lower, upper, floor: float) -> tuple[np.ndarray, np.ndarray]:
     y = gen.uniform(lower, upper)
-    for _ in range(max_tries):
+    for _ in range(_PAIR_TRIES):
         yp = gen.uniform(lower, upper)
         if _distance(y - yp) >= floor:
             return y, yp
@@ -157,17 +155,22 @@ def _perturb(gen, value, lower, upper, sigma):
     return np.clip(value + gen.normal(0.0, sigma, size=value.shape), lower, upper)
 
 
-def _probe_differences(f: Statistic, plan, xs: np.ndarray, coords: np.ndarray,
-                       rows: list) -> np.ndarray:
-    """|even corners - odd corners| of each probe, summed in plan order.
+def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
+                 rows: list) -> np.ndarray:
+    """Signed order-th difference of each probe: even corners minus odd
+    corners, each side summed in corner order.
 
-    Probe t takes the base configuration xs[t], the coordinates coords[t]
-    and, at coordinate j, the row that ``plan`` names for each corner out
-    of rows[2j][t] and rows[2j + 1][t].  The corners of BATCH_BLOCK //
-    2^order probes at a time go to one ``f.batch`` call, so the corner
-    stack stays one block long.
+    Probe t takes the base configuration xs[t] and ``order`` distinct
+    coordinates coords[t].  Corner c sets coordinate coords[t, j] to
+    rows[2j + 1][t] if bit j of c is set and to rows[2j][t] otherwise; its
+    parity is that of its bit count.  So a probe's difference is
+    f(y) - f(y') at order 1 and (v0 + v3) - (v1 + v2) at order 2, with
+    rows (y, y') at coordinate k and (z, z') at coordinate l; the latter is
+    bit-identical under exchanging the two operators.  The corners
+    of BATCH_BLOCK // 2^order probes at a time go to one ``f.batch`` call,
+    so the corner stack stays one block long.
     """
-    corners = len(plan)
+    corners = 1 << order
     per_call = max(BATCH_BLOCK // corners, 1)
     out = np.empty(len(xs))
     for s in range(0, len(xs), per_call):
@@ -175,17 +178,13 @@ def _probe_differences(f: Statistic, plan, xs: np.ndarray, coords: np.ndarray,
         x, idx = xs[part], coords[part]
         probe = np.arange(len(x))
         configs = np.repeat(x[:, None], corners, axis=1)
-        for c, (_, picks) in enumerate(plan):
-            for j, p in enumerate(picks):
-                configs[probe, c, idx[:, j]] = rows[p][part]
+        for c in range(corners):
+            for j in range(order):
+                configs[probe, c, idx[:, j]] = rows[2 * j + ((c >> j) & 1)][part]
         vals = f.batch(configs.reshape(-1, *x.shape[1:])).reshape(len(x), corners)
-        even, odd = np.zeros(len(x)), np.zeros(len(x))
-        for c, (is_odd, _) in enumerate(plan):
-            if is_odd:
-                odd += vals[:, c]
-            else:
-                even += vals[:, c]
-        out[part] = np.abs(even - odd)
+        even = sum(vals[:, c] for c in range(corners) if not bin(c).count("1") % 2)
+        odd = sum(vals[:, c] for c in range(corners) if bin(c).count("1") % 2)
+        out[part] = even - odd
     return out
 
 
@@ -195,17 +194,15 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     seminorm) and n^(order-1) * |order-th difference| (the range seminorm).
 
     A probe fixes ``order`` distinct coordinates and one row pair per
-    coordinate ((y, y') for k, then (z, z') for l).  Its difference is the
-    signed sum over the 2^order corner configurations, bit j of the corner
-    choosing the primed row at coordinate j: even corners minus odd corners,
-    which is f(y) - f(y') at order 1 and (v0 + v3) - (v1 + v2) at order 2.
-    The distance is |y - y'|.  Both objectives share the probe stream, which
+    coordinate ((y, y') for k, then (z, z') for l); its value is the
+    absolute difference that _differences returns, and its distance is
+    |y - y'|.  Both objectives share the probe stream, which
     guarantees the range value <= the Lipschitz value * diameter pointwise,
     since every absolute candidate also enters the ratio race.
 
     Exploration draws all its probes up front and evaluates them together;
     refinement perturbs the incumbent one probe at a time.  Both phases go
-    through _probe_differences and the same witness update.
+    through _differences and the same witness update.
     """
     gen = rng.generator()
     dom = f.domain
@@ -214,9 +211,6 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     if n < order:
         return 0.0, 0.0, None, 0
     corners = 1 << order
-    # per corner: whether it is odd, and the row it takes at each coordinate
-    plan = [(bin(c).count("1") % 2, [2 * j + ((c >> j) & 1) for j in range(order)])
-            for c in range(corners)]
     scale = n ** (order - 1)
     probes = max(evals // corners, 1)
     explore = max(int(round(probes * explore_frac)), 1)
@@ -232,7 +226,7 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
         nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
         if not len(xs):
             return
-        diff = scale * _probe_differences(f, plan, xs, coords, rows)
+        diff = scale * np.abs(_differences(f, order, xs, coords, rows))
         ratio = diff / dist
         used += corners * len(xs)
 
@@ -280,7 +274,6 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
 
 
 def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
-                        min_separation: float | None = None,
                         explore_frac: float = _EXPLORE_FRACTION,
                         restarts: int = _RESTARTS) -> SeminormReport:
     """Randomized maximization of the four seminorm objectives.
@@ -294,8 +287,7 @@ def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
     """
     if budget < 1:
         raise BudgetError("empirical_seminorms needs a positive evaluation budget")
-    floor = (PAIR_SEPARATION_FRACTION * f.domain.diameter
-             if min_separation is None else float(min_separation))
+    floor = PAIR_SEPARATION_FRACTION * f.domain.diameter
     restarts = max(1, int(restarts))
 
     found = []
@@ -386,16 +378,27 @@ def _interior_probe(gen, dom, n, margin):
     return gen.uniform(lo, hi, size=(n, dom.d))
 
 
+def _stencil(x: np.ndarray, ks: np.ndarray, axes: np.ndarray, h: float):
+    """Rows x[k] + h e_i and x[k] - h e_i for each (k, i) of ks and axes."""
+    up = x[ks]
+    down = up.copy()
+    t = np.arange(len(ks))
+    up[t, axes] += h
+    down[t, axes] -= h
+    return up, down
+
+
 def derivative_seminorms(f: Statistic, diameter: float, probes: int, rng: SeededRng,
-                         step: float | None = None, step2: float | None = None,
-                         pairs_per_probe: int = 4) -> SeminormReport:
+                         step: float | None = None) -> SeminormReport:
     """Seminorm estimates for smooth statistics via central finite differences.
 
-    At each of ``probes`` random interior points the full per-coordinate
-    gradient blocks are evaluated (all k) along with mixed second-derivative
-    blocks for ``pairs_per_probe`` sampled index pairs (k, l).  The report
-    carries max_k |grad_k f| as m_lip and n * diameter * max |d2_kl f|_op as
-    j_lip; the range values use the generic box bounds m_lip * diameter and
+    At each of ``probes`` random interior points, one order-1 _differences
+    call takes the full per-coordinate gradient blocks (all k, step ``step``,
+    by default 1e-4 * diameter) and one order-2 call the mixed
+    second-derivative blocks of _HESSIAN_PAIRS sampled index pairs (k, l)
+    (step 1e-3 * diameter).  The report carries
+    max_k |grad_k f| as m_lip and n * diameter * max |d2_kl f|_op as j_lip;
+    the range values use the generic box bounds m_lip * diameter and
     j_lip * diameter.  The caller asserts smoothness on a neighborhood of
     the box.
     """
@@ -405,47 +408,31 @@ def derivative_seminorms(f: Statistic, diameter: float, probes: int, rng: Seeded
     d = dom.d
     n = f.n
     h1 = step if step is not None else 1e-4 * diameter
-    h2 = step2 if step2 is not None else 1e-3 * diameter
+    h2 = 1e-3 * diameter
     if h1 <= 0 or h2 <= 0:
         raise StepError("finite-difference steps must be positive")
     gen = rng.generator()
     margin = max(h1, 2 * h2)
+    ks, axes = np.divmod(np.arange(n * d), d)
+    ii, jj = np.tile(np.divmod(np.arange(d * d), d), _HESSIAN_PAIRS)
 
     grad_max = 0.0
     hess_max = 0.0
     evals = 0
     for _ in range(probes):
         x = _interior_probe(gen, dom, n, margin)
-        for k in range(n):
-            g = np.empty(d)
-            for i in range(d):
-                a = x.copy()
-                a[k, i] += h1
-                b = x.copy()
-                b[k, i] -= h1
-                g[i] = (f.value(a) - f.value(b)) / (2 * h1)
-                evals += 2
-            grad_max = max(grad_max, float(np.linalg.norm(g)))
-        for _ in range(pairs_per_probe):
-            if n < 2:
-                break
-            k = int(gen.integers(n))
-            l = int(gen.integers(n - 1))
-            if l >= k:
-                l += 1
-            H = np.empty((d, d))
-            for i in range(d):
-                for j in range(d):
-                    acc = 0.0
-                    for sk, sl, sign in ((h2, h2, 1.0), (h2, -h2, -1.0),
-                                         (-h2, h2, -1.0), (-h2, -h2, 1.0)):
-                        a = x.copy()
-                        a[k, i] += sk
-                        a[l, j] += sl
-                        acc += sign * f.value(a)
-                        evals += 1
-                    H[i, j] = acc / (4 * h2 * h2)
-            hess_max = max(hess_max, float(np.linalg.norm(H, 2)))
+        g = _differences(f, 1, np.broadcast_to(x, (n * d, n, d)), ks[:, None],
+                         [*_stencil(x, ks, axes, h1)]) / (2 * h1)
+        grad_max = max(grad_max, float(_distance(g.reshape(n, d)).max()))
+        evals += 2 * n * d
+        if n < 2:
+            continue
+        pairs = [(int(gen.integers(n)), int(gen.integers(n - 1))) for _ in range(_HESSIAN_PAIRS)]
+        kl = np.repeat([(k, l + (l >= k)) for k, l in pairs], d * d, axis=0)
+        rows = [*_stencil(x, kl[:, 0], ii, h2), *_stencil(x, kl[:, 1], jj, h2)]
+        H = _differences(f, 2, np.broadcast_to(x, (len(kl), n, d)), kl, rows) / (4 * h2 * h2)
+        hess_max = max(hess_max, float(np.linalg.norm(H.reshape(-1, d, d), 2, axis=(1, 2)).max()))
+        evals += 4 * len(kl)
 
     m_lip = grad_max
     j_lip = n * diameter * hess_max

@@ -1,6 +1,8 @@
 """Property tests: evaluate_class on whole-sample members equals, bit for
-bit, a reference loop that maps one datum at a time, and Statistic.batch on
-a stack equals, bit for bit, Statistic.value on each configuration."""
+bit, a reference loop that maps one datum at a time; Statistic.batch on a
+stack equals, bit for bit, Statistic.value on each configuration; and the
+batched difference operator equals, bit for bit, its corner sums written
+out from Statistic.value."""
 import math
 
 import numpy as np
@@ -14,6 +16,7 @@ from weakstat import (
     Statistic,
     auc_statistic,
     box,
+    double_difference,
     evaluate_class,
     f_zeta_weight,
     kmeans_loss,
@@ -21,6 +24,7 @@ from weakstat import (
     linear_ranker_class,
     lstat_statistic,
     mean_statistic,
+    partial_difference,
     product_kernel,
     ramp_loss,
     ridge_error_statistic,
@@ -31,6 +35,7 @@ from weakstat import (
 )
 from weakstat.cli import _nearest_center_loss
 from weakstat.core import BATCH_BLOCK
+from weakstat.seminorms import _differences
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -148,3 +153,75 @@ def test_batch_rejects_a_lone_configuration():
     f = mean_statistic(4)
     with pytest.raises(ValueError, match=r"\(B, n, d\) stack"):
         f.batch(np.zeros((4, 1)))
+
+
+def _set_rows(x, *pairs):
+    a = x.copy()
+    for k, row in pairs:
+        a[k] = row
+    return a
+
+
+def _corner_sums(f, order, xs, coords, rows):
+    """Each probe's difference from f.value: f(y) - f(y') at order 1 and
+    (f(y, z) + f(y', z')) - (f(y', z) + f(y, z')) at order 2."""
+    out = []
+    for t, x in enumerate(xs):
+        y, yp = rows[0][t], rows[1][t]
+        k = coords[t, 0]
+        if order == 1:
+            out.append(f.value(_set_rows(x, (k, y))) - f.value(_set_rows(x, (k, yp))))
+            continue
+        z, zp, l = rows[2][t], rows[3][t], coords[t, 1]
+        even = f.value(_set_rows(x, (k, y), (l, z))) + f.value(_set_rows(x, (k, yp), (l, zp)))
+        odd = f.value(_set_rows(x, (k, yp), (l, z))) + f.value(_set_rows(x, (k, y), (l, zp)))
+        out.append(even - odd)
+    return np.array(out)
+
+
+def _probes(f, order, count, gen, coarse=False):
+    """Random probes in the box; coarse ones lie on a grid of quarters, so
+    rows tie and pairs can coincide."""
+    dom = f.domain
+    draw = lambda *shape: gen.uniform(dom.lower, dom.upper, size=(*shape, dom.d))
+    xs, rows = draw(count, f.n), [draw(count) for _ in range(2 * order)]
+    if coarse:
+        xs, rows = np.round(4 * xs) / 4, [np.round(4 * r) / 4 for r in rows]
+    ks = gen.integers(f.n, size=count)
+    ls = gen.integers(max(f.n - 1, 1), size=count)
+    coords = np.stack([ks, ls + (ls >= ks)], axis=1)[:, :order]
+    return xs, coords, rows
+
+
+# BATCH_BLOCK // 2^order probes go to one batch call: the two large counts
+# cross a block boundary at order 2 and at order 1
+_PROBE_COUNTS = [1, 2, 7, BATCH_BLOCK // 4 + 1, BATCH_BLOCK // 2 + 1]
+
+
+@_SETTINGS
+@given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES)), order=st.sampled_from([1, 2]),
+       count=st.sampled_from(_PROBE_COUNTS), seed=st.integers(0, 2**32 - 1),
+       coarse=st.booleans())
+def test_differences_equal_corner_sums(data, family, order, count, seed, coarse):
+    _, low, step, free_d = _FAMILIES[family]
+    n = step * data.draw(st.integers(-(-max(low, order) // step), 12 // step))
+    f = _family_statistic(family, n, data.draw(st.integers(1, 3)) if free_d else 1)
+    xs, coords, rows = _probes(f, order, count, np.random.default_rng(seed), coarse)
+    out = _differences(f, order, xs, coords, rows)
+    assert out.shape == (count,)
+    assert (out == _corner_sums(f, order, xs, coords, rows)).all()
+    for t in range(min(count, 3)):
+        if order == 1:
+            one = partial_difference(f, xs[t], coords[t, 0], rows[0][t], rows[1][t])
+        else:
+            one = double_difference(f, xs[t], *coords[t], *(r[t] for r in rows))
+        assert one == out[t]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_differences_across_blocks(family, order):
+    f = _family_statistic(family, 8, 2)
+    count = 2 * (BATCH_BLOCK >> order) + 3
+    xs, coords, rows = _probes(f, order, count, np.random.default_rng(23))
+    assert (_differences(f, order, xs, coords, rows) == _corner_sums(f, order, xs, coords, rows)).all()

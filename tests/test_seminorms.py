@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weakstat import (
+    RidgeProblem,
     SeededRng,
     Statistic,
     analytic_seminorms_auc,
@@ -18,6 +19,7 @@ from weakstat import (
     partial_difference,
     product_kernel,
     ramp_loss,
+    ridge_error_statistic,
     u_stat_statistic,
     unit_interval,
 )
@@ -267,3 +269,14 @@ class TestDerivativeSeminorms:
         f = mean_statistic(4)
         with pytest.raises(BudgetError):
             derivative_seminorms(f, f.domain.diameter, probes=0, rng=SeededRng(0))
+
+    def test_ridge_golden_values(self):
+        # d = 2 makes each gradient block a vector, so at this seed the
+        # norm's reduction order shows in m_lip (a summed square, as
+        # np.linalg.norm(axis=1) takes it, gives 0.46098433642921144); each
+        # Hessian entry is a double difference ((v0 + v3) - (v1 + v2)) / 4h^2
+        f = ridge_error_statistic(RidgeProblem(0.5, 2), 4)
+        rep = derivative_seminorms(f, f.domain.diameter, probes=3, rng=SeededRng(2))
+        assert rep.m_lip == 0.4609843364292115
+        assert rep.j_lip == 3.379281296736545
+        assert rep.search_evals == 504

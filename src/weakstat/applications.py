@@ -184,8 +184,7 @@ def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,
 
 
 def clustering_certificate(result: ClusteringResult, ball_radius: float, zeta: float,
-                           n: int, g: ComplexityEstimate, delta: float,
-                           *, se_z: float = 3.0) -> BoundCertificate:
+                           n: int, g: ComplexityEstimate, delta: float) -> BoundCertificate:
     """Uniform deviation certificate for the trimmed clustering objective.
 
     Losses are squared distances inside a ball of the given radius, so the
@@ -200,11 +199,11 @@ def clustering_certificate(result: ClusteringResult, ball_radius: float, zeta: f
         )
     loss_diameter = (2.0 * ball_radius) ** 2
     report = analytic_seminorms_lstat(f_zeta_weight(zeta), loss_diameter, n)
-    return uniform_bound(report, g, n, delta, se_z=se_z)
+    return uniform_bound(report, g, n, delta)
 
 
 def select_ranker(candidates: FunctionClass, data, loss: LossFunction,
-                  g: ComplexityEstimate, delta: float, *, se_z: float = 3.0) -> RankingSelection:
+                  g: ComplexityEstimate, delta: float) -> RankingSelection:
     """Pick the candidate maximizing the smoothed two-sample surrogate on a
     two-block sample (first half positives, second half negatives) and
     attach the population-AUC lower bound.  Ties go to the lowest index."""
@@ -212,11 +211,11 @@ def select_ranker(candidates: FunctionClass, data, loss: LossFunction,
     n = configs.shape[1]
     if n % 2 != 0:
         raise ValueError(f"the two-block sample must have even size, got n={n}")
-    values = np.array([smoothed_auc(loss, c) for c in configs])
+    values = smoothed_auc(loss, configs)
     chosen = int(np.argmax(values))
     emp = float(values[chosen])
     lower = auc_certificate(emp, loss.lipschitz_L, n, g, delta,
-                            below_indicator=loss.below_indicator, se_z=se_z)
+                            below_indicator=loss.below_indicator)
     return RankingSelection(
         chosen_index=chosen, empirical_auc=emp,
         certificate_lower_bound=lower, delta=delta,

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import ComplexityEstimate
-from .seminorms import ANALYTIC_BOUND, DERIVATIVE_BOUND, EMPIRICAL_SEARCH, SeminormReport
+from .seminorms import ANALYTIC_BOUND, DERIVATIVE_BOUND, SeminormReport
 
 __all__ = [
     "POP_MINUS_EMP",
-    "EMP_MINUS_POP",
+    "SE_Z",
     "SQRT_2PI",
     "BoundCertificate",
     "CertifiedBoundError",
@@ -25,7 +25,10 @@ __all__ = [
 ]
 
 POP_MINUS_EMP = "pop_minus_emp"
-EMP_MINUS_POP = "emp_minus_pop"
+
+# Standard errors added to a Monte-Carlo complexity estimate before it enters
+# a certificate; fixed, and recorded in every certificate as ``se_z``.
+SE_Z = 3.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -46,9 +49,10 @@ class BoundCertificate:
     """Fully assembled right-hand side of a uniform deviation bound.
 
     ``total = symmetrization_term + tail_term``; the tail term is zero for
-    the in-expectation certificate.  ``g_effective`` is the complexity value
-    actually used (the estimate inflated by ``se_z`` standard errors to
-    absorb Monte-Carlo error).
+    the in-expectation certificate.  The bound is on sup_h (population -
+    empirical), recorded as ``direction``.  ``g_effective`` is the complexity
+    value actually used: the estimate inflated by ``se_z`` (= SE_Z) standard
+    errors to absorb Monte-Carlo error.
     """
 
     symmetrization_term: float
@@ -58,7 +62,6 @@ class BoundCertificate:
     seminorms: SeminormReport
     complexity: ComplexityEstimate
     n: int
-    direction: str = POP_MINUS_EMP
     g_effective: float = 0.0
     se_z: float = 0.0
 
@@ -69,13 +72,7 @@ class BoundCertificate:
             1.0, abs(self.total)
         ):
             raise ValueError("total must equal the sum of its terms")
-        if self.direction not in (POP_MINUS_EMP, EMP_MINUS_POP):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.seminorms.method not in _UPPER_BOUND_METHODS:
-            raise CertifiedBoundError(
-                "certificates require upper-bound seminorms "
-                f"(analytic or derivative), got {self.seminorms.method!r}"
-            )
+        _require_upper_bound(self.seminorms)
 
     def to_dict(self) -> dict:
         return {
@@ -85,7 +82,7 @@ class BoundCertificate:
             "delta": self.delta,
             "total": self.total,
             "n": self.n,
-            "direction": self.direction,
+            "direction": POP_MINUS_EMP,
             "g_effective": self.g_effective,
             "se_z": self.se_z,
             "seminorms": self.seminorms.to_dict(),
@@ -94,34 +91,33 @@ class BoundCertificate:
 
 
 def _require_upper_bound(report: SeminormReport) -> None:
-    if report.method == EMPIRICAL_SEARCH:
+    if report.method not in _UPPER_BOUND_METHODS:
         raise CertifiedBoundError(
-            "search results are lower bounds and may not enter a certificate; "
-            "use analytic or derivative seminorms"
+            "certificates require upper-bound seminorms (analytic or derivative), "
+            f"got {report.method!r}; search results are lower bounds"
         )
 
 
 def symmetrization_bound(report: SeminormReport, g: ComplexityEstimate) -> float:
     """In-expectation bound sqrt(2 pi) (2 m_lip + j_lip) * g.mean.
 
-    The complexity estimate is used as given; inflate it first (see
-    ComplexityEstimate.inflated) when conservatism against Monte-Carlo error
-    is wanted.
+    The complexity estimate is used as given; uniform_bound passes it
+    inflated by SE_Z standard errors (see ComplexityEstimate.inflated).
     """
     _require_upper_bound(report)
     return SQRT_2PI * (2.0 * report.m_lip + report.j_lip) * g.mean
 
 
-def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int, delta: float,
-                  *, se_z: float = 3.0, direction: str = POP_MINUS_EMP) -> BoundCertificate:
-    """High-probability uniform bound: symmetrization term plus the
+def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int,
+                  delta: float) -> BoundCertificate:
+    """High-probability uniform bound: the symmetrization term at the
+    complexity estimate inflated by SE_Z standard errors, plus the
     bounded-difference tail m_plain * sqrt(n ln(1/delta)), holding with
     probability at least 1 - delta."""
-    _require_upper_bound(report)
+    g_eff = g.inflated(SE_Z)
+    sym = symmetrization_bound(report, g_eff)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    g_eff = g.mean + se_z * g.std_error
-    sym = SQRT_2PI * (2.0 * report.m_lip + report.j_lip) * g_eff
     tail = report.m_plain * math.sqrt(n * math.log(1.0 / delta))
     return BoundCertificate(
         symmetrization_term=sym,
@@ -131,19 +127,19 @@ def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int, delta: 
         seminorms=report,
         complexity=g,
         n=n,
-        direction=direction,
-        g_effective=g_eff,
-        se_z=se_z,
+        g_effective=g_eff.mean,
+        se_z=SE_Z,
     )
 
 
 def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,
-                    delta: float, *, below_indicator: bool, se_z: float = 3.0) -> float:
+                    delta: float, *, below_indicator: bool) -> float:
     """High-probability lower bound on the population AUC of a ranker chosen
     by maximizing the smoothed surrogate.
 
     Requires a surrogate loss dominated by the indicator of the positive
-    reals; the penalty combines the surrogate's symmetrization term with the
+    reals; the penalty combines the surrogate's symmetrization term, at the
+    complexity estimate inflated by SE_Z standard errors, with the
     two-sample tail.
     """
     if not below_indicator:
@@ -154,7 +150,7 @@ def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if L < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
-    g_eff = g.mean + se_z * g.std_error
+    g_eff = g.inflated(SE_Z).mean
     return auc_emp - 12.0 * SQRT_2PI * L * g_eff / n - 2.0 * math.sqrt(math.log(1.0 / delta) / n)
 
 

@@ -148,7 +148,12 @@ def _build_class(config: dict, domain_hint=None):
     if cls["kind"] == "linear":
         weights = [(j + 1) / count for j in range(count)]
     elif cls["kind"] == "linear_symmetric":
-        half = max(1, count // 2)
+        if count % 2 != 0:
+            raise ConfigError(
+                f"config.function_class.count: linear_symmetric pairs each weight with its "
+                f"negative, so count must be even, got {count}"
+            )
+        half = count // 2
         weights = [(j + 1) / half for j in range(half)]
         weights = weights + [-w for w in weights]
     else:
@@ -170,32 +175,33 @@ def _run_seminorm(config: dict) -> dict:
     }
 
 
+def _class_complexity(config: dict, fclass: FunctionClass, n: int, kind: str,
+                      rng: SeededRng, outer: int, inner: int) -> cpx.ComplexityEstimate:
+    """class_complexity at the config's replicate counts, which default to
+    the subcommand's ``outer`` and ``inner``."""
+    reps = config.get("replicates", {})
+    return cpx.class_complexity(fclass, n, kind, int(reps.get("outer", outer)),
+                                int(reps.get("inner", inner)), rng)
+
+
 def _run_complexity(config: dict) -> dict:
     fclass = _build_class(config)
     n = int(_field(config, "statistic.n", 16))
-    kind = config.get("complexity_kind", "gaussian")
-    reps = config.get("replicates", {})
-    est = cpx.class_complexity(
-        fclass, n, kind,
-        outer_reps=int(reps.get("outer", 64)),
-        inner_reps=int(reps.get("inner", 2048)),
-        rng=SeededRng(config["seed"]),
-    )
+    est = _class_complexity(config, fclass, n, config.get("complexity_kind", "gaussian"),
+                            SeededRng(config["seed"]), 64, 2048)
     return {"class": fclass.label, "n": n, "estimate": est.to_dict()}
 
 
 def _run_bound(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
+    if f.domain.d != 1:
+        raise ConfigError(f"config.statistic.family: {f.label} has {f.domain.d}-dimensional "
+                          "points, but bound certifies a scalar linear class")
     rng = SeededRng(config["seed"])
     report = report_fn()
     fclass = _build_class(config, domain_hint=f.domain)
-    reps = config.get("replicates", {})
-    g = cpx.class_complexity(
-        fclass, f.n, config.get("complexity_kind", "gaussian"),
-        outer_reps=int(reps.get("outer", 64)),
-        inner_reps=int(reps.get("inner", 2048)),
-        rng=rng.split(2),
-    )
+    g = _class_complexity(config, fclass, f.n, config.get("complexity_kind", "gaussian"),
+                          rng.split(2), 64, 2048)
     delta = float(config.get("delta", 0.05))
     cert = bnd.uniform_bound(report, g, f.n, delta)
     doc = cert.to_dict()
@@ -214,11 +220,21 @@ def _run_verify(config: dict) -> dict:
     records = []
 
     family = _field(config, "statistic.family")
+    if family == "lstat" and f.n < 2:
+        raise ConfigError(
+            f"config.statistic.n: the lstat condition probe needs two distinct indices, "
+            f"so n >= 2, got {f.n}"
+        )
     sizes = [n for n in range(1, max_n + 1)]
     if family == "auc":
         sizes = [n for n in sizes if n % 2 == 0]
     if family in ("ustat", "vstat"):
         sizes = [n for n in sizes if n >= 2]
+    if not sizes:
+        raise ConfigError(
+            f"config.verify.max_n: no sample size in 1..{max_n} suits the {family} family, "
+            "so nothing would be checked"
+        )
 
     for n in sizes:
         sized = dict(config)
@@ -322,13 +338,7 @@ def _run_cluster(config: dict) -> dict:
         )
         loss_class = FunctionClass(tuple(_nearest_center_loss(c) for c in runs), space,
                                    loss_box, label="restart-losses")
-        reps = config.get("replicates", {})
-        g = cpx.class_complexity(
-            loss_class, n, "gaussian",
-            outer_reps=int(reps.get("outer", 16)),
-            inner_reps=int(reps.get("inner", 512)),
-            rng=rng.split(3),
-        )
+        g = _class_complexity(config, loss_class, n, "gaussian", rng.split(3), 16, 512)
         cert = apps.clustering_certificate(result, radius, zeta, n, g,
                                            float(config.get("delta", 0.05)))
         cert_doc = cert.to_dict()
@@ -350,13 +360,7 @@ def _run_rank(config: dict) -> dict:
     space = apps.two_block_ranking_space(dim, sep)
     candidates = apps.linear_ranker_class(dim, count, space)
     loss = stats.ramp_loss(width)
-    reps = config.get("replicates", {})
-    g = cpx.class_complexity(
-        candidates, n, "gaussian",
-        outer_reps=int(reps.get("outer", 32)),
-        inner_reps=int(reps.get("inner", 1024)),
-        rng=rng.split(0),
-    )
+    g = _class_complexity(config, candidates, n, "gaussian", rng.split(0), 32, 1024)
     data = space.sampler(rng.split(1).generator(), n)
     sel = apps.select_ranker(candidates, data, loss, g, delta)
     return {

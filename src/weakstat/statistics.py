@@ -191,6 +191,24 @@ def _one_configuration(pts: np.ndarray) -> None:
         raise ValueError("per-index kernel families take one (n, d) configuration")
 
 
+def _kernel_statistic(kernels: KernelSpec, x, ordered: bool):
+    """Kernel average over the ordered index tuples (V) or the strictly
+    increasing ones (U)."""
+    pts = as_points(x)
+    n = pts.shape[-2]
+    m = _kernel_arity(kernels)
+    _check_arity(m, n)
+    count = n**m if ordered else math.comb(n, m)
+    shared = _shared_kernel(kernels)
+    if shared is not None:
+        return _kernel_average(shared, pts, _index_tuples(n, m, ordered), count)
+    _one_configuration(pts)
+    total = 0.0
+    for j in product(range(n), repeat=m) if ordered else combinations(range(n), m):
+        total += float(kernels[j].evaluator(*(pts[i] for i in j)))
+    return total / count
+
+
 def v_statistic(kernels: KernelSpec, x) -> float:
     """V-statistic: n^-m average of the kernel over all ordered index tuples.
 
@@ -198,34 +216,12 @@ def v_statistic(kernels: KernelSpec, x) -> float:
     in the multi-index; a mapping from index tuples to kernels supports
     per-index families such as two-sample layouts.
     """
-    pts = as_points(x)
-    n = pts.shape[-2]
-    m = _kernel_arity(kernels)
-    _check_arity(m, n)
-    shared = _shared_kernel(kernels)
-    if shared is not None:
-        return _kernel_average(shared, pts, _index_tuples(n, m, True), n**m)
-    _one_configuration(pts)
-    total = 0.0
-    for j in product(range(n), repeat=m):
-        total += float(kernels[j].evaluator(*(pts[i] for i in j)))
-    return total / n**m
+    return _kernel_statistic(kernels, x, ordered=True)
 
 
 def u_statistic(kernels: KernelSpec, x) -> float:
     """U-statistic: average of the kernel over strictly increasing index tuples."""
-    pts = as_points(x)
-    n = pts.shape[-2]
-    m = _kernel_arity(kernels)
-    _check_arity(m, n)
-    shared = _shared_kernel(kernels)
-    if shared is not None:
-        return _kernel_average(shared, pts, _index_tuples(n, m, False), math.comb(n, m))
-    _one_configuration(pts)
-    total = 0.0
-    for j in combinations(range(n), m):
-        total += float(kernels[j].evaluator(*(pts[i] for i in j)))
-    return total / math.comb(n, m)
+    return _kernel_statistic(kernels, x, ordered=False)
 
 
 def smoothed_auc(loss: LossFunction, x) -> float:
@@ -395,20 +391,18 @@ def mean_statistic(n: int, domain: Domain | None = None) -> Statistic:
     return Statistic(sample_mean, dom, n, label="mean", batched=True)
 
 
-def v_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
+def _kernel_stat_statistic(kernel: Kernel, n: int, domain: Domain, value, name: str) -> Statistic:
     _check_arity(kernel.m, n)
-    return Statistic(
-        lambda pts: v_statistic(kernel, pts), domain, n,
-        label=f"vstat[{kernel.label},m={kernel.m}]", batched=True,
-    )
+    return Statistic(lambda pts: value(kernel, pts), domain, n,
+                     label=f"{name}[{kernel.label},m={kernel.m}]", batched=True)
+
+
+def v_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
+    return _kernel_stat_statistic(kernel, n, domain, v_statistic, "vstat")
 
 
 def u_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
-    _check_arity(kernel.m, n)
-    return Statistic(
-        lambda pts: u_statistic(kernel, pts), domain, n,
-        label=f"ustat[{kernel.label},m={kernel.m}]", batched=True,
-    )
+    return _kernel_stat_statistic(kernel, n, domain, u_statistic, "ustat")
 
 
 def auc_statistic(loss: LossFunction, n: int, domain: Domain | None = None) -> Statistic:

@@ -27,6 +27,33 @@ def _seminorm_config(**over):
     return cfg
 
 
+_BOUND_CONFIG = {
+    "kind": "bound",
+    "seed": 2,
+    "delta": 0.05,
+    "statistic": {"family": "mean", "n": 16},
+    "function_class": {"kind": "linear", "count": 8},
+    "sampler": {"kind": "uniform", "low": 0.0, "high": 1.0},
+    "replicates": {"outer": 4, "inner": 128},
+}
+
+_CLUSTER_CONFIG = {
+    "kind": "cluster",
+    "seed": 4,
+    "delta": 0.1,
+    "cluster": {"n": 80, "k": 3, "zeta": 0.125, "restarts": 3},
+    "replicates": {"outer": 4, "inner": 64},
+}
+
+_RANK_CONFIG = {
+    "kind": "rank",
+    "seed": 5,
+    "delta": 0.1,
+    "rank": {"n": 40, "candidates": 4},
+    "replicates": {"outer": 4, "inner": 64},
+}
+
+
 class TestConfigValidation:
     def test_minimal_config_passes(self):
         validate_config(_seminorm_config())
@@ -80,15 +107,7 @@ class TestRunners:
         assert doc["result"]["estimate"]["mean"] > 0
 
     def test_bound_run_produces_valid_certificate(self):
-        doc, status = run({
-            "kind": "bound",
-            "seed": 2,
-            "delta": 0.05,
-            "statistic": {"family": "mean", "n": 16},
-            "function_class": {"kind": "linear", "count": 8},
-            "sampler": {"kind": "uniform", "low": 0.0, "high": 1.0},
-            "replicates": {"outer": 4, "inner": 128},
-        })
+        doc, status = run(_BOUND_CONFIG)
         assert status == EXIT_OK
         cert = doc["result"]["certificate"]
         assert cert["total"] == pytest.approx(
@@ -119,28 +138,46 @@ class TestRunners:
         assert not doc["result"]["all_passed"]
 
     def test_cluster_run(self):
-        doc, status = run({
-            "kind": "cluster",
-            "seed": 4,
-            "delta": 0.1,
-            "cluster": {"n": 80, "k": 3, "zeta": 0.125, "restarts": 3},
-            "replicates": {"outer": 4, "inner": 64},
-        })
+        doc, status = run(_CLUSTER_CONFIG)
         assert status == EXIT_OK
         assert len(doc["result"]["centers"]) == 3
         assert doc["result"]["certificate"]["total"] > 0
 
     def test_rank_run(self):
-        doc, status = run({
-            "kind": "rank",
-            "seed": 5,
-            "delta": 0.1,
-            "rank": {"n": 40, "candidates": 4},
-            "replicates": {"outer": 4, "inner": 64},
-        })
+        doc, status = run(_RANK_CONFIG)
         assert status == EXIT_OK
         res = doc["result"]
         assert res["certificate_lower_bound"] <= res["empirical_auc"]
+
+
+class TestCertificateGolden:
+    """Exact certificate numbers of the small runs above; a change to the
+    complexity inflation, the seminorm check or the float order of either
+    certificate formula shows here."""
+
+    @pytest.mark.parametrize("config, expected", [
+        (_BOUND_CONFIG, {
+            "symmetrization_term": 0.31531264405037085,
+            "tail_term": 0.43270459565057134,
+            "total": 0.7480172397009421,
+            "g_effective": 1.0063323620548816,
+        }),
+        (_CLUSTER_CONFIG, {
+            "symmetrization_term": 158.4038605576531,
+            "tail_term": 32.57347403719254,
+            "total": 190.97733459484564,
+            "g_effective": 6.559930521307339,
+        }),
+    ])
+    def test_uniform_bound_certificates(self, config, expected):
+        cert = run(config)[0]["result"]["certificate"]
+        assert {key: cert[key] for key in expected} == expected
+        assert (cert["direction"], cert["se_z"]) == ("pop_minus_emp", 3.0)
+
+    def test_ranking_certificate(self):
+        res = run(_RANK_CONFIG)[0]["result"]
+        assert res["certificate_lower_bound"] == -1.7684669222783473
+        assert res["g"]["mean"] == 1.8881932621575708
 
 
 class TestDeterminism:
@@ -269,6 +306,40 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.statistic.n" in err
+
+    def test_ridge_bound_names_family(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "bound", "seed": 0, "statistic": {"family": "ridge", "n": 4},
+            "replicates": {"outer": 2, "inner": 8},
+        })
+        assert status == EXIT_ERROR
+        assert "config.statistic.family" in err
+
+    def test_lstat_verify_of_one_point_names_field(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "verify", "seed": 0, "statistic": {"family": "lstat", "n": 1},
+        })
+        assert status == EXIT_ERROR
+        assert "config.statistic.n" in err
+
+    @pytest.mark.parametrize("count", [1, 3, 15])
+    def test_odd_symmetric_class_names_count(self, tmp_path, capsys, count):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "complexity", "seed": 0,
+            "statistic": {"family": "mean", "n": 8},
+            "function_class": {"kind": "linear_symmetric", "count": count},
+            "replicates": {"outer": 2, "inner": 8},
+        })
+        assert status == EXIT_ERROR
+        assert "config.function_class.count" in err
+
+    def test_verify_without_sample_sizes_names_max_n(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "verify", "seed": 0, "statistic": {"family": "auc", "n": 4},
+            "verify": {"max_n": 1},
+        })
+        assert status == EXIT_ERROR
+        assert "config.verify.max_n" in err
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

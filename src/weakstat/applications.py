@@ -10,7 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .bounds import BoundCertificate, auc_certificate, uniform_bound
+from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, uniform_bound
 from .complexity import ComplexityEstimate
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
@@ -41,25 +41,26 @@ class DescentViolationError(RuntimeError):
     """The recorded clustering objective increased between iterations."""
 
 
-class UnboundedLipschitzError(ValueError):
-    """The step weight (zeta=0) has no finite Lipschitz norm, so no finite
-    certificate exists."""
-
-
 @dataclass(frozen=True)
 class ClusteringResult:
     """Best-restart clustering output.
 
-    ``objective`` is the rank-weighted average of sorted per-point losses;
-    ``history`` records it per iteration of the winning restart.
+    ``history`` records the rank-weighted average of sorted per-point losses
+    per iteration of the winning restart; ``objective`` is its last entry.
     """
 
     centers: np.ndarray
-    objective: float
-    iterations: int
     restarts_used: int
     history: tuple
-    reseeds: int = 0
+    reseeds: int
+
+    @property
+    def objective(self) -> float:
+        return self.history[-1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
 
 
 @dataclass(frozen=True)
@@ -158,19 +159,8 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
         return _lloyd_run(data, K, weight, max_iters, rng.split(r).generator())
 
     outcomes = [run(r) for r in range(max(1, restarts))]
-    best = None
-    for centers, history, reseeds in outcomes:
-        if best is None or history[-1] < best[1][-1]:
-            best = (centers, history, reseeds)
-    centers, history, reseeds = best
-    return ClusteringResult(
-        centers=centers,
-        objective=history[-1],
-        iterations=len(history),
-        restarts_used=max(1, restarts),
-        history=tuple(history),
-        reseeds=reseeds,
-    )
+    centers, history, reseeds = min(outcomes, key=lambda outcome: outcome[1][-1])
+    return ClusteringResult(centers, max(1, restarts), tuple(history), reseeds)
 
 
 def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,
@@ -190,13 +180,9 @@ def clustering_certificate(result: ClusteringResult, ball_radius: float, zeta: f
     Losses are squared distances inside a ball of the given radius, so the
     loss range has diameter (2 r)^2; the trimming weight enters through its
     sup norm 4/3 and Lipschitz norm 2/(3 zeta).  The step weight (zeta=0)
-    is refused because its Lipschitz norm is infinite.
+    has an infinite Lipschitz norm, so the certificate raises
+    UnboundedLipschitzError.
     """
-    if zeta == 0.0:
-        raise UnboundedLipschitzError(
-            "zeta=0 gives the hard trimming step, whose Lipschitz norm is infinite; "
-            "no finite certificate exists"
-        )
     loss_diameter = (2.0 * ball_radius) ** 2
     report = analytic_seminorms_lstat(f_zeta_weight(zeta), loss_diameter, n)
     return uniform_bound(report, g, n, delta)

@@ -1,6 +1,10 @@
 """Assembly of bound certificates: the symmetrization inequality for weakly
 interactive statistics, the high-probability uniform bound, the ranking
-surrogate certificate, and the bounded-difference tail."""
+surrogate certificate, and the bounded-difference tail.
+
+A BoundCertificate takes only its inputs and computes its terms from them;
+it refuses search lower bounds and infinite seminorms (such as those of
+the step weight zeta = 0)."""
 from __future__ import annotations
 
 import math
@@ -18,6 +22,7 @@ __all__ = [
     "BoundCertificate",
     "CertifiedBoundError",
     "InapplicableCertificateError",
+    "UnboundedLipschitzError",
     "symmetrization_bound",
     "uniform_bound",
     "auc_certificate",
@@ -44,35 +49,52 @@ class InapplicableCertificateError(ValueError):
     """Raised when a certificate's preconditions on the loss are not met."""
 
 
+class UnboundedLipschitzError(ValueError):
+    """A seminorm is infinite, so no finite certificate exists; the step
+    weight (zeta=0) is the case in point, as its Lipschitz norm is infinite."""
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
-    """Fully assembled right-hand side of a uniform deviation bound.
+    """Uniform bound on sup_h (population - empirical), derived from its
+    inputs: ``g_effective`` is the complexity estimate inflated by ``se_z``
+    (= SE_Z) standard errors, ``symmetrization_term`` the symmetrization
+    bound at it, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
+    their sum.  Search lower bounds, delta outside (0, 1) and infinite
+    seminorms are refused."""
 
-    ``total = symmetrization_term + tail_term``; the tail term is zero for
-    the in-expectation certificate.  The bound is on sup_h (population -
-    empirical), recorded as ``direction``.  ``g_effective`` is the complexity
-    value actually used: the estimate inflated by ``se_z`` (= SE_Z) standard
-    errors to absorb Monte-Carlo error.
-    """
-
-    symmetrization_term: float
-    tail_term: float
-    delta: float
-    total: float
     seminorms: SeminormReport
     complexity: ComplexityEstimate
     n: int
-    g_effective: float = 0.0
-    se_z: float = 0.0
+    delta: float
+
+    se_z = SE_Z
 
     def __post_init__(self):
+        _require_upper_bound(self.seminorms)
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        rep = self.seminorms
+        if not all(map(math.isfinite, (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain))):
+            raise UnboundedLipschitzError(f"no finite certificate for seminorms {rep.to_dict()}")
         if self.symmetrization_term < 0 or self.tail_term < 0:
             raise ValueError("certificate terms must be nonnegative")
-        if abs(self.total - (self.symmetrization_term + self.tail_term)) > 1e-12 * max(
-            1.0, abs(self.total)
-        ):
-            raise ValueError("total must equal the sum of its terms")
-        _require_upper_bound(self.seminorms)
+
+    @property
+    def g_effective(self) -> float:
+        return self.complexity.inflated(SE_Z).mean
+
+    @property
+    def symmetrization_term(self) -> float:
+        return symmetrization_bound(self.seminorms, self.complexity.inflated(SE_Z))
+
+    @property
+    def tail_term(self) -> float:
+        return self.seminorms.m_plain * math.sqrt(self.n * math.log(1.0 / self.delta))
+
+    @property
+    def total(self) -> float:
+        return self.symmetrization_term + self.tail_term
 
     def to_dict(self) -> dict:
         return {
@@ -113,23 +135,8 @@ def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int,
     """High-probability uniform bound: the symmetrization term at the
     complexity estimate inflated by SE_Z standard errors, plus the
     bounded-difference tail m_plain * sqrt(n ln(1/delta)), holding with
-    probability at least 1 - delta."""
-    g_eff = g.inflated(SE_Z)
-    sym = symmetrization_bound(report, g_eff)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    tail = report.m_plain * math.sqrt(n * math.log(1.0 / delta))
-    return BoundCertificate(
-        symmetrization_term=sym,
-        tail_term=tail,
-        delta=delta,
-        total=sym + tail,
-        seminorms=report,
-        complexity=g,
-        n=n,
-        g_effective=g_eff.mean,
-        se_z=SE_Z,
-    )
+    probability at least 1 - delta (see BoundCertificate)."""
+    return BoundCertificate(report, g, n, delta)
 
 
 def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,

@@ -159,8 +159,19 @@ def _build_class(config: dict, domain_hint=None):
     else:
         raise ConfigError(f"config.function_class.kind: unknown kind {cls['kind']!r}")
     ends = [w * e for w in weights for e in (low, high)]
-    dom = domain_hint if domain_hint is not None else box([min(ends)], [max(ends)])
+    lo, hi = min(ends), max(ends)
+    dom = domain_hint if domain_hint is not None else box([lo], [hi])
+    if lo < dom.lower[0] or hi > dom.upper[0]:
+        raise ConfigError(f"config.sampler: the class maps [{low}, {high}] onto [{lo}, {hi}], "
+                          f"outside the statistic box [{dom.lower[0]}, {dom.upper[0]}]")
     return linear_class(weights, uniform_raw_space(low, high), dom)
+
+
+def _refuse_step_weight(config: dict) -> None:
+    s = config["statistic"]
+    if s["family"] == "lstat" and float(s.get("zeta", 0.25)) == 0.0:
+        raise ConfigError(f"config.statistic.zeta: {config['kind']} needs a finite Lipschitz "
+                          "norm, which the step weight zeta = 0 does not have")
 
 
 def _run_seminorm(config: dict) -> dict:
@@ -194,6 +205,7 @@ def _run_complexity(config: dict) -> dict:
 
 def _run_bound(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
+    _refuse_step_weight(config)
     if f.domain.d != 1:
         raise ConfigError(f"config.statistic.family: {f.label} has {f.domain.d}-dimensional "
                           "points, but bound certifies a scalar linear class")
@@ -225,6 +237,7 @@ def _run_verify(config: dict) -> dict:
             f"config.statistic.n: the lstat condition probe needs two distinct indices, "
             f"so n >= 2, got {f.n}"
         )
+    _refuse_step_weight(config)
     sizes = [n for n in range(1, max_n + 1)]
     if family == "auc":
         sizes = [n for n in sizes if n % 2 == 0]
@@ -247,14 +260,8 @@ def _run_verify(config: dict) -> dict:
             xp = dom.uniform(gen, n)
             dec = orc.fk_decompose(fn, x, xp)
             worst = max(worst, dec.residual / max(1.0, abs(dec.lhs)))
-        records.append({
-            "check": "telescoping_identity",
-            "inputs": f"{fn.label},n={n},pairs={pairs}",
-            "lhs": worst,
-            "rhs": orc.IDENTITY_RTOL,
-            "slack": orc.IDENTITY_RTOL - worst,
-            "pass": bool(worst <= orc.IDENTITY_RTOL),
-        })
+        records.append(orc.CheckResult("telescoping_identity", worst, orc.IDENTITY_RTOL, 0.0,
+                                       f"{fn.label},n={n},pairs={pairs}").to_record())
 
     if family == "lstat":
         weight = stats.f_zeta_weight(float(config["statistic"].get("zeta", 0.25)))

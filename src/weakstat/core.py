@@ -209,7 +209,8 @@ def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
             i, c = np.argwhere(bad)[0]
             raise DomainViolationError(
                 f"member {j} maps datum {i} outside the domain box at coordinate {c}: "
-                f"value {rows[i, c]!r} not in [{dom.lower[c]!r}, {dom.upper[c]!r}]"
+                f"value {float(rows[i, c])!r} not in "
+                f"[{float(dom.lower[c])!r}, {float(dom.upper[c])!r}]"
             )
         out[j] = rows
     return out

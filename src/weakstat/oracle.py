@@ -8,6 +8,9 @@ the 1e-9 scale the identity checks assert.  The swap table is built in
 blocks of BATCH_BLOCK consecutive masks, each evaluated by one
 ``Statistic.batch`` call, so only one block of configurations exists at a
 time, never the whole 2^n table.
+
+Result records derive their numbers: a CheckResult's pass and slack follow
+from lhs, rhs and tol, and an FkDecomposition's residual from its terms.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
+from .bounds import UnboundedLipschitzError
 from .core import BATCH_BLOCK, FunctionClass, SeededRng, Statistic, as_points, evaluate_class
 from .seminorms import BudgetError, _differences, _row
 
@@ -42,12 +46,19 @@ INEQUALITY_SLACK = 1e-7
 
 @dataclass(frozen=True)
 class FkDecomposition:
-    """Per-coordinate telescoping terms with the reconstruction residual."""
+    """Per-coordinate telescoping terms of lhs = f(x) - f(x'), with the
+    reconstruction residual |lhs - sum terms| (compensated sum)."""
 
-    n: int
     terms: tuple
     lhs: float
-    residual: float
+
+    @property
+    def n(self) -> int:
+        return len(self.terms)
+
+    @property
+    def residual(self) -> float:
+        return abs(self.lhs - _kahan_sum(self.terms))
 
     def ok(self, rtol: float = IDENTITY_RTOL) -> bool:
         return self.residual <= rtol * max(1.0, abs(self.lhs))
@@ -64,14 +75,22 @@ class VkVector:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one numerical inequality or identity check."""
+    """Outcome of one numerical inequality or identity check: it passes
+    when lhs <= rhs + tol, with slack rhs + tol - lhs."""
 
     name: str
-    passed: bool
-    slack: float
     lhs: float
     rhs: float
+    tol: float
     inputs_digest: str
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lhs <= self.rhs + self.tol)
+
+    @property
+    def slack(self) -> float:
+        return self.rhs + self.tol - self.lhs
 
     def to_record(self) -> dict:
         return {
@@ -153,9 +172,7 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
         rest = full ^ A
         total = _kahan_sum((vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist())
         terms.append(total / float(2 ** (k + 1)))
-    lhs = float(vals[0] - vals[full])
-    return FkDecomposition(n=n, terms=tuple(terms), lhs=lhs,
-                           residual=abs(lhs - _kahan_sum(terms)))
+    return FkDecomposition(tuple(terms), float(vals[0] - vals[full]))
 
 
 def fk_term(f: Statistic, x, xp, k: int) -> float:
@@ -200,14 +217,8 @@ def jlip_lemma_check(f: Statistic, x, xp, k: int, a, b, j_lip_bound: float,
     dists = np.linalg.norm(pa - pb, axis=1)
     dists[k] = 0.0
     rhs = j_lip_bound / n * float(np.sum(dists))
-    return CheckResult(
-        name="jlip_lemma",
-        passed=lhs <= rhs + tol,
-        slack=rhs + tol - lhs,
-        lhs=lhs,
-        rhs=rhs,
-        inputs_digest=_digest(pa, pb, [k], np.atleast_1d(a), np.atleast_1d(b)),
-    )
+    return CheckResult("jlip_lemma", lhs, rhs, tol,
+                       _digest(pa, pb, [k], np.atleast_1d(a), np.atleast_1d(b)))
 
 
 def fk_difference_check(f: Statistic, x, xp, y, yp, k: int, m_lip: float,
@@ -217,14 +228,8 @@ def fk_difference_check(f: Statistic, x, xp, y, yp, k: int, m_lip: float,
     lhs = fk_term(f, x, xp, k) - fk_term(f, y, yp, k)
     diff = vk_vector(x, xp, k, m_lip, j_lip).values - vk_vector(y, yp, k, m_lip, j_lip).values
     rhs = float(np.linalg.norm(diff))
-    return CheckResult(
-        name="fk_difference",
-        passed=lhs <= rhs + tol,
-        slack=rhs + tol - lhs,
-        lhs=lhs,
-        rhs=rhs,
-        inputs_digest=_digest(as_points(x), as_points(xp), as_points(y), as_points(yp), [k]),
-    )
+    return CheckResult("fk_difference", lhs, rhs, tol,
+                       _digest(as_points(x), as_points(xp), as_points(y), as_points(yp), [k]))
 
 
 def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
@@ -270,9 +275,15 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     """Check the two response conditions of the rank-weighted L-statistic on
     scalar data: the first-order difference against sup-norm times the pair
     interval, and the second-order difference against the Lipschitz norm
-    times the diameter of the interval intersection."""
+    times the diameter of the interval intersection.
+
+    A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
+    second-order condition of this form and raises UnboundedLipschitzError.
+    """
     from .statistics import l_statistic
 
+    if not math.isfinite(F.lip_norm):
+        raise UnboundedLipschitzError(f"weight {F.label} has Lipschitz norm {F.lip_norm}")
     pts = as_points(x)
     if pts.shape[1] != 1:
         raise ValueError("the L-statistic conditions are stated for scalar data")
@@ -285,25 +296,8 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     stack[2:, l, 0] = (z, z, zp, zp)
     vals = l_statistic(F, stack).tolist()
     digest = _digest(pts, [k, l], [y, yp, z, zp])
-    d1 = vals[0] - vals[1]
-    rhs1 = F.sup_norm * abs(y - yp) / n
-    first = CheckResult(
-        name="lstat_first_order",
-        passed=abs(d1) <= rhs1 + tol,
-        slack=rhs1 + tol - abs(d1),
-        lhs=abs(d1),
-        rhs=rhs1,
-        inputs_digest=digest,
-    )
-
-    d2 = vals[2] - vals[3] - vals[4] + vals[5]
-    rhs2 = F.lip_norm * _intersection_diam(z, zp, y, yp) / (n * n)
-    second = CheckResult(
-        name="lstat_second_order",
-        passed=abs(d2) <= rhs2 + tol,
-        slack=rhs2 + tol - abs(d2),
-        lhs=abs(d2),
-        rhs=rhs2,
-        inputs_digest=digest,
-    )
+    first = CheckResult("lstat_first_order", abs(vals[0] - vals[1]),
+                        F.sup_norm * abs(y - yp) / n, tol, digest)
+    second = CheckResult("lstat_second_order", abs(vals[2] - vals[3] - vals[4] + vals[5]),
+                         F.lip_norm * _intersection_diam(z, zp, y, yp) / (n * n), tol, digest)
     return first, second

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from weakstat import applications
 from weakstat import (
+    BoundCertificate,
     CertifiedBoundError,
     InapplicableCertificateError,
     SeededRng,
@@ -21,6 +23,7 @@ from weakstat import (
     uniform_bound,
     uniform_raw_space,
 )
+from weakstat.bounds import UnboundedLipschitzError
 from weakstat.cli import validate_certificate
 from weakstat.complexity import ComplexityEstimate
 from weakstat.core import evaluate_class
@@ -172,6 +175,14 @@ class TestCertificateSerialization:
     def test_certificate_rejects_search_inputs(self):
         with pytest.raises(CertifiedBoundError):
             uniform_bound(_report(m_lip=0.1, method=EMPIRICAL_SEARCH), _estimate(1.0), 16, 0.1)
+
+    @pytest.mark.parametrize("field", ["m_lip", "j_lip", "m_plain", "j_plain"])
+    def test_certificate_rejects_infinite_seminorms(self, field):
+        with pytest.raises(UnboundedLipschitzError):
+            BoundCertificate(_report(**{field: math.inf}), _estimate(1.0), 16, 0.1)
+
+    def test_applications_reexports_the_same_error(self):
+        assert applications.UnboundedLipschitzError is UnboundedLipschitzError
 
 
 class TestCoverageSmoke:

@@ -180,6 +180,44 @@ class TestCertificateGolden:
         assert res["g"]["mean"] == 1.8881932621575708
 
 
+_VERIFY_CONFIGS = {
+    family: {
+        "kind": "verify",
+        "seed": 3,
+        "statistic": {"family": family, "n": 8, "lower": -1.0, "upper": 3.0, **extra},
+        "verify": {"max_n": 8, "pairs": 4, "probes": 20},
+    }
+    for family, extra in (("mean", {}), ("lstat", {"zeta": 0.25}))
+}
+
+
+def _identity_records(*lhs):
+    return [(v, 1e-09, 1e-09 - v, True) for v in lhs]
+
+
+class TestVerifyGolden:
+    """Exact (lhs, rhs, slack, pass) of each record of two small verify
+    runs; a change to the residual, its Kahan sum or the slack arithmetic
+    shows here."""
+
+    @pytest.mark.parametrize("family, expected", [
+        ("mean", _identity_records(
+            0.0, 1.1102230246251565e-16, 2.1658193783793286e-16, 0.0,
+            1.1102230246251565e-16, 1.1102230246251565e-16, 6.938893903907228e-17, 0.0,
+        )),
+        ("lstat", _identity_records(
+            0.0, 1.2794573716330748e-16, 1.3877787807814457e-17, 2.220446049250313e-16,
+            0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
+        ) + [(0.0, 0.0, 0.0, True)]),
+    ])
+    def test_records(self, family, expected):
+        doc, status = run(_VERIFY_CONFIGS[family])
+        assert status == EXIT_OK
+        records = doc["result"]["records"]
+        assert [(r["lhs"], r["rhs"], r["slack"], r["pass"]) for r in records] == expected
+        assert all(type(r["pass"]) is bool for r in records)
+
+
 class TestDeterminism:
     def test_same_config_same_document(self):
         a, _ = run(_seminorm_config(seed=11))
@@ -340,6 +378,30 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.verify.max_n" in err
+
+    def test_step_weight_bound_names_zeta(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "bound", "seed": 0,
+            "statistic": {"family": "lstat", "n": 8, "zeta": 0, "lower": -1.0, "upper": 1.0},
+            "replicates": {"outer": 2, "inner": 8},
+        })
+        assert status == EXIT_ERROR
+        assert "config.statistic.zeta" in err
+
+    def test_step_weight_verify_names_zeta(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "verify", "seed": 0, "statistic": {"family": "lstat", "n": 4, "zeta": 0},
+        })
+        assert status == EXIT_ERROR
+        assert "config.statistic.zeta" in err
+
+    def test_class_leaving_statistic_box_names_sampler(self, tmp_path, capsys):
+        # the default sampler [-1, 1] under the default box [0, 1]
+        status, err = self._bad_input(tmp_path, capsys, {
+            "kind": "bound", "seed": 0, "statistic": {"family": "mean", "n": 8},
+        })
+        assert status == EXIT_ERROR
+        assert "config.sampler" in err and "[0.0, 1.0]" in err
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

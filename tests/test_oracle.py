@@ -25,6 +25,7 @@ from weakstat import (
     v_stat_statistic,
     vk_vector,
 )
+from weakstat.bounds import UnboundedLipschitzError
 from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import BudgetError
 
@@ -262,6 +263,11 @@ class TestLstatConditions:
             y, yp, z, zp = gen.uniform(size=4)
             first, second = lstat_condition_check(F, x, k, l, y, yp, z, zp)
             assert first.passed and second.passed
+
+    def test_step_weight_is_refused(self):
+        x = SeededRng(10).generator().uniform(size=(4, 1))
+        with pytest.raises(UnboundedLipschitzError):
+            lstat_condition_check(f_zeta_weight(0.0), x, 0, 1, 0.1, 0.2, 0.8, 0.9)
 
     def test_records_serialize(self):
         F = f_zeta_weight(0.25)

@@ -448,7 +448,9 @@ def emit_table(docs: list[dict]) -> str:
 
 
 def _serialize(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Strict JSON: a number that is not finite raises ValueError rather
+    than writing the non-standard NaN or Infinity."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def main(argv=None) -> int:
@@ -480,6 +482,7 @@ def main(argv=None) -> int:
                 f"config.kind: {config.get('kind')!r} does not match subcommand {args.command!r}"
             )
         doc, status = run(config)
+        text = _serialize(doc)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -487,7 +490,6 @@ def main(argv=None) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    text = _serialize(doc)
     # the output destination is an IO detail, not part of the resolved
     # config, so overriding it preserves byte-identical documents
     out_path = args.out if args.out is not None else config.get("output", {}).get("path")

@@ -6,7 +6,9 @@ differences and ``oracle.jlip_lemma_check``.  Three routes are provided:
 
 * randomized empirical search (certified LOWER bounds: every candidate is a
   realized difference quotient, so the running maximum never exceeds the
-  true supremum),
+  true supremum); its exploration goes to ``_differences`` in blocks of
+  probes and its refinement in speculative blocks of steps, whose report
+  is bit-identical to that of a one-step refinement loop,
 * closed-form analytic bounds for the known families (certified UPPER
   bounds), and
 * finite differences for smooth statistics: an ESTIMATE from a few random
@@ -55,6 +57,8 @@ PAIR_SEPARATION_FRACTION = 1e-2
 
 _EXPLORE_FRACTION = 0.8
 _RESTARTS = 8
+# refinement steps evaluated per speculative block (see _search)
+_REFINE_BLOCK = 16
 # uniform redraws of the second point of a pair before the corner fallback
 _PAIR_TRIES = 64
 # mixed second-derivative blocks per probe point in derivative_seminorms
@@ -96,14 +100,12 @@ class SeminormReport:
             raise ValueError(f"unknown seminorm method {self.method!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "m_lip": self.m_lip,
-            "j_lip": self.j_lip,
-            "m_plain": self.m_plain,
-            "j_plain": self.j_plain,
-            "method": self.method,
-            "search_evals": self.search_evals,
-        }
+        """The document form.  A value that is not finite, such as the
+        closed form of a weight with an infinite Lipschitz norm, becomes
+        None (JSON null): there is no finite upper bound to write."""
+        doc = {name: getattr(self, name) for name in ("m_lip", "j_lip", "m_plain", "j_plain")}
+        doc = {name: v if math.isfinite(v) else None for name, v in doc.items()}
+        return {**doc, "method": self.method, "search_evals": self.search_evals}
 
 
 def _row(point) -> np.ndarray:
@@ -151,10 +153,6 @@ def _sample_pair(gen, lower, upper, floor: float) -> tuple[np.ndarray, np.ndarra
     return y, yp
 
 
-def _perturb(gen, value, lower, upper, sigma):
-    return np.clip(value + gen.normal(0.0, sigma, size=value.shape), lower, upper)
-
-
 def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
                  rows: list) -> np.ndarray:
     """Signed order-th difference of each probe: even corners minus odd
@@ -200,9 +198,16 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     guarantees the range value <= the Lipschitz value * diameter pointwise,
     since every absolute candidate also enters the ratio race.
 
-    Exploration draws all its probes up front and evaluates them together;
-    refinement perturbs the incumbent one probe at a time.  Both phases go
-    through _differences and the same witness update.
+    Exploration draws all its probes up front and evaluates them together.
+    Refinement step t perturbs the ratio witness (even t) or the range
+    witness (odd t) by Gaussian noise of scale frac_t * widths, with frac_t
+    shrinking in t; all its noise is drawn in one call.  The steps run in
+    speculative blocks of _REFINE_BLOCK: a block perturbs the witnesses as
+    they stand at its start, evaluates its separated probes in one
+    _differences call, and takes them in step order up to the first one
+    that changes a witness.  The next block starts after that step; the
+    probes past it are discarded and not counted.  So every step taken
+    sees the witness, noise and value that a one-step loop gives it.
     """
     gen = rng.generator()
     dom = f.domain
@@ -220,25 +225,34 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     wit_ratio = wit_abs = None
     used = 0
 
-    def offer(xs, coords, rows, dist):
-        """Evaluate the probes and keep the first strict maximum of each
-        objective (np.argmax, as a sequential > scan would)."""
+    def offer(xs, coords, rows, dist, speculative=False):
+        """Evaluate the probes, keep the first strict maximum of each
+        objective (np.argmax, as a sequential > scan would) and return the
+        number of probes taken.  A speculative block is taken only up to
+        its first probe that beats either incumbent: the probes after it
+        perturbed a witness that is no longer current."""
         nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
         if not len(xs):
-            return
+            return 0
         diff = scale * np.abs(_differences(f, order, xs, coords, rows))
         ratio = diff / dist
-        used += corners * len(xs)
+        t_ratio, t_abs = int(np.argmax(ratio)), int(np.argmax(diff))
+        taken = len(xs)
+        if speculative:
+            hits = np.flatnonzero((ratio > best_ratio) | (diff > best_abs))
+            if len(hits):
+                t_ratio = t_abs = int(hits[0])
+                taken = t_ratio + 1
+        used += corners * taken
 
         def witness(t):
             return (*coords[t].tolist(), xs[t], *(r[t] for r in rows))
 
-        t = int(np.argmax(ratio))
-        if ratio[t] > best_ratio:
-            best_ratio, wit_ratio = float(ratio[t]), witness(t)
-        t = int(np.argmax(diff))
-        if diff[t] > best_abs:
-            best_abs, wit_abs = float(diff[t]), witness(t)
+        if ratio[t_ratio] > best_ratio:
+            best_ratio, wit_ratio = float(ratio[t_ratio]), witness(t_ratio)
+        if diff[t_abs] > best_abs:
+            best_abs, wit_abs = float(diff[t_abs]), witness(t_abs)
+        return taken
 
     # exploration: draw every probe, redraw the pairs under the separation
     # floor in draw order (rare for floors well below the box widths)
@@ -257,18 +271,40 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     keep = np.flatnonzero(dist >= floor)
     offer(xs[keep], coords[keep], [r[keep] for r in rows], dist[keep])
 
-    for t in range(refine):
-        wit = wit_ratio if t % 2 == 0 else wit_abs
-        if wit is None:
+    if wit_ratio is None and wit_abs is None:
+        return best_ratio, best_abs, wit_ratio, used
+    # one row of noise per step that has a witness: n rows for the
+    # configuration, then one per pair row.  normal(0, sigma) computes
+    # 0.0 + sigma * z, so the pair rows add 0.0 the same way.
+    noise = gen.normal(0.0, 1.0, size=(refine, n + 2 * order, dom.d))
+    frac = 0.25 * (1.0 - np.arange(refine) / max(refine, 1)) + 0.01
+    sigma = frac[:, None] * widths
+    start = drawn = 0
+    while start < refine:
+        stop = min(start + _REFINE_BLOCK, refine)
+        wits = (wit_ratio, wit_abs)
+        # a step whose witness is not set yet draws nothing, as in the
+        # one-step loop; a positive difference can still give a ratio that
+        # underflows to 0, so the two witnesses need not be set together
+        steps = [t for t in range(start, stop) if wits[t % 2] is not None]
+        start = stop
+        if not steps:
             continue
-        idx, x, pairs = wit[:order], wit[order], wit[order + 1:]
-        frac = 0.25 * (1.0 - t / max(refine, 1)) + 0.01
-        sigma = frac * widths
-        xc = np.clip(x + gen.normal(0.0, 1.0, size=x.shape) * sigma, lo, hi)
-        pairs = [_perturb(gen, r, lo, hi, sigma)[None] for r in pairs]
+        base = [None if w is None else np.vstack([w[order], *w[order + 1:]]) for w in wits]
+        kick = noise[drawn:drawn + len(steps)] * sigma[steps][:, None]
+        kick[:, n:] = 0.0 + kick[:, n:]
+        moved = np.clip(np.stack([base[t % 2] for t in steps]) + kick, lo, hi)
+        pairs = [moved[:, n + j] for j in range(2 * order)]
         dist = _distance(pairs[0] - pairs[1])
-        if dist[0] >= floor:
-            offer(xc[None], np.array([idx]), pairs, dist)
+        keep = np.flatnonzero(dist >= floor)
+        coords = np.array([wits[t % 2][:order] for t in steps])
+        taken = offer(moved[keep, :n], coords[keep], [p[keep] for p in pairs], dist[keep],
+                      speculative=True)
+        if wit_ratio is wits[0] and wit_abs is wits[1]:
+            drawn += len(steps)
+        else:
+            drawn += keep[taken - 1] + 1
+            start = steps[keep[taken - 1]] + 1
 
     return best_ratio, best_abs, wit_ratio, used
 

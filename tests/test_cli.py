@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import weakstat.cli
 import weakstat.oracle
 from weakstat.cli import (
     AggregationError,
@@ -402,6 +403,33 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.sampler" in err and "[0.0, 1.0]" in err
+
+    def test_infinite_upper_bound_is_written_as_null(self, tmp_path):
+        # the step weight's closed form has no finite second-order value,
+        # while its search half is meaningful
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_seminorm_config(
+            budget=2000, statistic={"family": "lstat", "n": 8, "zeta": 0})))
+        out = tmp_path / "o.json"
+        assert main(["seminorm", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["result"]["upper_bound"]["j_lip"] is None
+        assert doc["result"]["upper_bound"]["j_plain"] is None
+        assert doc["result"]["empirical"]["j_lip"] > 0
+
+    def test_non_finite_result_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(weakstat.cli, "run", lambda config: ({"total": float("nan")}, EXIT_OK))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_seminorm_config()))
+        out = tmp_path / "o.json"
+        status = main(["seminorm", "--config", str(cfg_path), "--out", str(out)])
+        assert status == EXIT_ERROR
+        assert capsys.readouterr().err.startswith("error: ValueError")
+        assert not out.exists()
 
     def test_kind_mismatch_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -2,8 +2,10 @@
 bit, a reference loop that maps one datum at a time; Statistic.batch on a
 stack equals, bit for bit, Statistic.value on each configuration; and the
 batched difference operator equals, bit for bit, its corner sums written
-out from Statistic.value."""
+out from Statistic.value; and the seminorm search gives the same report at
+every refinement block size."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,10 +15,12 @@ from hypothesis.extra.numpy import arrays
 from weakstat import (
     FunctionClass,
     RidgeProblem,
+    SeededRng,
     Statistic,
     auc_statistic,
     box,
     double_difference,
+    empirical_seminorms,
     evaluate_class,
     f_zeta_weight,
     kmeans_loss,
@@ -33,6 +37,7 @@ from weakstat import (
     uniform_raw_space,
     v_stat_statistic,
 )
+from weakstat import seminorms
 from weakstat.cli import _nearest_center_loss
 from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import _differences
@@ -225,3 +230,23 @@ def test_differences_across_blocks(family, order):
     count = 2 * (BATCH_BLOCK >> order) + 3
     xs, coords, rows = _probes(f, order, count, np.random.default_rng(23))
     assert (_differences(f, order, xs, coords, rows) == _corner_sums(f, order, xs, coords, rows)).all()
+
+
+def _search_report(f, budget, seed):
+    rep = empirical_seminorms(f, budget, SeededRng(seed))
+    wit = rep.argmax_witness
+    wit = None if wit is None else (*wit[:1], *(np.asarray(a).tolist() for a in wit[1:]))
+    return rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain, rep.search_evals, wit
+
+
+# block size 1 replays the one-step refinement schedule
+@_SETTINGS
+@given(family=st.sampled_from(["auc", "lstat", "mean", "ridge", "ustat", "vstat"]),
+       half_n=st.integers(1, 4), budget=st.integers(64, 4000), seed=st.integers(0, 2**32 - 1))
+def test_refine_block_size_leaves_the_search_unchanged(family, half_n, budget, seed):
+    f = _family_statistic(family, 2 * half_n, 2)
+    reports = []
+    for block in (1, 3, 16):
+        with mock.patch.object(seminorms, "_REFINE_BLOCK", block):
+            reports.append(_search_report(f, budget, seed))
+    assert reports[0] == reports[1] == reports[2]

@@ -9,6 +9,7 @@ from weakstat import (
     analytic_seminorms_lstat,
     analytic_seminorms_ustat,
     auc_statistic,
+    box,
     constant_weight,
     derivative_seminorms,
     double_difference,
@@ -22,7 +23,9 @@ from weakstat import (
     ridge_error_statistic,
     u_stat_statistic,
     unit_interval,
+    v_stat_statistic,
 )
+from weakstat import seminorms
 from weakstat.seminorms import BudgetError, StepError
 
 FLOAT_SLACK = 1e-9  # relative allowance when a search lands exactly on the supremum
@@ -168,12 +171,72 @@ class TestEmpiricalSearch:
         (lstat_statistic(f_zeta_weight(0.25), 8),
          (0.16666666666667385, 0.3333333333333476, 0.16516620076404076,
           0.2518255178810733, 3960)),
+        # the cases below also pin the witness: (k, x, y, y')
+        (auc_statistic(ramp_loss(), 4),
+         (0.5000000000000036, 1.000000000000011, 0.5, 0.9999999999999999, 3972,
+          (2, [[0.8614208716441659], [0.40056847434876797], [0.39898519686095507],
+               [0.5773671949363511]], [0.0], [0.028938346692042108]))),
+        (u_stat_statistic(product_kernel(), 8, unit_interval()),
+         (0.23910035329090815, 0.2857142857142882, 0.23505191070456444,
+          0.2857142857142856, 3974,
+          (7, [[0.9467119689379041], [1.0], [1.0], [0.9762708009790659],
+               [0.8355767988294237], [0.9362503233990329], [1.0], [0.33887050684001674]],
+           [0.028768508743671317], [0.9909251004267468]))),
+        (v_stat_statistic(product_kernel(), 8, unit_interval()),
+         (0.21548717511164736, 0.250000000000002, 0.21172926046671892, 0.25, 3974,
+          (7, [[1.0], [1.0], [1.0], [0.5421068066631718], [0.9034444116685546],
+               [0.9509562158301104], [0.9892353648256689], [1.0]],
+           [0.028768508743671317], [0.9909251004267468]))),
+        (ridge_error_statistic(RidgeProblem(0.5, 2), 4),
+         (0.4720153446956007, 1.0075439715764951, 0.5215431480766632, 1.8340275225337301,
+          3984,
+          (0, [[-0.10048551892715962, -0.08986505319272749, 0.6003008382299153],
+               [0.7445032603781341, 0.06748289958891254, -0.7149725283578157],
+               [0.16741646792452403, 0.16931192190619784, -0.8538384785060448],
+               [1.0, -0.618117590500758, -0.8223311240000638]],
+           [0.3207332108278958, -0.4026874638139275, 0.9199687478210078],
+           [0.12779593683027132, -0.5379701857937776, 0.6336399121175572]))),
     ])
     def test_golden_values(self, f, expected):
         # exact floats of the search at a fixed seed, pinned so that a
         # refactor of the search cannot change any result document
         rep = empirical_seminorms(f, 4000, SeededRng(13))
-        assert (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain, rep.search_evals) == expected
+        assert (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain, rep.search_evals) == expected[:5]
+        if len(expected) > 5:
+            k, *rows = rep.argmax_witness
+            assert (k, *(r.tolist() for r in rows)) == expected[5]
+
+    def test_constant_statistic_draws_no_refinement(self):
+        f = Statistic(lambda pts: 3.5, unit_interval(), 4, "const")
+        rep = empirical_seminorms(f, 4000, SeededRng(1))
+        assert (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain) == (0.0, 0.0, 0.0, 0.0)
+        assert rep.argmax_witness is None
+        # each of the 8 restarts per order explores 80% of its probes and,
+        # with no witness to refine, stops there: 100 probes of 2 corners
+        # at order 1 and 50 of 4 corners at order 2
+        assert rep.search_evals == 8 * (100 * 2 + 50 * 4)
+
+    @pytest.mark.parametrize("block", [1, 16])
+    def test_underflowing_ratios_refine_the_range_witness_alone(self, block, monkeypatch):
+        # differences of one subnormal unit over pairs at least 20 apart:
+        # every ratio underflows to 0, so only the range witness is set and
+        # only the odd refinement steps run (2 restarts x 37 steps x 2 corners)
+        monkeypatch.setattr(seminorms, "_REFINE_BLOCK", block)
+        f = Statistic(lambda pts: 5e-324 * float((pts[:, 0] > 0.0).sum()),
+                      box([-1000.0], [1000.0]), 4, "tiny")
+        rep = empirical_seminorms(f, 3000, SeededRng(3), restarts=2)
+        assert (rep.m_lip, rep.m_plain, rep.argmax_witness) == (0.0, 5e-324, None)
+        assert rep.search_evals == 2400 + 2 * 37 * 2
+
+    def test_unbatched_statistic_gives_the_batched_report(self):
+        f = auc_statistic(ramp_loss(), 4)
+        one = Statistic(f.evaluator, f.domain, f.n, f.label, batched=False)
+        a = empirical_seminorms(f, 3000, SeededRng(8))
+        b = empirical_seminorms(one, 3000, SeededRng(8))
+        assert (a.m_lip, a.j_lip, a.m_plain, a.j_plain, a.search_evals) == \
+            (b.m_lip, b.j_lip, b.m_plain, b.j_plain, b.search_evals)
+        for u, v in zip(a.argmax_witness, b.argmax_witness):
+            assert np.array_equal(u, v)
 
     def test_range_values_bounded_by_lipschitz_times_diameter(self):
         for f in (

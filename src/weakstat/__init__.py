@@ -1,7 +1,7 @@
 """weakstat: uniform concentration bounds, interaction seminorms and
-Monte-Carlo complexity estimates for nonlinear statistics of independent
-samples, with robust trimmed clustering and certificate-backed ranking
-selection built on top."""
+closed-form or Monte-Carlo complexity terms for nonlinear statistics of
+independent samples, with robust trimmed clustering and certificate-backed
+ranking selection built on top."""
 
 from .applications import (
     ClusteringResult,
@@ -29,6 +29,7 @@ from .complexity import (
     class_complexity,
     gaussian_average,
     gaussian_from_rademacher,
+    linear_gaussian_complexity,
     rademacher_average,
 )
 from .core import (

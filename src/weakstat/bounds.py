@@ -3,8 +3,8 @@ interactive statistics, the high-probability uniform bound, the ranking
 surrogate certificate, and the bounded-difference tail.
 
 A BoundCertificate takes only its inputs and computes its terms from them;
-it refuses search lower bounds and infinite seminorms (such as those of
-the step weight zeta = 0)."""
+it refuses search lower bounds, infinite seminorms (such as those of the
+step weight zeta = 0) and complexity terms that are not Gaussian."""
 from __future__ import annotations
 
 import math
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import ComplexityEstimate
+from .complexity import GAUSSIAN, ComplexityEstimate
 from .seminorms import ANALYTIC_BOUND, DERIVATIVE_BOUND, SeminormReport
 
 __all__ = [
@@ -32,7 +32,8 @@ __all__ = [
 POP_MINUS_EMP = "pop_minus_emp"
 
 # Standard errors added to a Monte-Carlo complexity estimate before it enters
-# a certificate; fixed, and recorded in every certificate as ``se_z``.
+# a certificate; fixed, and recorded in every certificate as ``se_z``.  A
+# closed-form complexity has std_error 0, so it enters unchanged.
 SE_Z = 3.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -60,8 +61,8 @@ class BoundCertificate:
     inputs: ``g_effective`` is the complexity estimate inflated by ``se_z``
     (= SE_Z) standard errors, ``symmetrization_term`` the symmetrization
     bound at it, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
-    their sum.  Search lower bounds, delta outside (0, 1) and infinite
-    seminorms are refused."""
+    their sum.  Search lower bounds, a complexity that is not Gaussian,
+    delta outside (0, 1) and infinite seminorms are refused."""
 
     seminorms: SeminormReport
     complexity: ComplexityEstimate
@@ -72,6 +73,7 @@ class BoundCertificate:
 
     def __post_init__(self):
         _require_upper_bound(self.seminorms)
+        _require_gaussian(self.complexity)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         rep = self.seminorms
@@ -120,6 +122,14 @@ def _require_upper_bound(report: SeminormReport) -> None:
         )
 
 
+def _require_gaussian(g: ComplexityEstimate) -> None:
+    if g.kind != GAUSSIAN:
+        raise ValueError(
+            f"certificates need the Gaussian complexity, got a {g.kind!r} average; "
+            "complexity.gaussian_from_rademacher converts a Rademacher average soundly"
+        )
+
+
 def symmetrization_bound(report: SeminormReport, g: ComplexityEstimate) -> float:
     """In-expectation bound sqrt(2 pi) (2 m_lip + j_lip) * g.mean.
 
@@ -147,12 +157,13 @@ def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,
     Requires a surrogate loss dominated by the indicator of the positive
     reals; the penalty combines the surrogate's symmetrization term, at the
     complexity estimate inflated by SE_Z standard errors, with the
-    two-sample tail.
+    two-sample tail.  The complexity must be Gaussian.
     """
     if not below_indicator:
         raise InapplicableCertificateError(
             "the AUC certificate needs a surrogate loss below the indicator of (0, inf)"
         )
+    _require_gaussian(g)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if L < 0:

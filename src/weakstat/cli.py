@@ -137,7 +137,9 @@ def _build_statistic(config: dict):
     return f, report
 
 
-def _build_class(config: dict, domain_hint=None):
+def _linear_spec(config: dict, domain_hint=None):
+    """The config's linear class as (weights, sampler low, sampler high,
+    domain box), checked against the box."""
     cls = config.get("function_class", {"kind": "linear_symmetric", "count": 16})
     sampler_cfg = config.get("sampler", {"kind": "uniform", "low": -1.0, "high": 1.0})
     low = float(sampler_cfg.get("low", -1.0))
@@ -164,6 +166,11 @@ def _build_class(config: dict, domain_hint=None):
     if lo < dom.lower[0] or hi > dom.upper[0]:
         raise ConfigError(f"config.sampler: the class maps [{low}, {high}] onto [{lo}, {hi}], "
                           f"outside the statistic box [{dom.lower[0]}, {dom.upper[0]}]")
+    return weights, low, high, dom
+
+
+def _build_class(config: dict) -> FunctionClass:
+    weights, low, high, dom = _linear_spec(config)
     return linear_class(weights, uniform_raw_space(low, high), dom)
 
 
@@ -204,16 +211,22 @@ def _run_complexity(config: dict) -> dict:
 
 
 def _run_bound(config: dict) -> dict:
+    """Certificate over the config's linear class, whose Gaussian complexity
+    has a closed-form upper bound; ``replicates`` is accepted and unused."""
     f, report_fn = _build_statistic(config)
     _refuse_step_weight(config)
     if f.domain.d != 1:
         raise ConfigError(f"config.statistic.family: {f.label} has {f.domain.d}-dimensional "
                           "points, but bound certifies a scalar linear class")
-    rng = SeededRng(config["seed"])
+    kind = config.get("complexity_kind", cpx.GAUSSIAN)
+    if kind != cpx.GAUSSIAN:
+        raise ConfigError(f"config.complexity_kind: bound needs the Gaussian complexity, "
+                          f"got {kind!r}; nothing proves a {kind} average bounds it")
     report = report_fn()
-    fclass = _build_class(config, domain_hint=f.domain)
-    g = _class_complexity(config, fclass, f.n, config.get("complexity_kind", "gaussian"),
-                          rng.split(2), 64, 2048)
+    weights, low, high, _ = _linear_spec(config, domain_hint=f.domain)
+    # E x^2 for x uniform on [low, high]
+    second_moment = (low * low + low * high + high * high) / 3.0
+    g = cpx.linear_gaussian_complexity(weights, f.n, second_moment)
     delta = float(config.get("delta", 0.05))
     cert = bnd.uniform_bound(report, g, f.n, delta)
     doc = cert.to_dict()

@@ -1,5 +1,6 @@
 """Monte-Carlo estimation of Gaussian and Rademacher averages of finite
-point sets, plus the standard conversion factor between the two."""
+point sets, the closed-form Gaussian complexity of scalar linear classes,
+and the standard conversion factor between the two averages."""
 from __future__ import annotations
 
 import math
@@ -13,35 +14,50 @@ from .core import FunctionClass, SeededRng, evaluate_class
 __all__ = [
     "GAUSSIAN",
     "RADEMACHER",
+    "MONTE_CARLO",
+    "CLOSED_FORM",
     "ComplexityEstimate",
     "gaussian_average",
     "rademacher_average",
     "class_complexity",
+    "linear_gaussian_complexity",
     "gaussian_from_rademacher",
 ]
 
 GAUSSIAN = "gaussian"
 RADEMACHER = "rademacher"
 
+MONTE_CARLO = "monte_carlo"
+CLOSED_FORM = "closed_form"
+
 _CHUNK = 8192
 
 
 @dataclass(frozen=True)
 class ComplexityEstimate:
-    """Monte-Carlo estimate of a Gaussian or Rademacher average.
+    """Gaussian or Rademacher average, estimated or bounded.
 
-    ``std_error`` is the sample standard deviation of the per-replicate
-    values divided by sqrt(replicates).
+    A ``MONTE_CARLO`` estimate has at least 2 replicates, and ``std_error``
+    is the sample standard deviation of the per-replicate values divided by
+    sqrt(replicates).  A ``CLOSED_FORM`` value is a proven upper bound with
+    ``replicates`` 0 and ``std_error`` 0 (see linear_gaussian_complexity).
     """
 
     mean: float
     std_error: float
     replicates: int
     kind: str
+    method: str = MONTE_CARLO
 
     def __post_init__(self):
-        if self.replicates < 2:
-            raise ValueError("a Monte-Carlo estimate needs at least 2 replicates")
+        if self.method == CLOSED_FORM:
+            if self.replicates != 0 or self.std_error != 0:
+                raise ValueError("a closed-form value has 0 replicates and std_error 0")
+        elif self.method == MONTE_CARLO:
+            if self.replicates < 2:
+                raise ValueError("a Monte-Carlo estimate needs at least 2 replicates")
+        else:
+            raise ValueError(f"unknown complexity method {self.method!r}")
         if self.std_error < 0:
             raise ValueError("standard error must be nonnegative")
         if self.kind not in (GAUSSIAN, RADEMACHER):
@@ -57,6 +73,7 @@ class ComplexityEstimate:
             "std_error": self.std_error,
             "replicates": self.replicates,
             "kind": self.kind,
+            "method": self.method,
         }
 
 
@@ -129,6 +146,38 @@ def class_complexity(fclass: FunctionClass, n: int, kind: str,
         replicates=outer_reps,
         kind=kind,
     )
+
+
+def linear_gaussian_complexity(weights, n: int, second_moment: float) -> ComplexityEstimate:
+    """Closed-form upper bound on the expected Gaussian complexity
+    E sup_j <gamma, w_j X> of the scalar linear class {x -> w_j x} on n iid
+    raw data with E x^2 = ``second_moment``.
+
+    Proof.  Fix the sample x in R^n and write s = <gamma, x>, which is
+    N(0, |x|^2).  The supremum sup_j w_j s equals w_max s+ - w_min s-, with
+    s+ = max(s, 0) and s- = max(-s, 0), since a linear function of w peaks
+    at w_max when s > 0 and at w_min when s < 0.  E s+ = E s- =
+    |x| / sqrt(2 pi), so the conditional complexity is exactly
+    (w_max - w_min) |x| / sqrt(2 pi).  Over the sample, Jensen's inequality
+    gives E |x| <= sqrt(E |x|^2) = sqrt(n E x^2).  Hence
+
+        E G(H(X)) <= (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi),
+
+    with no estimation error.  For x uniform on [low, high],
+    E x^2 = (low^2 + low high + high^2) / 3.  A single member (or equal
+    weights) gives 0.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise ValueError("the linear class needs a nonempty list of weights")
+    if n < 1:
+        raise ValueError(f"sample size must be at least 1, got {n}")
+    if not second_moment >= 0:
+        raise ValueError(f"the second moment must be nonnegative, got {second_moment}")
+    spread = float(w.max() - w.min())
+    mean = spread * math.sqrt(n * second_moment) / math.sqrt(2.0 * math.pi)
+    return ComplexityEstimate(mean=mean, std_error=0.0, replicates=0, kind=GAUSSIAN,
+                              method=CLOSED_FORM)
 
 
 def gaussian_from_rademacher(r_value: float, n: int) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -25,7 +26,7 @@ from weakstat import (
 )
 from weakstat.bounds import UnboundedLipschitzError
 from weakstat.cli import validate_certificate
-from weakstat.complexity import ComplexityEstimate
+from weakstat.complexity import ComplexityEstimate, linear_gaussian_complexity
 from weakstat.core import evaluate_class
 from weakstat.seminorms import (
     ANALYTIC_BOUND,
@@ -135,6 +136,11 @@ class TestAucCertificate:
         ]
         assert vals == sorted(vals)
 
+    def test_rademacher_average_refused(self):
+        r = ComplexityEstimate(mean=1.0, std_error=0.0, replicates=4, kind="rademacher")
+        with pytest.raises(ValueError, match="gaussian_from_rademacher"):
+            auc_certificate(0.8, 1.0, 100, r, 0.1, below_indicator=True)
+
 
 class TestMcdiarmidTail:
     def test_mean_plugin(self):
@@ -164,6 +170,33 @@ class TestCertificateSerialization:
         cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0, se=0.05), 16, 0.1)
         doc = json.loads(json.dumps(cert.to_dict()))
         validate_certificate(doc)
+
+    def test_closed_form_round_trip_through_schema(self):
+        g = linear_gaussian_complexity([-1.0, 0.5, 1.0], 16, 1.0 / 3.0)
+        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), g, 16, 0.1)
+        doc = json.loads(json.dumps(cert.to_dict()))
+        validate_certificate(doc)
+        assert doc["complexity"]["method"] == "closed_form"
+        assert cert.g_effective == g.mean
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "rademacher"),
+        ("replicates", 0),
+        ("method", "closed_form"),
+    ])
+    def test_schema_rejects_unsound_complexity(self, field, value):
+        # a Rademacher term, or a Monte-Carlo estimate passed off as having
+        # no replicates or as a closed form with a standard error
+        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0, se=0.05), 16, 0.1)
+        doc = cert.to_dict()
+        doc["complexity"][field] = value
+        with pytest.raises(jsonschema.ValidationError):
+            validate_certificate(doc)
+
+    def test_certificate_rejects_rademacher_average(self):
+        r = ComplexityEstimate(mean=1.0, std_error=0.0, replicates=4, kind="rademacher")
+        with pytest.raises(ValueError, match="gaussian_from_rademacher"):
+            BoundCertificate(_report(m_lip=0.1), r, 16, 0.1)
 
     def test_corrupted_document_rejected(self):
         cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0), 16, 0.1)
@@ -207,3 +240,25 @@ class TestCoverageSmoke:
             # population means are exactly zero for centered uniform data
             violations += bool(np.max(0.0 - emp) > total)
         assert violations <= 5
+
+    def test_closed_form_certificate_coverage(self):
+        # criterion 5's simulation (n = 32, delta = 0.1, 500 trials, binomial
+        # slack of 3 standard deviations) with the closed-form complexity
+        n, delta, trials = 32, 0.1, 500
+        dom = symmetric_interval(1.0)
+        weights = [(j + 1) / 8 for j in range(8)]
+        weights = weights + [-w for w in weights]
+        fclass = linear_class(weights, uniform_raw_space(-1.0, 1.0), dom)
+        from weakstat import analytic_seminorms_lstat, constant_weight
+
+        report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
+        g = linear_gaussian_complexity(weights, n, 1.0 / 3.0)
+        total = uniform_bound(report, g, n, delta).total
+        violations = 0
+        for seed in range(trials):
+            raw = fclass.raw_space.sampler(SeededRng(3000 + seed).generator(), n)
+            emp = np.array([sample_mean(c) for c in evaluate_class(fclass, raw)])
+            violations += bool(np.max(0.0 - emp) > total)
+        allowed = math.floor(delta * trials + 3.0 * math.sqrt(trials * delta * (1 - delta)))
+        assert g.mean == pytest.approx(2.6059, abs=1e-4)
+        assert violations <= allowed

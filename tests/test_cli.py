@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -115,6 +116,18 @@ class TestRunners:
             cert["symmetrization_term"] + cert["tail_term"]
         )
 
+    def test_bound_run_uses_closed_form_complexity(self):
+        doc, _ = run(_BOUND_CONFIG)
+        g = doc["result"]["certificate"]["complexity"]
+        assert (g["method"], g["std_error"], g["replicates"]) == ("closed_form", 0.0, 0)
+        # replicates are accepted and do not enter a bound document
+        other = dict(_BOUND_CONFIG, replicates={"outer": 8, "inner": 256})
+        assert run(other)[0]["result"] == doc["result"]
+        # spread 7/8 of the weights, E x^2 = (0.25 + 0.5 + 1) / 3 on [0.5, 1]
+        shifted = dict(_BOUND_CONFIG, sampler={"kind": "uniform", "low": 0.5, "high": 1.0})
+        g = run(shifted)[0]["result"]["certificate"]["complexity"]["mean"]
+        assert g == pytest.approx(0.875 * math.sqrt(16 * 1.75 / 3) / math.sqrt(2 * math.pi))
+
     def test_verify_run_passes_on_mean(self):
         doc, status = run({
             "kind": "verify",
@@ -158,10 +171,10 @@ class TestCertificateGolden:
 
     @pytest.mark.parametrize("config, expected", [
         (_BOUND_CONFIG, {
-            "symmetrization_term": 0.31531264405037085,
+            "symmetrization_term": 0.25259074277046123,
             "tail_term": 0.43270459565057134,
-            "total": 0.7480172397009421,
-            "g_effective": 1.0063323620548816,
+            "total": 0.6852953384210325,
+            "g_effective": 0.806153015433116,
         }),
         (_CLUSTER_CONFIG, {
             "symmetrization_term": 158.4038605576531,
@@ -353,6 +366,12 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.statistic.family" in err
+
+    def test_rademacher_bound_names_complexity_kind(self, tmp_path, capsys):
+        status, err = self._bad_input(tmp_path, capsys,
+                                      dict(_BOUND_CONFIG, complexity_kind="rademacher"))
+        assert status == EXIT_ERROR
+        assert "config.complexity_kind" in err
 
     def test_lstat_verify_of_one_point_names_field(self, tmp_path, capsys):
         status, err = self._bad_input(tmp_path, capsys, {

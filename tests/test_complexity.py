@@ -14,7 +14,7 @@ from weakstat import (
     symmetric_interval,
     uniform_raw_space,
 )
-from weakstat.complexity import ComplexityEstimate
+from weakstat.complexity import ComplexityEstimate, linear_gaussian_complexity
 
 
 class TestGaussianAverage:
@@ -133,6 +133,28 @@ class TestClassComplexity:
                              rng=SeededRng(0))
 
 
+class TestLinearGaussianComplexity:
+    def test_sign_class_plugin(self):
+        # criterion 5's class: spread 2, n = 32, E x^2 = 1/3 on [-1, 1]
+        g = linear_gaussian_complexity([0.125 * (j + 1) for j in range(8)]
+                                       + [-0.125 * (j + 1) for j in range(8)], 32, 1.0 / 3.0)
+        assert g.mean == pytest.approx(2.0 * math.sqrt(32.0 / 3.0) / math.sqrt(2.0 * math.pi))
+        assert g.mean == pytest.approx(2.6059, abs=1e-4)
+        assert (g.std_error, g.replicates, g.kind, g.method) == (0.0, 0, "gaussian",
+                                                                  "closed_form")
+
+    def test_single_member_gives_zero(self):
+        assert linear_gaussian_complexity([0.7], 16, 0.5).mean == 0.0
+
+    @pytest.mark.parametrize("weights, n, second_moment", [
+        ([], 4, 1.0), ([[1.0, 2.0]], 4, 1.0), ([1.0], 0, 1.0), ([1.0], 4, -0.1),
+        ([1.0], 4, math.nan),
+    ])
+    def test_bad_inputs_rejected(self, weights, n, second_moment):
+        with pytest.raises(ValueError):
+            linear_gaussian_complexity(weights, n, second_moment)
+
+
 class TestConversion:
     def test_zero_maps_to_zero(self):
         assert gaussian_from_rademacher(0.0, 10) == 0.0
@@ -157,6 +179,19 @@ class TestEstimateInvariants:
     def test_kind_checked(self):
         with pytest.raises(ValueError):
             ComplexityEstimate(mean=1.0, std_error=0.1, replicates=4, kind="cauchy")
+
+    def test_closed_form_has_no_replicates_or_error(self):
+        ComplexityEstimate(mean=1.0, std_error=0.0, replicates=0, kind="gaussian",
+                           method="closed_form")
+        for se, reps in ((0.1, 0), (0.0, 4)):
+            with pytest.raises(ValueError):
+                ComplexityEstimate(mean=1.0, std_error=se, replicates=reps, kind="gaussian",
+                                   method="closed_form")
+
+    def test_method_checked(self):
+        with pytest.raises(ValueError):
+            ComplexityEstimate(mean=1.0, std_error=0.1, replicates=4, kind="gaussian",
+                               method="guess")
 
     def test_inflated_shifts_mean(self):
         est = ComplexityEstimate(mean=1.0, std_error=0.2, replicates=4, kind="gaussian")

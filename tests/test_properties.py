@@ -2,8 +2,9 @@
 bit, a reference loop that maps one datum at a time; Statistic.batch on a
 stack equals, bit for bit, Statistic.value on each configuration; and the
 batched difference operator equals, bit for bit, its corner sums written
-out from Statistic.value; and the seminorm search gives the same report at
-every refinement block size."""
+out from Statistic.value; the seminorm search gives the same report at
+every refinement block size; and the closed-form Gaussian complexity of a
+linear class agrees with its Monte-Carlo estimates."""
 import math
 from unittest import mock
 
@@ -19,10 +20,12 @@ from weakstat import (
     Statistic,
     auc_statistic,
     box,
+    class_complexity,
     double_difference,
     empirical_seminorms,
     evaluate_class,
     f_zeta_weight,
+    gaussian_average,
     kmeans_loss,
     linear_class,
     linear_ranker_class,
@@ -39,6 +42,7 @@ from weakstat import (
 )
 from weakstat import seminorms
 from weakstat.cli import _nearest_center_loss
+from weakstat.complexity import linear_gaussian_complexity
 from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import _differences
 
@@ -250,3 +254,47 @@ def test_refine_block_size_leaves_the_search_unchanged(family, half_n, budget, s
         with mock.patch.object(seminorms, "_REFINE_BLOCK", block):
             reports.append(_search_report(f, budget, seed))
     assert reports[0] == reports[1] == reports[2]
+
+
+# Monte-Carlo comparisons at fixed examples, so that a run cannot draw the
+# rare example where a correct closed form falls outside the error band
+_MC_SETTINGS = settings(deadline=None, max_examples=30, derandomize=True)
+
+# signed weights, and all-positive weights whose supremum is not symmetric;
+# min_size 1 includes the single-member class
+_WEIGHTS = st.one_of(
+    st.lists(st.floats(-2.0, 2.0, width=64), min_size=1, max_size=9),
+    st.lists(st.floats(0.05, 2.0, width=64), min_size=1, max_size=9),
+)
+
+# sampler bounds with low < 0 < high, and with low >= 0
+_SAMPLER = st.one_of(
+    st.tuples(st.floats(-2.0, -0.05), st.floats(0.05, 2.0)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.05, 1.0)).map(lambda t: (t[0], t[0] + t[1])),
+)
+
+
+def _linear_on(weights, low, high):
+    ends = [w * e for w in weights for e in (low, high)]
+    return linear_class(weights, uniform_raw_space(low, high), box([min(ends)], [max(ends)]))
+
+
+@_MC_SETTINGS
+@given(weights=_WEIGHTS, sampler=_SAMPLER, n=st.integers(1, 24), seed=st.integers(0, 2**16))
+def test_conditional_closed_form_matches_gaussian_average(weights, sampler, n, seed):
+    fclass = _linear_on(weights, *sampler)
+    raw = fclass.raw_space.sampler(SeededRng(seed).generator(), n)
+    est = gaussian_average(evaluate_class(fclass, raw).reshape(len(weights), -1), 4000,
+                           SeededRng(seed, 1))
+    closed = (max(weights) - min(weights)) * np.linalg.norm(raw) / math.sqrt(2.0 * math.pi)
+    assert abs(est.mean - closed) <= 4.0 * est.std_error
+
+
+@_MC_SETTINGS
+@given(weights=_WEIGHTS, sampler=_SAMPLER, n=st.integers(1, 24), seed=st.integers(0, 2**16))
+def test_closed_form_bounds_class_complexity(weights, sampler, n, seed):
+    low, high = sampler
+    closed = linear_gaussian_complexity(weights, n, (low * low + low * high + high * high) / 3.0)
+    est = class_complexity(_linear_on(weights, low, high), n, "gaussian", outer_reps=16,
+                           inner_reps=256, rng=SeededRng(seed))
+    assert closed.mean >= est.mean - 3.0 * est.std_error

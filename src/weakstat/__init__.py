@@ -10,9 +10,11 @@ from .applications import (
     clustering_certificate,
     gaussian_mixture_with_noise,
     linear_ranker_class,
+    linear_ranker_complexity,
     select_ranker,
     trimmed_kmeans,
     two_block_ranking_space,
+    two_block_second_moment,
     weighted_rank_kmeans,
 )
 from .bounds import (

@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 
 from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, uniform_bound
-from .complexity import ComplexityEstimate
+from .complexity import ComplexityEstimate, linear_gaussian_complexity
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
 from .statistics import (LossFunction, WeightFunction, _squared_distances, f_zeta_weight,
@@ -30,7 +30,9 @@ __all__ = [
     "gaussian_mixture_with_noise",
     "uniform_ball",
     "two_block_ranking_space",
+    "two_block_second_moment",
     "linear_ranker_class",
+    "linear_ranker_complexity",
 ]
 
 _CONVERGENCE_TOL = 1e-10
@@ -276,25 +278,73 @@ def two_block_ranking_space(dim: int, separation: float, box_scale: float = 3.0,
     return RawSpace(sampler, label=label)
 
 
+def _clipped_normal_second_moment(mu: float, c: float) -> float:
+    """E x^2 for x = clip(mu + Z, -c, c) with Z standard normal: the part of
+    the normal inside (a, b) = (-c - mu, c - mu) plus c^2 times the mass
+    outside it."""
+    a, b = -c - mu, c - mu
+    cdf = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
+    pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    inside = cdf(b) - cdf(a)
+    return ((1.0 + mu * mu) * inside + a * pdf(a) - b * pdf(b) + 2.0 * mu * (pdf(a) - pdf(b))
+            + c * c * (cdf(a) + 0.5 * math.erfc(b / math.sqrt(2.0))))
+
+
+def two_block_second_moment(dim: int, separation: float, box_scale: float = 3.0) -> np.ndarray:
+    """The k x k matrix (1/n) sum_i E[x_i x_i^T] over the first k = min(dim, 2)
+    coordinates of a two_block_ranking_space sample.
+
+    Every coordinate is a clipped unit normal, independent of the others:
+    the first is centered at +-separation/2 (the two halves share E x^2 by
+    symmetry), the second at 0, so the off-diagonal term is
+    E x_1 E x_2 = 0.
+    """
+    k = min(dim, 2)
+    diag = [_clipped_normal_second_moment(separation / 2.0, box_scale),
+            _clipped_normal_second_moment(0.0, box_scale)]
+    return np.diag(diag[:k])
+
+
+def _ranker_directions(dim: int, count: int, box_scale: float) -> tuple[np.ndarray, float]:
+    """The unit directions of linear_ranker_class as a (count, dim) array,
+    spread evenly on the circle of the first two coordinates (the first
+    direction is the separating axis), and the score scale box_scale
+    sqrt(dim), the largest attainable score magnitude."""
+    directions = np.zeros((count, dim))
+    for j, theta in enumerate(np.arange(count) * 2.0 * math.pi / count):
+        directions[j, 0] = math.cos(theta)
+        if dim > 1:
+            directions[j, 1] = math.sin(theta)
+    return directions, box_scale * math.sqrt(dim)
+
+
 def linear_ranker_class(dim: int, count: int, raw_space: RawSpace,
                         box_scale: float = 3.0) -> FunctionClass:
-    """Unit-direction linear scores normalized into [-1, 1].
+    """Unit-direction linear scores normalized into [-1, 1]: member j scores
+    x -> <x, w_j> / (box_scale sqrt(dim)), so the score domain is a fixed
+    box (see _ranker_directions)."""
+    directions, scale = _ranker_directions(dim, count, box_scale)
 
-    Directions are spread evenly on the circle of the first two coordinates
-    (the first direction is the separating axis), and scores are divided by
-    the largest attainable magnitude so the score domain is a fixed box.
-    """
-    norm = box_scale * math.sqrt(dim)
-    angles = np.arange(count) * 2.0 * math.pi / count
-
-    def make(theta: float):
-        w = np.zeros(dim)
-        w[0] = math.cos(theta)
-        if dim > 1:
-            w[1] = math.sin(theta)
+    def make(w: np.ndarray):
         # a dot product per row, as X @ w can round differently in the last bit
-        return lambda X: (np.asarray(X, dtype=float)[:, None, :] @ w)[:, 0] / norm
+        return lambda X: (np.asarray(X, dtype=float)[:, None, :] @ w)[:, 0] / scale
 
-    members = tuple(make(t) for t in angles)
+    members = tuple(make(w) for w in directions)
     domain = box([-1.0], [1.0])
     return FunctionClass(members, raw_space, domain, label=f"linear-rankers({count})")
+
+
+def linear_ranker_complexity(dim: int, count: int, separation: float, n: int,
+                             box_scale: float = 3.0) -> ComplexityEstimate:
+    """Closed-form Gaussian complexity of linear_ranker_class on n points of
+    two_block_ranking_space with the same dim, separation and box_scale.
+
+    The scores use only the first k = min(dim, 2) coordinates, so the class
+    is linear there with the scaled directions as weights, and
+    complexity.linear_gaussian_complexity bounds it with no Monte-Carlo
+    error.
+    """
+    directions, scale = _ranker_directions(dim, count, box_scale)
+    k = min(dim, 2)
+    return linear_gaussian_complexity(directions[:, :k] / scale, n,
+                                      two_block_second_moment(dim, separation, box_scale))

@@ -3,8 +3,9 @@ interactive statistics, the high-probability uniform bound, the ranking
 surrogate certificate, and the bounded-difference tail.
 
 A BoundCertificate takes only its inputs and computes its terms from them;
-it refuses search lower bounds, infinite seminorms (such as those of the
-step weight zeta = 0) and complexity terms that are not Gaussian."""
+it refuses search lower bounds, finite-difference estimates, infinite
+seminorms (such as those of the step weight zeta = 0) and complexity terms
+that are not Gaussian."""
 from __future__ import annotations
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexity import GAUSSIAN, ComplexityEstimate
-from .seminorms import ANALYTIC_BOUND, DERIVATIVE_BOUND, SeminormReport
+from .seminorms import ANALYTIC_BOUND, SeminormReport
 
 __all__ = [
     "POP_MINUS_EMP",
@@ -38,7 +39,7 @@ SE_Z = 3.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-_UPPER_BOUND_METHODS = (ANALYTIC_BOUND, DERIVATIVE_BOUND)
+_UPPER_BOUND_METHODS = (ANALYTIC_BOUND,)
 
 
 class CertifiedBoundError(ValueError):
@@ -61,8 +62,9 @@ class BoundCertificate:
     inputs: ``g_effective`` is the complexity estimate inflated by ``se_z``
     (= SE_Z) standard errors, ``symmetrization_term`` the symmetrization
     bound at it, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
-    their sum.  Search lower bounds, a complexity that is not Gaussian,
-    delta outside (0, 1) and infinite seminorms are refused."""
+    their sum.  Search lower bounds, finite-difference estimates, a
+    complexity that is not Gaussian, delta outside (0, 1) and infinite
+    seminorms are refused."""
 
     seminorms: SeminormReport
     complexity: ComplexityEstimate
@@ -117,8 +119,8 @@ class BoundCertificate:
 def _require_upper_bound(report: SeminormReport) -> None:
     if report.method not in _UPPER_BOUND_METHODS:
         raise CertifiedBoundError(
-            "certificates require upper-bound seminorms (analytic or derivative), "
-            f"got {report.method!r}; search results are lower bounds"
+            f"certificates require closed-form upper-bound seminorms, got {report.method!r}; "
+            "search results are lower bounds and finite differences are estimates"
         )
 
 

@@ -1,6 +1,15 @@
 """Monte-Carlo estimation of Gaussian and Rademacher averages of finite
-point sets, the closed-form Gaussian complexity of scalar linear classes,
-and the standard conversion factor between the two averages."""
+point sets, the closed-form Gaussian complexity of linear classes, and the
+standard conversion factor between the two averages.
+
+The closed form covers classes x -> <w_j, x> on one or two coordinates.
+Conditionally on the sample, the Gaussian supremum of such a class is
+exactly the perimeter of the convex hull of the images of the w_j, over
+2 sqrt(2 pi) (Cauchy's perimeter formula); Jensen's inequality then bounds
+its mean over the sample, edge by edge, through the second-moment matrix
+of the data (see linear_gaussian_complexity).  In one dimension the hull
+is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
+"""
 from __future__ import annotations
 
 import math
@@ -148,34 +157,91 @@ def class_complexity(fclass: FunctionClass, n: int, kind: str,
     )
 
 
-def linear_gaussian_complexity(weights, n: int, second_moment: float) -> ComplexityEstimate:
+def _hull(points: np.ndarray) -> list:
+    """Vertices of the convex hull of planar points in counterclockwise
+    order (Andrew's monotone chain).  Collinear points give the two end
+    points of their segment, and coincident points give one vertex."""
+    pts = sorted(set(map(tuple, points.tolist())))
+    if len(pts) <= 2:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and ((out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                                     - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def linear_gaussian_complexity(weights, n: int, second_moment) -> ComplexityEstimate:
     """Closed-form upper bound on the expected Gaussian complexity
-    E sup_j <gamma, w_j X> of the scalar linear class {x -> w_j x} on n iid
-    raw data with E x^2 = ``second_moment``.
+    E sup_j <gamma, X w_j> of the linear class {x -> <w_j, x>} on n
+    independent raw data x_i in R^k, k <= 2.
 
-    Proof.  Fix the sample x in R^n and write s = <gamma, x>, which is
-    N(0, |x|^2).  The supremum sup_j w_j s equals w_max s+ - w_min s-, with
-    s+ = max(s, 0) and s- = max(-s, 0), since a linear function of w peaks
-    at w_max when s > 0 and at w_min when s < 0.  E s+ = E s- =
-    |x| / sqrt(2 pi), so the conditional complexity is exactly
-    (w_max - w_min) |x| / sqrt(2 pi).  Over the sample, Jensen's inequality
-    gives E |x| <= sqrt(E |x|^2) = sqrt(n E x^2).  Hence
+    ``weights`` is either a list of scalars with ``second_moment`` the
+    scalar E x^2, or a (count, k) array with ``second_moment`` the k x k
+    positive semidefinite matrix M = (1/n) sum_i E[x_i x_i^T].  The value
+    is perimeter(conv{w_j}) / (2 sqrt(2 pi)), where each edge D of the hull
+    is measured as |L^T D| with L L^T = n M; M may be singular.
 
-        E G(H(X)) <= (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi),
+    Proof.  Fix the sample, stacked as the n x k matrix X, and let
+    A = X^T X.  The vector X^T gamma is N(0, A), so
+    sup_j <gamma, X w_j> has the law of sup_j <g, A^(1/2) w_j> with g
+    standard normal in R^k: the Gaussian supremum over the image points
+    A^(1/2) w_j, or over their convex hull.  By Cauchy's formula (Santalo
+    1976) the mean width of a planar convex set is its perimeter over pi,
+    so E_theta of its support function h(theta) is perimeter / (2 pi), and
+    E |g| = sqrt(pi / 2); hence the conditional complexity is exactly
+    perimeter(conv{A^(1/2) w_j}) / (2 sqrt(2 pi)).  A linear map keeps the
+    boundary order of the hull vertices (a singular one folds the polygon
+    onto a segment, whose perimeter is twice its length, and each chain of
+    the polygon runs along it once), so that perimeter is
+    sum over the edges D of conv{w_j} of sqrt(D^T A D).  Each term is
+    concave in A, so over the sample Jensen's inequality replaces A by
+    E A = n M.  Hence
 
-    with no estimation error.  For x uniform on [low, high],
-    E x^2 = (low^2 + low high + high^2) / 3.  A single member (or equal
-    weights) gives 0.
+        E G(H(X)) <= sum_D sqrt(n D^T M D) / (2 sqrt(2 pi)),
+
+    with no estimation error; with M = X^T X and n = 1 the same function
+    gives the exact conditional complexity of one sample.  In one dimension
+    the hull is [w_min, w_max] traversed there and back, so the value is
+    (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi), bit for bit, since
+    (2 x) / (2 y) = x / y in floating point.  For x uniform on
+    [low, high], E x^2 = (low^2 + low high + high^2) / 3.  A single member
+    (or equal weights) gives 0.
     """
     w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("the linear class needs a nonempty list of weights")
+    M = np.asarray(second_moment, dtype=float)
+    if w.ndim == 1 and M.ndim == 0:
+        w, M = w[:, None], M.reshape(1, 1)
+    if w.ndim != 2 or w.shape[0] == 0 or not 1 <= w.shape[1] <= 2:
+        raise ValueError("the linear class needs a nonempty list of weights of dimension 1 or 2")
+    k = w.shape[1]
     if n < 1:
         raise ValueError(f"sample size must be at least 1, got {n}")
-    if not second_moment >= 0:
-        raise ValueError(f"the second moment must be nonnegative, got {second_moment}")
-    spread = float(w.max() - w.min())
-    mean = spread * math.sqrt(n * second_moment) / math.sqrt(2.0 * math.pi)
+    if M.shape != (k, k):
+        raise ValueError(f"{k}-dimensional weights need a {k} x {k} second moment, "
+                         f"got shape {M.shape}")
+    if not (np.all(np.isfinite(M)) and np.array_equal(M, M.T)
+            and np.linalg.eigvalsh(M)[0] >= -1e-12 * np.abs(M).max()):
+        raise ValueError(f"the second moment must be finite, symmetric and positive "
+                         f"semidefinite, got {M.tolist()}")
+    # L = [[l00, 0], [l10, l11]] with L L^T = n M, so |L^T D|^2 = n D^T M D
+    padded = np.zeros((2, 2))
+    padded[:k, :k] = n * M
+    l00 = math.sqrt(max(padded[0, 0], 0.0))
+    l10 = padded[0, 1] / l00 if l00 > 0 else 0.0
+    l11 = math.sqrt(max(padded[1, 1] - l10 * l10, 0.0))
+    planar = np.zeros((w.shape[0], 2))
+    planar[:, :k] = w
+    vertices = np.array(_hull(planar))
+    edges = np.roll(vertices, -1, axis=0) - vertices
+    lengths = np.hypot(l00 * edges[:, 0] + l10 * edges[:, 1], l11 * edges[:, 1])
+    mean = float(lengths.sum()) / (2.0 * math.sqrt(2.0 * math.pi))
     return ComplexityEstimate(mean=mean, std_error=0.0, replicates=0, kind=GAUSSIAN,
                               method=CLOSED_FORM)
 

@@ -106,7 +106,8 @@ class LossFunction:
 
 @dataclass(frozen=True)
 class RidgeProblem:
-    """Regularized least squares on rows (z, y) with |z| in the unit ball."""
+    """Regularized least squares on rows (z, y) in the box [-1, 1]^(d+1)
+    (the domain of ridge_error_statistic)."""
 
     lam: float
     d: int

@@ -13,10 +13,17 @@ from weakstat import (
     constant_weight,
     f_zeta,
     gaussian_mixture_with_noise,
+    class_complexity,
+    evaluate_class,
+    indicator_loss,
     linear_ranker_class,
+    linear_ranker_complexity,
+    ramp_loss,
     select_ranker,
+    smoothed_auc,
     trimmed_kmeans,
     two_block_ranking_space,
+    two_block_second_moment,
     uniform_raw_space,
     weighted_rank_kmeans,
 )
@@ -225,3 +232,59 @@ class TestGenerators:
 
         raw = space.sampler(SeededRng(16).generator(), 100)
         assert np.all(np.abs(evaluate_class(cands, raw)) <= 1.0)
+
+
+class TestRankerComplexity:
+    @pytest.mark.parametrize("mu, c", [(0.0, 3.0), (0.75, 3.0), (1.5, 1.0), (-2.0, 0.5),
+                                       (0.3, 0.05)])
+    def test_clipped_normal_moment_matches_sampling(self, mu, c):
+        draws = 1_000_000
+        x = np.clip(mu + SeededRng(21).generator().standard_normal(draws), -c, c)
+        sq = x * x
+        m = two_block_second_moment(2, 2.0 * mu, c)
+        assert abs(m[0, 0] - sq.mean()) <= 4.0 * sq.std(ddof=1) / np.sqrt(draws)
+        assert m[0, 1] == m[1, 0] == 0.0
+
+    def test_second_moment_matrix_matches_two_block_sample(self):
+        draws = 1_000_000
+        raw = two_block_ranking_space(3, 1.5).sampler(SeededRng(22).generator(), draws)[:, :2]
+        prods = (raw[:, :, None] * raw[:, None, :]).reshape(draws, 4)
+        se = prods.std(axis=0, ddof=1) / np.sqrt(draws)
+        m = two_block_second_moment(3, 1.5)
+        assert np.all(np.abs(m.ravel() - prods.mean(axis=0)) <= 4.0 * se)
+        assert two_block_second_moment(1, 1.5).shape == (1, 1)
+
+    def test_rank_defaults_value(self):
+        # n = 200, 8 directions, separation 1.5, box 3: E A = diag(306.85, 199.00)
+        assert np.allclose(200 * two_block_second_moment(2, 1.5), np.diag([306.85, 199.00]),
+                           atol=0.01)
+        assert linear_ranker_complexity(2, 8, 1.5, 200).mean == pytest.approx(4.5652, abs=1e-4)
+
+    @pytest.mark.parametrize("n", [40, 200])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("count", [4, 8])
+    @pytest.mark.parametrize("separation", [0.0, 1.5])
+    def test_closed_form_bounds_class_complexity(self, n, dim, count, separation):
+        space = two_block_ranking_space(dim, separation)
+        est = class_complexity(linear_ranker_class(dim, count, space), n, "gaussian",
+                               outer_reps=16, inner_reps=256, rng=SeededRng(n, dim * count))
+        closed = linear_ranker_complexity(dim, count, separation, n)
+        assert closed.method == "closed_form"
+        assert closed.mean >= est.mean - 4.0 * est.std_error
+
+    def test_closed_form_certificate_covers_held_out_auc(self):
+        # criterion 10's simulation with the closed-form complexity
+        n, count, delta, trials = 200, 8, 0.1, 200
+        space = two_block_ranking_space(2, 1.5)
+        candidates = linear_ranker_class(2, count, space)
+        g = linear_ranker_complexity(2, count, 1.5, n)
+        covered = 0
+        for seed in range(trials):
+            rng = SeededRng(seed, 99)
+            sel = select_ranker(candidates, space.sampler(rng.split(0).generator(), n),
+                                ramp_loss(1.0), g, delta)
+            held = space.sampler(rng.split(1).generator(), 10 * n)
+            held_auc = smoothed_auc(indicator_loss(),
+                                    evaluate_class(candidates, held)[sel.chosen_index])
+            covered += bool(held_auc >= sel.certificate_lower_bound)
+        assert covered >= 170

@@ -30,6 +30,7 @@ from weakstat.complexity import ComplexityEstimate, linear_gaussian_complexity
 from weakstat.core import evaluate_class
 from weakstat.seminorms import (
     ANALYTIC_BOUND,
+    DERIVATIVE_ESTIMATE,
     EMPIRICAL_SEARCH,
     SeminormReport,
 )
@@ -109,8 +110,18 @@ class TestUniformBound:
         neg = Statistic(lambda pts: -float(np.mean(pts[:, 0])), f.domain, f.n, "-mean")
         rep_f = derivative_seminorms(f, f.domain.diameter, probes=3, rng=SeededRng(1))
         rep_n = derivative_seminorms(neg, f.domain.diameter, probes=3, rng=SeededRng(1))
-        g = _estimate(1.2)
-        assert symmetrization_bound(rep_f, g) == symmetrization_bound(rep_n, g)
+        # the term reads only these values; the estimates themselves are
+        # refused (test_finite_difference_estimates_are_refused)
+        assert rep_f.to_dict() == rep_n.to_dict()
+
+    def test_finite_difference_estimates_are_refused(self):
+        f = mean_statistic(6)
+        rep = derivative_seminorms(f, f.domain.diameter, probes=3, rng=SeededRng(1))
+        assert rep.method == DERIVATIVE_ESTIMATE
+        with pytest.raises(CertifiedBoundError, match="derivative_estimate"):
+            uniform_bound(rep, _estimate(1.0), 6, 0.1)
+        with pytest.raises(CertifiedBoundError):
+            symmetrization_bound(rep, _estimate(1.0))
 
 
 class TestAucCertificate:
@@ -203,6 +214,13 @@ class TestCertificateSerialization:
         doc = cert.to_dict()
         doc["seminorms"]["method"] = "empirical_search"
         with pytest.raises(Exception):
+            validate_certificate(doc)
+
+    @pytest.mark.parametrize("method", ["derivative_estimate", "derivative_bound"])
+    def test_schema_refuses_finite_difference_tags(self, method):
+        doc = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0), 16, 0.1).to_dict()
+        doc["seminorms"]["method"] = method
+        with pytest.raises(jsonschema.ValidationError):
             validate_certificate(doc)
 
     def test_certificate_rejects_search_inputs(self):

@@ -163,6 +163,10 @@ class TestRunners:
         res = doc["result"]
         assert res["certificate_lower_bound"] <= res["empirical_auc"]
 
+    def test_rank_ignores_replicates(self):
+        other = dict(_RANK_CONFIG, replicates={"outer": 2, "inner": 2})
+        assert run(other)[0]["result"] == run(_RANK_CONFIG)[0]["result"]
+
 
 class TestCertificateGolden:
     """Exact certificate numbers of the small runs above; a change to the
@@ -189,9 +193,14 @@ class TestCertificateGolden:
         assert (cert["direction"], cert["se_z"]) == ("pop_minus_emp", 3.0)
 
     def test_ranking_certificate(self):
+        # the closed-form complexity replaced a 4 x 64 Monte-Carlo estimate
+        # (mean 1.8881932621575708, bound -1.7684669222783473); the
+        # selection, which never read the complexity, is unchanged
         res = run(_RANK_CONFIG)[0]["result"]
-        assert res["certificate_lower_bound"] == -1.7684669222783473
-        assert res["g"]["mean"] == 1.8881932621575708
+        assert res["certificate_lower_bound"] == -1.5784257653769815
+        assert res["g"]["mean"] == 1.8916081414979515
+        assert res["g"]["method"] == "closed_form"
+        assert (res["chosen_index"], res["empirical_auc"]) == (0, 0.32389436144211564)
 
 
 _VERIFY_CONFIGS = {

@@ -155,6 +155,66 @@ class TestLinearGaussianComplexity:
             linear_gaussian_complexity(weights, n, second_moment)
 
 
+class TestPlanarGaussianComplexity:
+    def test_column_weights_match_scalar_weights_bit_for_bit(self):
+        weights = [0.3, -1.1, 0.7, 2.5]
+        scalar = linear_gaussian_complexity(weights, 40, 0.37)
+        column = linear_gaussian_complexity(np.array(weights)[:, None], 40, [[0.37]])
+        padded = linear_gaussian_complexity(np.column_stack([weights, np.zeros(4)]), 40,
+                                            np.diag([0.37, 2.0]))
+        assert column.mean == scalar.mean == padded.mean
+        assert scalar.mean == 3.6 * math.sqrt(40 * 0.37) / math.sqrt(2.0 * math.pi)
+
+    def test_square_gives_perimeter_over_two_sqrt_two_pi(self):
+        # the unit square with an interior point: perimeter 4 sqrt(n m)
+        square = [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5], [1, 0.5]]
+        g = linear_gaussian_complexity(square, 9, np.eye(2) * 0.25)
+        assert g.mean == pytest.approx(4.0 * 1.5 / (2.0 * math.sqrt(2.0 * math.pi)), rel=1e-15)
+        assert (g.std_error, g.replicates, g.method) == (0.0, 0, "closed_form")
+
+    def test_singular_moment_measures_the_projection(self):
+        # M = diag(m, 0): the hull folds onto its first-coordinate range
+        pts = np.array([[0.2, 1.0], [-0.4, -3.0], [0.9, 0.5], [0.1, 2.0]])
+        g = linear_gaussian_complexity(pts, 16, np.diag([0.5, 0.0]))
+        assert g.mean == pytest.approx(linear_gaussian_complexity(pts[:, 0], 16, 0.5).mean,
+                                       rel=1e-14)
+        assert linear_gaussian_complexity(pts, 16, np.zeros((2, 2))).mean == 0.0
+
+    def test_linear_map_of_the_weights(self):
+        # <g, L^T w> depends on (L, w) only through L^T w: moving L into the
+        # weights leaves the value unchanged
+        gen = np.random.default_rng(3)
+        W = gen.standard_normal((9, 2))
+        B = gen.standard_normal((2, 2))
+        g = linear_gaussian_complexity(W, 5, B @ B.T)
+        moved = linear_gaussian_complexity(W @ B, 5, np.eye(2))
+        assert g.mean == pytest.approx(moved.mean, rel=1e-12)
+
+    @pytest.mark.parametrize("seed, n, count", [(0, 5, 3), (1, 30, 8), (2, 12, 16)])
+    def test_conditional_perimeter_matches_gaussian_average(self, seed, n, count):
+        # with M = X^T X and n = 1 the closed form is the exact conditional
+        # complexity of the fixed sample X
+        gen = SeededRng(seed).generator()
+        X = gen.standard_normal((n, 2)) + [0.75, 0.0]
+        W = gen.uniform(-1.0, 1.0, size=(count, 2))
+        exact = linear_gaussian_complexity(W, 1, X.T @ X).mean
+        est = gaussian_average(W @ X.T, 200000, SeededRng(seed, 1))
+        assert abs(est.mean - exact) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize("weights, second_moment", [
+        ([[1.0, 0.0], [0.0, 1.0]], np.eye(3)),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.5], [0.4, 1.0]]),
+        ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, math.inf]]),
+        ([[1.0, 0.0, 0.0]], np.eye(3)),
+        ([1.0, 2.0], np.eye(1)),
+        ([[1.0], [2.0]], [[-0.5]]),
+    ])
+    def test_bad_planar_inputs_rejected(self, weights, second_moment):
+        with pytest.raises(ValueError):
+            linear_gaussian_complexity(weights, 4, second_moment)
+
+
 class TestConversion:
     def test_zero_maps_to_zero(self):
         assert gaussian_from_rademacher(0.0, 10) == 0.0

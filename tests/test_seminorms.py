@@ -321,7 +321,7 @@ class TestDerivativeSeminorms:
         rep = derivative_seminorms(f, f.domain.diameter, probes=3, rng=SeededRng(0))
         assert rep.m_lip == pytest.approx(0.25, rel=1e-6)
         assert rep.j_lip == pytest.approx(0.0, abs=1e-6)
-        assert rep.method == "derivative_bound"
+        assert rep.method == "derivative_estimate"
 
     def test_oversized_step_rejected(self):
         f = mean_statistic(4)

@@ -126,9 +126,20 @@ def _build_statistic(config: dict):
             )
         build = stats.u_stat_statistic if family == "ustat" else stats.v_stat_statistic
         f = build(kernel, n, dom)
-        report = lambda: smn.analytic_seminorms_ustat(
-            kernel.lipschitz_L, kernel.range_B, kernel.m, n, kind="U" if family == "ustat" else "V"
-        )
+
+        def report():
+            # the kernel's constants L = B = 1 hold on the unit box, and so
+            # on any box inside it, since a seminorm is a supremum over it
+            if lower < 0.0 or upper > 1.0:
+                field = "lower" if lower < 0.0 else "upper"
+                raise ConfigError(
+                    f"config.statistic.{field}: the {family} closed form holds on boxes inside "
+                    f"the unit box [0, 1], got [{lower}, {upper}]"
+                )
+            return smn.analytic_seminorms_ustat(
+                kernel.lipschitz_L, kernel.range_B, kernel.m, n,
+                kind="U" if family == "ustat" else "V",
+            )
     elif family == "auc":
         if n % 2 != 0:
             raise ConfigError(f"config.statistic.n: the auc family needs even n, got {n}")
@@ -196,13 +207,16 @@ def _refuse_step_weight(config: dict) -> None:
 
 def _run_seminorm(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
+    # before the search, so that a refused closed form fails at once; each
+    # builds its generators afresh from (seed, stream), so order is moot
+    upper = report_fn()
     budget = int(config.get("budget", 20000))
     emp = smn.empirical_seminorms(f, budget, SeededRng(config["seed"]))
     return {
         "statistic": f.label,
         "n": f.n,
         "empirical": emp.to_dict(),
-        "upper_bound": report_fn().to_dict(),
+        "upper_bound": upper.to_dict(),
     }
 
 

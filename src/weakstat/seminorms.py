@@ -6,9 +6,11 @@ differences and ``oracle.jlip_lemma_check``.  Three routes are provided:
 
 * randomized empirical search (certified LOWER bounds: every candidate is a
   realized difference quotient, so the running maximum never exceeds the
-  true supremum); its exploration goes to ``_differences`` in blocks of
-  probes and its refinement in speculative blocks of steps, whose report
-  is bit-identical to that of a one-step refinement loop,
+  true supremum); each restart explores alone, with one ``_differences``
+  call, and the restarts of one order refine in lockstep rounds, with one
+  call per round for the speculative blocks of steps of all of them.  The
+  report is bit-identical to that of the restarts run one after another
+  with a one-step refinement loop,
 * closed-form analytic bounds for the known families (certified UPPER
   bounds), and
 * finite differences for smooth statistics: an ESTIMATE from a few random
@@ -57,7 +59,7 @@ PAIR_SEPARATION_FRACTION = 1e-2
 
 _EXPLORE_FRACTION = 0.8
 _RESTARTS = 8
-# refinement steps evaluated per speculative block (see _search)
+# refinement steps of each restart evaluated per lockstep round (see _search)
 _REFINE_BLOCK = 16
 # uniform redraws of the second point of a pair before the corner fallback
 _PAIR_TRIES = 64
@@ -186,10 +188,12 @@ def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
     return out
 
 
-def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
-            explore_frac: float):
+def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
+            explore_frac: float) -> list:
     """Search for n^(order-1) * |order-th difference| / dist (the Lipschitz
-    seminorm) and n^(order-1) * |order-th difference| (the range seminorm).
+    seminorm) and n^(order-1) * |order-th difference| (the range seminorm)
+    with ``evals`` evaluations per restart stream; returns one (ratio,
+    range, ratio witness, evaluations used) tuple per stream.
 
     A probe fixes ``order`` distinct coordinates and one row pair per
     coordinate ((y, y') for k, then (z, z') for l); its value is the
@@ -198,115 +202,125 @@ def _search(f: Statistic, order: int, evals: int, rng: SeededRng, floor: float,
     guarantees the range value <= the Lipschitz value * diameter pointwise,
     since every absolute candidate also enters the ratio race.
 
-    Exploration draws all its probes up front and evaluates them together.
+    Each restart explores alone, so that only its own probes are held: it
+    draws all of them, redraws the pairs under the separation floor, draws
+    its refinement noise and evaluates the probes in one _differences call.
     Refinement step t perturbs the ratio witness (even t) or the range
     witness (odd t) by Gaussian noise of scale frac_t * widths, with frac_t
-    shrinking in t; all its noise is drawn in one call.  The steps run in
-    speculative blocks of _REFINE_BLOCK: a block perturbs the witnesses as
-    they stand at its start, evaluates its separated probes in one
-    _differences call, and takes them in step order up to the first one
-    that changes a witness.  The next block starts after that step; the
-    probes past it are discarded and not counted.  So every step taken
-    sees the witness, noise and value that a one-step loop gives it.
+    shrinking in t.  The restarts refine in lockstep rounds: a round builds
+    a speculative block of _REFINE_BLOCK steps per restart from its
+    witnesses as they stand, evaluates the separated probes of all blocks in
+    one _differences call, and takes each restart's steps in order up to its
+    first one that beats either incumbent; the probes past it are discarded
+    and not counted.  So every step taken sees the witness, noise and value
+    that a one-step loop over its restart alone gives it, since
+    Statistic.batch gives a configuration the same value whatever shares
+    its call.
     """
-    gen = rng.generator()
     dom = f.domain
     lo, hi, widths = dom.lower, dom.upper, dom.widths
-    n = f.n
+    n, R = f.n, len(streams)
     if n < order:
-        return 0.0, 0.0, None, 0
+        return [(0.0, 0.0, None, 0)] * R
     corners = 1 << order
     scale = n ** (order - 1)
     probes = max(evals // corners, 1)
     explore = max(int(round(probes * explore_frac)), 1)
     refine = max(probes - explore, 0)
+    # a probe or witness is n configuration rows, then 2 * order pair rows
+    width = n + 2 * order
 
-    best_ratio, best_abs = 0.0, 0.0
-    wit_ratio = wit_abs = None
-    used = 0
+    # per restart and objective (ratio, range): the incumbent and its witness
+    best = np.zeros((R, 2))
+    found = np.zeros((R, 2), dtype=bool)
+    wit = np.empty((R, 2, width, dom.d))
+    wit_coords = np.zeros((R, 2, order), dtype=int)
+    used = np.zeros(R, dtype=int)
+    noise = np.empty((R, refine, width, dom.d))
 
-    def offer(xs, coords, rows, dist, speculative=False):
-        """Evaluate the probes, keep the first strict maximum of each
-        objective (np.argmax, as a sequential > scan would) and return the
-        number of probes taken.  A speculative block is taken only up to
-        its first probe that beats either incumbent: the probes after it
-        perturbed a witness that is no longer current."""
-        nonlocal best_ratio, best_abs, wit_ratio, wit_abs, used
-        if not len(xs):
-            return 0
-        diff = scale * np.abs(_differences(f, order, xs, coords, rows))
-        ratio = diff / dist
-        t_ratio, t_abs = int(np.argmax(ratio)), int(np.argmax(diff))
-        taken = len(xs)
-        if speculative:
-            hits = np.flatnonzero((ratio > best_ratio) | (diff > best_abs))
-            if len(hits):
-                t_ratio = t_abs = int(hits[0])
-                taken = t_ratio + 1
-        used += corners * taken
+    def evaluate(probe, coords, dist):
+        """(count, 2) ratio and range values of separated probes."""
+        pairs = [probe[:, n + j] for j in range(2 * order)]
+        diff = scale * np.abs(_differences(f, order, probe[:, :n], coords, pairs))
+        return np.stack([diff / dist, diff], axis=1)
 
-        def witness(t):
-            return (*coords[t].tolist(), xs[t], *(r[t] for r in rows))
+    def improve(rs, ts, vals, probe, coords):
+        """Move objective j of restart rs[i] to probe ts[i, j] if vals[i, j] beats it."""
+        i, j = np.nonzero(vals > best[rs])
+        r, t = rs[i], np.broadcast_to(ts, vals.shape)[i, j]
+        best[r, j], wit[r, j], wit_coords[r, j], found[r, j] = vals[i, j], probe[t], coords[t], True
 
-        if ratio[t_ratio] > best_ratio:
-            best_ratio, wit_ratio = float(ratio[t_ratio]), witness(t_ratio)
-        if diff[t_abs] > best_abs:
-            best_abs, wit_abs = float(diff[t_abs]), witness(t_abs)
-        return taken
+    for r, rng in enumerate(streams):
+        gen = rng.generator()
+        # draw every probe, redraw the pairs under the separation floor in
+        # draw order (rare for floors well below the box widths)
+        probe = np.empty((explore, width, dom.d))
+        probe[:, :n] = gen.uniform(lo, hi, size=(explore, n, dom.d))
+        for j in range(2 * order):
+            probe[:, n + j] = gen.uniform(lo, hi, size=(explore, dom.d))
+        if order == 1:
+            coords = (np.arange(explore) % n)[:, None]
+        else:
+            ks = gen.integers(n, size=explore)
+            ls = gen.integers(n - 1, size=explore)
+            coords = np.stack([ks, ls + (ls >= ks)], axis=1)
+        dist = _distance(probe[:, n] - probe[:, n + 1])
+        for t in np.flatnonzero(dist < floor):
+            probe[t, n], probe[t, n + 1] = _sample_pair(gen, lo, hi, floor)
+            dist[t] = _distance(probe[t, n] - probe[t, n + 1])
+        # one row of noise per refinement step; nothing is drawn after it,
+        # so drawing it for a restart that finds no witness changes nothing
+        noise[r] = gen.normal(0.0, 1.0, size=(refine, width, dom.d))
+        keep = np.flatnonzero(dist >= floor)
+        used[r] = corners * len(keep)
+        if len(keep):
+            # the first strict maximum of each objective, as a sequential > scan
+            vals = evaluate(probe[keep], coords[keep], dist[keep])
+            top = np.argmax(vals, axis=0)
+            improve(np.array([r]), keep[top][None], vals[top, [0, 1]][None], probe, coords)
 
-    # exploration: draw every probe, redraw the pairs under the separation
-    # floor in draw order (rare for floors well below the box widths)
-    xs = gen.uniform(lo, hi, size=(explore, n, dom.d))
-    rows = [gen.uniform(lo, hi, size=(explore, dom.d)) for _ in range(2 * order)]
-    if order == 1:
-        coords = (np.arange(explore) % n)[:, None]
-    else:
-        ks = gen.integers(n, size=explore)
-        ls = gen.integers(n - 1, size=explore)
-        coords = np.stack([ks, ls + (ls >= ks)], axis=1)
-    dist = _distance(rows[0] - rows[1])
-    for t in np.flatnonzero(dist < floor):
-        rows[0][t], rows[1][t] = _sample_pair(gen, lo, hi, floor)
-        dist[t] = _distance(rows[0][t] - rows[1][t])
-    keep = np.flatnonzero(dist >= floor)
-    offer(xs[keep], coords[keep], [r[keep] for r in rows], dist[keep])
-
-    if wit_ratio is None and wit_abs is None:
-        return best_ratio, best_abs, wit_ratio, used
-    # one row of noise per step that has a witness: n rows for the
-    # configuration, then one per pair row.  normal(0, sigma) computes
-    # 0.0 + sigma * z, so the pair rows add 0.0 the same way.
-    noise = gen.normal(0.0, 1.0, size=(refine, n + 2 * order, dom.d))
     frac = 0.25 * (1.0 - np.arange(refine) / max(refine, 1)) + 0.01
     sigma = frac[:, None] * widths
-    start = drawn = 0
-    while start < refine:
-        stop = min(start + _REFINE_BLOCK, refine)
-        wits = (wit_ratio, wit_abs)
+    # a restart without a witness has nothing to refine
+    start = np.where(found.any(axis=1), 0, refine)
+    drawn = np.zeros(R, dtype=int)
+    every, block = np.arange(R), np.arange(_REFINE_BLOCK)
+    while (start < refine).any():
+        steps = start[:, None] + block
         # a step whose witness is not set yet draws nothing, as in the
         # one-step loop; a positive difference can still give a ratio that
         # underflows to 0, so the two witnesses need not be set together
-        steps = [t for t in range(start, stop) if wits[t % 2] is not None]
-        start = stop
-        if not steps:
-            continue
-        base = [None if w is None else np.vstack([w[order], *w[order + 1:]]) for w in wits]
-        kick = noise[drawn:drawn + len(steps)] * sigma[steps][:, None]
+        live = (steps < refine) & found[every[:, None], steps % 2]
+        seq = np.cumsum(live, axis=1)
+        rs, js = np.nonzero(live)
+        ts = steps[rs, js]
+        # normal(0, sigma) computes 0.0 + sigma * z, so the pair rows add
+        # 0.0 the same way
+        kick = noise[rs, drawn[rs] + seq[rs, js] - 1] * sigma[ts][:, None]
         kick[:, n:] = 0.0 + kick[:, n:]
-        moved = np.clip(np.stack([base[t % 2] for t in steps]) + kick, lo, hi)
-        pairs = [moved[:, n + j] for j in range(2 * order)]
-        dist = _distance(pairs[0] - pairs[1])
+        moved = np.clip(wit[rs, ts % 2] + kick, lo, hi)
+        coords = wit_coords[rs, ts % 2]
+        dist = _distance(moved[:, n] - moved[:, n + 1])
         keep = np.flatnonzero(dist >= floor)
-        coords = np.array([wits[t % 2][:order] for t in steps])
-        taken = offer(moved[keep, :n], coords[keep], [p[keep] for p in pairs], dist[keep],
-                      speculative=True)
-        if wit_ratio is wits[0] and wit_abs is wits[1]:
-            drawn += len(steps)
-        else:
-            drawn += keep[taken - 1] + 1
-            start = steps[keep[taken - 1]] + 1
+        # (restart, step in block) grids of the probe index and its values
+        at = np.full(live.shape, -1)
+        at[rs[keep], js[keep]] = keep
+        vals = np.full((R, _REFINE_BLOCK, 2), -np.inf)
+        vals[rs[keep], js[keep]] = evaluate(moved[keep], coords[keep], dist[keep])
+        hit = (vals > best[:, None]).any(axis=2)
+        # each restart takes its steps through its first hit, or all of them
+        hits = np.flatnonzero(hit.any(axis=1))
+        last = np.full(R, _REFINE_BLOCK - 1)
+        last[hits] = np.argmax(hit[hits], axis=1)
+        used += corners * np.cumsum(at >= 0, axis=1)[every, last]
+        drawn += seq[every, last]
+        start += last + 1
+        improve(hits, at[hits, last[hits]][:, None], vals[hits, last[hits]], moved, coords)
 
-    return best_ratio, best_abs, wit_ratio, used
+    return [(float(best[r, 0]), float(best[r, 1]),
+             (*wit_coords[r, 0].tolist(), wit[r, 0, :n], *wit[r, 0, n:]) if found[r, 0] else None,
+             int(used[r]))
+            for r in range(R)]
 
 
 def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
@@ -319,7 +333,10 @@ def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
     and range objective from shared probes).  The schedule is 80% uniform
     exploration, 20% Gaussian refinement around the incumbent with a
     shrinking radius, repeated over independent restart streams and reduced
-    by max.  Returned values are lower bounds of the true seminorms.
+    by max in restart order.  The restarts of one order explore one at a
+    time and refine in lockstep (see _search); the report equals that of
+    the restarts run one after another.  Returned values are lower bounds
+    of the true seminorms.
     """
     if budget < 1:
         raise BudgetError("empirical_seminorms needs a positive evaluation budget")
@@ -330,11 +347,10 @@ def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
     evals = 0
     for order in (1, 2):
         per_search = max(budget // 2 // restarts, 2 ** order)
+        streams = [rng.split((order - 1) * restarts + r) for r in range(restarts)]
         lip, plain, witness = 0.0, 0.0, None
-        for r in range(restarts):
-            ratio, absval, wit, used = _search(f, order, per_search,
-                                               rng.split((order - 1) * restarts + r),
-                                               floor, explore_frac)
+        for ratio, absval, wit, used in _search(f, order, per_search, streams, floor,
+                                                explore_frac):
             evals += used
             if ratio > lip:
                 lip, witness = ratio, wit

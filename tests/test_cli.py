@@ -241,6 +241,112 @@ class TestVerifyGolden:
         assert all(type(r["pass"]) is bool for r in records)
 
 
+_SEMINORM_NAMES = ("m_lip", "j_lip", "m_plain", "j_plain")
+
+# the `weakstat seminorm` output of each family at n = 6, budget 4000, seed
+# 13: (label, empirical values and search_evals, upper-bound values, method
+# and search_evals)
+_SEMINORM_GOLDEN = {
+    "mean": ("mean",
+             (0.16666666666667365, 1.2981426511927475e-13, 0.16666666666666674,
+              2.6645352591003757e-15, 3938),
+             (0.16666666666666666, 0.0, 0.16666666666666666, 0.0, "analytic_bound", 0)),
+    "auc": ("auc[ramp(1.0)]",
+            (0.3333333333333389, 0.6666666666666774, 0.3173209032699927, 0.5547019088195991, 3976),
+            (0.3333333333333333, 1.3333333333333333, 0.3333333333333333, 1.3333333333333333,
+             "analytic_bound", 0)),
+    "lstat": ("lstat[f_zeta(0.25)]",
+              (0.22222222222222737, 0.4444444444444869, 0.22222222222222215, 0.2780469972207211,
+               3964),
+              (0.2222222222222222, 0.4444444444444444, 0.2222222222222222, 0.4444444444444444,
+               "analytic_bound", 0)),
+    "ustat": ("ustat[product,m=2]",
+              (0.32021636758055594, 0.4000000000000026, 0.31329297122505295,
+               0.32423479369995345, 3968),
+              (0.3333333333333333, 0.6666666666666666, 0.3333333333333333, 0.6666666666666666,
+               "analytic_bound", 0)),
+    "vstat": ("vstat[product,m=2]",
+              (0.3083161061642936, 0.33333333333334114, 0.2927918827481151, 0.2635841650926569,
+               3960),
+              (0.3333333333333333, 0.6666666666666666, 0.3333333333333333, 0.6666666666666666,
+               "analytic_bound", 0)),
+    "ridge": ("ridge_error[lam=0.5,d=1]",
+              (0.3950380994413456, 0.8522833255003273, 0.35537728343528946, 1.1012235937648045,
+               3980),
+              (0.3336483769487973, 1.6436401437526698, 0.9437001194895198, 4.648916365911779,
+               "derivative_estimate", 352)),
+}
+
+# the whole auc document, byte for byte
+_AUC_SEMINORM_TEXT = (
+    '{\n'
+    '  "config": {\n'
+    '    "budget": 4000,\n'
+    '    "kind": "seminorm",\n'
+    '    "seed": 13,\n'
+    '    "statistic": {\n'
+    '      "family": "auc",\n'
+    '      "n": 6\n'
+    '    }\n'
+    '  },\n'
+    '  "kind": "seminorm",\n'
+    '  "result": {\n'
+    '    "empirical": {\n'
+    '      "j_lip": 0.6666666666666774,\n'
+    '      "j_plain": 0.5547019088195991,\n'
+    '      "m_lip": 0.3333333333333389,\n'
+    '      "m_plain": 0.3173209032699927,\n'
+    '      "method": "empirical_search",\n'
+    '      "search_evals": 3976\n'
+    '    },\n'
+    '    "n": 6,\n'
+    '    "statistic": "auc[ramp(1.0)]",\n'
+    '    "upper_bound": {\n'
+    '      "j_lip": 1.3333333333333333,\n'
+    '      "j_plain": 1.3333333333333333,\n'
+    '      "m_lip": 0.3333333333333333,\n'
+    '      "m_plain": 0.3333333333333333,\n'
+    '      "method": "analytic_bound",\n'
+    '      "search_evals": 0\n'
+    '    }\n'
+    '  }\n'
+    '}\n'
+)
+
+
+def _golden_seminorm_config(family):
+    return {"kind": "seminorm", "seed": 13, "budget": 4000,
+            "statistic": {"family": family, "n": 6}}
+
+
+def _golden_seminorm_text(family):
+    label, emp, upper = _SEMINORM_GOLDEN[family]
+    doc = {"config": _golden_seminorm_config(family), "kind": "seminorm", "result": {
+        "empirical": {**dict(zip(_SEMINORM_NAMES, emp)), "method": "empirical_search",
+                      "search_evals": emp[4]},
+        "n": 6,
+        "statistic": label,
+        "upper_bound": {**dict(zip(_SEMINORM_NAMES, upper)), "method": upper[4],
+                        "search_evals": upper[5]},
+    }}
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+class TestSeminormGolden:
+    """Exact `weakstat seminorm` output of each family, so that a change to
+    the search, a closed form or the document layout shows here."""
+
+    def test_auc_text_is_the_recorded_document(self):
+        assert _golden_seminorm_text("auc") == _AUC_SEMINORM_TEXT
+
+    @pytest.mark.parametrize("family", sorted(_SEMINORM_GOLDEN))
+    def test_output_bytes(self, family, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_golden_seminorm_config(family)))
+        assert main(["seminorm", "--config", str(cfg_path)]) == EXIT_OK
+        assert capsys.readouterr().out == _golden_seminorm_text(family)
+
+
 class TestDeterminism:
     def test_same_config_same_document(self):
         a, _ = run(_seminorm_config(seed=11))
@@ -367,6 +473,40 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.statistic.n" in err
+
+    @pytest.mark.parametrize("family", ["ustat", "vstat"])
+    @pytest.mark.parametrize("lower, upper, field", [(-1.0, 1.0, "lower"), (0.0, 2.0, "upper")])
+    def test_kernel_seminorm_off_the_unit_box_names_field(self, tmp_path, capsys, monkeypatch,
+                                                          family, lower, upper, field):
+        # the refusal comes before the search
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(weakstat.cli.smn, "empirical_seminorms", no_search)
+        status, err = self._bad_input(tmp_path, capsys, _seminorm_config(
+            statistic={"family": family, "n": 8, "lower": lower, "upper": upper}))
+        assert status == EXIT_ERROR
+        assert f"config.statistic.{field}" in err and "the search ran" not in err
+
+    @pytest.mark.parametrize("family", ["ustat", "vstat"])
+    def test_kernel_bound_off_the_unit_box_names_field(self, tmp_path, capsys, family):
+        status, err = self._bad_input(tmp_path, capsys, dict(
+            _BOUND_CONFIG, statistic={"family": family, "n": 16, "lower": 0.0, "upper": 1.5}))
+        assert status == EXIT_ERROR
+        assert "config.statistic.upper" in err
+
+    @pytest.mark.parametrize("family", ["ustat", "vstat"])
+    def test_kernel_closed_forms_inside_the_unit_box(self, family):
+        doc, status = run(_seminorm_config(
+            statistic={"family": family, "n": 8, "lower": 0.25, "upper": 0.75}))
+        assert status == EXIT_OK
+        assert doc["result"]["upper_bound"]["method"] == "analytic_bound"
+        bound = dict(_BOUND_CONFIG, statistic={"family": family, "n": 16, "lower": 0.0,
+                                               "upper": 1.0})
+        assert run(bound)[1] == EXIT_OK
+        # verify needs no closed form, so any box stays allowed
+        verify = {"kind": "verify", "seed": 0, "verify": {"max_n": 4, "pairs": 2, "probes": 8},
+                  "statistic": {"family": family, "n": 4, "lower": -1.0, "upper": 1.0}}
+        assert run(verify)[1] == EXIT_OK
 
     def test_ridge_bound_names_family(self, tmp_path, capsys):
         status, err = self._bad_input(tmp_path, capsys, {

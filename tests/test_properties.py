@@ -3,8 +3,9 @@ bit, a reference loop that maps one datum at a time; Statistic.batch on a
 stack equals, bit for bit, Statistic.value on each configuration; and the
 batched difference operator equals, bit for bit, its corner sums written
 out from Statistic.value; the seminorm search gives the same report at
-every refinement block size; and the closed-form Gaussian complexity of a
-linear class agrees with its Monte-Carlo estimates."""
+every refinement block size, and each of its lockstep restarts the result
+of that restart searched alone; and the closed-form Gaussian complexity of
+a linear class agrees with its Monte-Carlo estimates."""
 import math
 from unittest import mock
 
@@ -254,6 +255,26 @@ def test_refine_block_size_leaves_the_search_unchanged(family, half_n, budget, s
         with mock.patch.object(seminorms, "_REFINE_BLOCK", block):
             reports.append(_search_report(f, budget, seed))
     assert reports[0] == reports[1] == reports[2]
+
+
+@_SETTINGS
+@given(family=st.sampled_from(sorted(_FAMILIES)), half_n=st.integers(1, 4),
+       order=st.sampled_from([1, 2]), evals=st.integers(4, 1500),
+       block=st.sampled_from([1, 3, 16]), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_restarts_equal_lone_restarts(family, half_n, order, evals, block, seed):
+    f = _family_statistic(family, 2 * half_n, 2)
+    streams = [SeededRng(seed).split(r) for r in range(seminorms._RESTARTS)]
+    floor = seminorms.PAIR_SEPARATION_FRACTION * f.domain.diameter
+    with mock.patch.object(seminorms, "_REFINE_BLOCK", block):
+        together = seminorms._search(f, order, evals, streams, floor, 0.8)
+        alone = [seminorms._search(f, order, evals, [s], floor, 0.8)[0] for s in streams]
+    assert len(together) == len(streams)
+    for (ratio, absval, wit, used), lone in zip(together, alone):
+        assert (ratio, absval, used) == (lone[0], lone[1], lone[3])
+        assert (wit is None) == (lone[2] is None)
+        if wit is not None:
+            assert len(wit) == len(lone[2])
+            assert all(np.array_equal(u, v) for u, v in zip(wit, lone[2]))
 
 
 # Monte-Carlo comparisons at fixed examples, so that a run cannot draw the

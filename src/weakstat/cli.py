@@ -39,6 +39,12 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
+# The child of the seed's stream that the ridge estimate draws its probes
+# from.  empirical_seminorms takes children 0 ... 2 * restarts - 1 for its
+# restart searches (first order, then second), so no search restart shares
+# it.
+_RIDGE_PROBE_STREAM = 2 * smn._RESTARTS
+
 _TABLE_COLUMNS = [
     "kind", "label", "n", "seed",
     "m_lip", "j_lip", "m_plain", "j_plain", "method",
@@ -154,7 +160,8 @@ def _build_statistic(config: dict):
         problem = stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1)))
         f = stats.ridge_error_statistic(problem, n)
         report = lambda: smn.derivative_seminorms(
-            f, f.domain.diameter, probes=4, rng=SeededRng(config["seed"]).split(1)
+            f, f.domain.diameter, probes=4,
+            rng=SeededRng(config["seed"]).split(_RIDGE_PROBE_STREAM)
         )
     else:
         raise ConfigError(f"config.statistic.family: unknown family {family!r}")

@@ -29,12 +29,17 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 # Configurations per evaluator call in Statistic.batch.  The V-statistic at
-# n = 12 holds about 4.6 KB of intermediates per configuration: evaluating
-# all 4096 swap configurations of fk_decompose at once raised the peak RSS
-# of the telescoping benchmark from 43 to 61 MB, while blocks of 128 need
-# about 0.6 MB and leave it at 43 MB.  The V/U intermediates grow as n^m
-# per configuration, so a block costs more at large n: about 41 MB for the
-# pairwise V-statistic at n = 100, where one configuration needs 0.5 MB.
+# n = 12 held about 4.6 KB of intermediates per configuration when it
+# gathered its arguments: evaluating all 4096 swap configurations of
+# fk_decompose at once raised the peak RSS of the telescoping benchmark
+# from 43 to 61 MB, while blocks of 128 needed about 0.6 MB and left it at
+# 43 MB.  The V/U intermediates grow as n^m per configuration, so a block
+# costs more at large n.  For the pairwise V-statistic with the product
+# kernel at n = 100, tracemalloc puts one block's peak at 19.5 MiB: the
+# kernel products and their values, 80 KB each per configuration, now
+# that the arguments are broadcast views of the grid (39.2 MiB when they
+# were gathered copies).  A U-statistic block still gathers its tuples
+# and peaks at about the same 19.5 MiB there.
 BATCH_BLOCK = 128
 
 

@@ -4,16 +4,19 @@ sample sizes where exhaustive subset enumeration is feasible.
 The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') evaluates f
 once on each of the 2^n swap configurations and sums each term's 2^k
 subset differences with compensated summation, so that residuals stay at
-the 1e-9 scale the identity checks assert.  The swap table is built in
-blocks of BATCH_BLOCK consecutive masks, each evaluated by one
-``Statistic.batch`` call, so only one block of configurations exists at a
-time, never the whole 2^n table.
+the 1e-9 scale the identity checks assert.  The swap masks and the
+indices of every term's subset differences depend only on n, and are
+built once per n and cached.  The configurations are built in blocks of
+BATCH_BLOCK consecutive masks, each evaluated by one ``Statistic.batch``
+call, so only one block of configurations exists at a time, never the
+whole 2^n table; all n terms' differences then come from one gather.
 
 Result records derive their numbers: a CheckResult's pass and slack follow
 from lhs, rhs and tol, and an FkDecomposition's residual from its terms.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -143,6 +146,31 @@ def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+@functools.cache
+def _swap_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only swap masks and telescoping indices of n coordinates.
+
+    Row s of the (2^n, n) bool masks holds the bits of s: which rows the
+    swap configuration s takes from x'.  The (4, 2^n - 1) int32 index
+    table holds, for each term k in its segment [2^k - 1, 2^(k+1) - 1),
+    the configurations A, A | bit, rest & ~bit and rest, where A runs over
+    the 2^k masks of the first k coordinates, bit = 2^k and rest is the
+    complement of A in all n coordinates.
+    """
+    # the little-endian bytes of each 32-bit mask, unpacked low bit first,
+    # so that no (2^n, n) integer temporary is made
+    counts = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    masks = np.unpackbits(counts, axis=1, count=n, bitorder="little").view(bool)
+    sizes = 1 << np.arange(n, dtype=np.int32)
+    A = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes.tolist()])
+    bit = np.repeat(sizes, sizes)
+    rest = ((1 << n) - 1) ^ A
+    index = np.stack([A, A | bit, rest & ~bit, rest])
+    masks.setflags(write=False)
+    index.setflags(write=False)
+    return masks, index
+
+
 def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     """Exact telescoping decomposition of f(x) - f(x') into n per-coordinate
     terms, each a 2^k-subset average of partial differences.
@@ -151,28 +179,25 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     rows from x' on a bitmask and from x elsewhere, one block of masks per
     ``f.batch`` call.  F_k sums, over the masks A of the first k
     coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c) with the complement
-    A^c taken in all n coordinates.
+    A^c taken in all n coordinates.  The masks and these four indices per
+    difference come from a table cached per n; one gather gives the
+    differences of every term, and each term's are Kahan-summed in order.
 
     The residual |f(x) - f(x') - sum terms| is zero in exact arithmetic for
     every f; it is reported so callers can assert float-level smallness.
     """
     a, b = _check_pair(f, x, xp)
     n = a.shape[0]
-    bits = np.arange(n)
+    masks, index = _swap_tables(n)
     vals = np.empty(1 << n)
     for start in range(0, 1 << n, BATCH_BLOCK):
-        masks = np.arange(start, min(start + BATCH_BLOCK, 1 << n))
-        swapped = ((masks[:, None] >> bits) & 1).astype(bool)
-        vals[start:start + len(masks)] = f.batch(np.where(swapped[..., None], b, a))
-    full = (1 << n) - 1
-    terms = []
-    for k in range(n):
-        bit = 1 << k
-        A = np.arange(1 << k)
-        rest = full ^ A
-        total = _kahan_sum((vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist())
-        terms.append(total / float(2 ** (k + 1)))
-    return FkDecomposition(tuple(terms), float(vals[0] - vals[full]))
+        swapped = masks[start:start + BATCH_BLOCK, :, None]
+        vals[start:start + len(swapped)] = f.batch(np.where(swapped, b, a))
+    g = vals[index]
+    diffs = (g[0] - g[1] + g[2] - g[3]).tolist()
+    terms = tuple(_kahan_sum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
+                  for k in range(n))
+    return FkDecomposition(terms, float(vals[0] - vals[-1]))
 
 
 def fk_term(f: Statistic, x, xp, k: int) -> float:

@@ -11,6 +11,7 @@ alone; the builders at the end mark their statistics ``batched``.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -57,10 +58,13 @@ class Kernel:
 
     ``evaluator`` takes m arguments, each shaped (..., d), and returns a
     (...)-shaped array (numpy broadcasting), so tuple enumeration can be
-    batched: the V/U-statistics pass (T, d) arrays for one configuration
-    and (B, T, d) arrays for a stack of B, where T counts the index
-    tuples.  Each output entry must depend only on its own arguments, so
-    that a stack's values equal the lone configurations' bit for bit.
+    batched.  V-statistics pass the n^m grid as read-only broadcast views,
+    each of shape (n, ..., n, d) for one configuration and (B, n, ..., n, d)
+    for a stack of B, with argument j running along grid axis j.
+    U-statistics pass gathered (T, d) arrays, or (B, T, d) for a stack,
+    where T counts the strictly increasing index tuples.  Each output entry
+    must depend only on its own arguments, so that a stack's values equal
+    the lone configurations' bit for bit.
     ``lipschitz_L`` bounds the change under moving one argument (per unit
     Euclidean distance); ``range_B`` bounds the change itself.
     """
@@ -163,28 +167,50 @@ def _check_arity(m: int, n: int) -> None:
         raise ValueError(f"kernel arity m={m} exceeds sample size n={n}")
 
 
-def _index_tuples(n: int, m: int, ordered: bool) -> np.ndarray:
-    """(m, T) array whose columns are the index tuples of a V-statistic
-    (all ordered tuples) or a U-statistic (strictly increasing ones)."""
-    if ordered:
-        return np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
-    return np.array(list(combinations(range(n), m))).T
+@functools.cache
+def _index_tuples(n: int, m: int) -> np.ndarray:
+    """Read-only (m, T) array whose columns are the strictly increasing
+    index tuples of a U-statistic."""
+    idx = np.array(list(combinations(range(n), m))).T.copy()
+    idx.setflags(write=False)
+    return idx
 
 
-def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray, count: int):
-    """Kernel sum over the index tuples in the columns of ``idx``, divided
-    by ``count``.  The sum runs along the last axis of a C-contiguous array,
-    so each configuration of a stack is summed pairwise, as it is alone; a
-    stack gathered by fancy indexing in the middle axis is not contiguous,
-    and numpy would then add its terms in sequence instead."""
-    vals = np.ascontiguousarray(kernel.evaluator(*(pts.take(i, axis=-2) for i in idx)))
-    if vals.shape != pts.shape[:-2] + idx.shape[1:]:
+def _kernel_mean(kernel: Kernel, args, shape: tuple, lead: tuple):
+    """Kernel values at the arguments, which must have the given shape,
+    averaged over all axes after the ``lead`` ones.  The values are summed
+    along the last axis of a C-contiguous array, so each configuration of
+    a stack is summed pairwise, as it is alone; a stack gathered by fancy
+    indexing in the middle axis is not contiguous, and numpy would then add
+    its terms in sequence instead."""
+    vals = np.ascontiguousarray(kernel.evaluator(*args))
+    if vals.shape != shape:
         raise ValueError(
             f"kernel {kernel.label or kernel.evaluator!r} returned shape {vals.shape} for "
-            f"arguments of shape {pts.shape[:-2] + idx.shape[1:] + pts.shape[-1:]}; "
-            "it must reduce over the last axis only"
+            f"arguments of shape {args[0].shape}; it must reduce over the last axis only"
         )
-    return _result(np.add.reduce(vals, axis=-1) / count)
+    vals = vals.reshape(lead + (-1,))
+    return _result(np.add.reduce(vals, axis=-1) / vals.shape[-1])
+
+
+def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray):
+    """Kernel average over the index tuples in the columns of ``idx``,
+    gathered from the (..., n, d) points."""
+    lead = pts.shape[:-2]
+    return _kernel_mean(kernel, [pts.take(i, axis=-2) for i in idx], lead + idx.shape[1:], lead)
+
+
+def _grid_average(kernel: Kernel, pts: np.ndarray, m: int):
+    """Kernel average over the n^m grid of ordered index tuples, passed as
+    read-only broadcast views: argument j is the points laid along grid
+    axis j.  The C-order grid lists the tuples i-major, as a meshgrid of
+    the indices does, so the sum is the gathered tuples' bit for bit."""
+    lead, (n, d) = pts.shape[:-2], pts.shape[-2:]
+    grid = lead + (n,) * m
+    args = [np.broadcast_to(pts.reshape(lead + (1,) * j + (n,) + (1,) * (m - 1 - j) + (d,)),
+                            grid + (d,))
+            for j in range(m)]
+    return _kernel_mean(kernel, args, grid, lead)
 
 
 def _one_configuration(pts: np.ndarray) -> None:
@@ -199,11 +225,13 @@ def _kernel_statistic(kernels: KernelSpec, x, ordered: bool):
     n = pts.shape[-2]
     m = _kernel_arity(kernels)
     _check_arity(m, n)
-    count = n**m if ordered else math.comb(n, m)
     shared = _shared_kernel(kernels)
     if shared is not None:
-        return _kernel_average(shared, pts, _index_tuples(n, m, ordered), count)
+        if ordered:
+            return _grid_average(shared, pts, m)
+        return _kernel_average(shared, pts, _index_tuples(n, m))
     _one_configuration(pts)
+    count = n**m if ordered else math.comb(n, m)
     total = 0.0
     for j in product(range(n), repeat=m) if ordered else combinations(range(n), m):
         total += float(kernels[j].evaluator(*(pts[i] for i in j)))

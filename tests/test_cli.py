@@ -1,10 +1,13 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import weakstat.cli
 import weakstat.oracle
+import weakstat.seminorms
+from weakstat import SeededRng
 from weakstat.cli import (
     AggregationError,
     ConfigError,
@@ -210,7 +213,8 @@ _VERIFY_CONFIGS = {
         "statistic": {"family": family, "n": 8, "lower": -1.0, "upper": 3.0, **extra},
         "verify": {"max_n": 8, "pairs": 4, "probes": 20},
     }
-    for family, extra in (("mean", {}), ("lstat", {"zeta": 0.25}))
+    for family, extra in (("mean", {}), ("lstat", {"zeta": 0.25}), ("auc", {}), ("ustat", {}),
+                          ("vstat", {}), ("ridge", {}))
 }
 
 
@@ -219,9 +223,9 @@ def _identity_records(*lhs):
 
 
 class TestVerifyGolden:
-    """Exact (lhs, rhs, slack, pass) of each record of two small verify
-    runs; a change to the residual, its Kahan sum or the slack arithmetic
-    shows here."""
+    """Exact (lhs, rhs, slack, pass) of each record of a small verify run
+    per family; a change to the residual, its Kahan sum, the order in which
+    a statistic sums its terms or the slack arithmetic shows here."""
 
     @pytest.mark.parametrize("family, expected", [
         ("mean", _identity_records(
@@ -232,6 +236,24 @@ class TestVerifyGolden:
             0.0, 1.2794573716330748e-16, 1.3877787807814457e-17, 2.220446049250313e-16,
             0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
         ) + [(0.0, 0.0, 0.0, True)]),
+        ("auc", _identity_records(
+            0.0, 1.1102230246251565e-16, 2.7755575615628914e-17, 1.3877787807814457e-17,
+        )),
+        ("ustat", _identity_records(
+            1.4622080405136921e-16, 3.950105423554113e-16, 3.0311744913297935e-16,
+            1.1102230246251565e-16, 8.326672684688674e-17, 1.3877787807814457e-17,
+            1.1102230246251565e-16,
+        )),
+        ("vstat", _identity_records(
+            2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
+            2.220446049250313e-16, 2.7755575615628914e-16, 1.7180358212042002e-16,
+            5.551115123125783e-17,
+        )),
+        ("ridge", _identity_records(
+            1.3877787807814457e-17, 0.0, 2.7755575615628914e-17, 2.7755575615628914e-17,
+            2.7755575615628914e-17, 6.938893903907228e-18, 1.3877787807814457e-17,
+            2.7755575615628914e-17,
+        )),
     ])
     def test_records(self, family, expected):
         doc, status = run(_VERIFY_CONFIGS[family])
@@ -270,10 +292,12 @@ _SEMINORM_GOLDEN = {
                3960),
               (0.3333333333333333, 0.6666666666666666, 0.3333333333333333, 0.6666666666666666,
                "analytic_bound", 0)),
+    # the estimate draws its probes from child stream 16, which no search
+    # restart uses
     "ridge": ("ridge_error[lam=0.5,d=1]",
               (0.3950380994413456, 0.8522833255003273, 0.35537728343528946, 1.1012235937648045,
                3980),
-              (0.3336483769487973, 1.6436401437526698, 0.9437001194895198, 4.648916365911779,
+              (0.32804453540253214, 1.443659767300418, 0.9278500620572838, 4.083286444737275,
                "derivative_estimate", 352)),
 }
 
@@ -345,6 +369,29 @@ class TestSeminormGolden:
         cfg_path.write_text(json.dumps(_golden_seminorm_config(family)))
         assert main(["seminorm", "--config", str(cfg_path)]) == EXIT_OK
         assert capsys.readouterr().out == _golden_seminorm_text(family)
+
+
+class TestRidgeProbeStream:
+    def test_no_search_restart_shares_the_probe_stream(self):
+        assert weakstat.cli._RIDGE_PROBE_STREAM >= 2 * weakstat.seminorms._RESTARTS
+        for seed in (0, 5, 13, 97):
+            rng = SeededRng(seed)
+            probe = rng.split(weakstat.cli._RIDGE_PROBE_STREAM).generator().uniform(size=4)
+            for stream in range(2 * weakstat.seminorms._RESTARTS):
+                first = rng.split(stream).generator().uniform(size=4)
+                assert not np.isin(probe, first).any(), (seed, stream)
+
+    def test_the_estimate_draws_from_the_probe_stream(self, monkeypatch):
+        seen = []
+
+        def record(f, diameter, probes, rng):
+            seen.append(rng)
+            raise ConfigError("recorded")
+
+        monkeypatch.setattr(weakstat.seminorms, "derivative_seminorms", record)
+        with pytest.raises(ConfigError, match="recorded"):
+            run(_seminorm_config(seed=5, statistic={"family": "ridge", "n": 4}))
+        assert seen == [SeededRng(5).split(weakstat.cli._RIDGE_PROBE_STREAM)]
 
 
 class TestDeterminism:

@@ -2,11 +2,15 @@
 bit, a reference loop that maps one datum at a time; Statistic.batch on a
 stack equals, bit for bit, Statistic.value on each configuration; and the
 batched difference operator equals, bit for bit, its corner sums written
-out from Statistic.value; the seminorm search gives the same report at
-every refinement block size, and each of its lockstep restarts the result
-of that restart searched alone; and the closed-form Gaussian complexity of
-a linear class agrees with its Monte-Carlo estimates."""
+out from Statistic.value; the telescoping decomposition equals, bit for
+bit, a loop over blocks and terms; V- and U-statistics equal the kernel
+average over their gathered index tuples; the seminorm search gives the
+same report at every refinement block size, and each of its lockstep
+restarts the result of that restart searched alone; and the closed-form
+Gaussian complexity of a linear class agrees with its Monte-Carlo
+estimates."""
 import math
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from weakstat import (
     FunctionClass,
+    Kernel,
     RidgeProblem,
     SeededRng,
     Statistic,
@@ -38,14 +43,17 @@ from weakstat import (
     ridge_error_statistic,
     two_block_ranking_space,
     u_stat_statistic,
+    u_statistic,
     uniform_raw_space,
     v_stat_statistic,
+    v_statistic,
 )
-from weakstat import seminorms
+from weakstat import oracle, seminorms
 from weakstat.cli import _nearest_center_loss
 from weakstat.complexity import linear_gaussian_complexity
 from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import _differences
+from weakstat.statistics import _kernel_average
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -235,6 +243,89 @@ def test_differences_across_blocks(family, order):
     count = 2 * (BATCH_BLOCK >> order) + 3
     xs, coords, rows = _probes(f, order, count, np.random.default_rng(23))
     assert (_differences(f, order, xs, coords, rows) == _corner_sums(f, order, xs, coords, rows)).all()
+
+
+def _reference_fk(f, x, xp):
+    """The (terms, lhs) of fk_decompose written as a loop over blocks of
+    masks, each block's bits rebuilt, and a loop over the terms, each with
+    its own gathers."""
+    a, b = np.asarray(x), np.asarray(xp)
+    n = a.shape[0]
+    bits = np.arange(n)
+    vals = np.empty(1 << n)
+    for start in range(0, 1 << n, BATCH_BLOCK):
+        masks = np.arange(start, min(start + BATCH_BLOCK, 1 << n))
+        swapped = ((masks[:, None] >> bits) & 1).astype(bool)
+        vals[start:start + len(masks)] = f.batch(np.where(swapped[..., None], b, a))
+    full = (1 << n) - 1
+    terms = []
+    for k in range(n):
+        bit = 1 << k
+        A = np.arange(1 << k)
+        rest = full ^ A
+        total = oracle._kahan_sum(
+            (vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist())
+        terms.append(total / float(2 ** (k + 1)))
+    return tuple(terms), float(vals[0] - vals[full])
+
+
+@_SETTINGS
+@given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES)), seed=st.integers(0, 2**32 - 1),
+       coarse=st.booleans())
+def test_fk_decompose_equals_the_block_loop(data, family, seed, coarse):
+    _, low, step, free_d = _FAMILIES[family]
+    n = step * data.draw(st.integers(-(-low // step), 10 // step))
+    f = _family_statistic(family, n, data.draw(st.integers(1, 2)) if free_d else 1)
+    gen = np.random.default_rng(seed)
+    x, xp = (gen.uniform(f.domain.lower, f.domain.upper, size=(n, f.domain.d)) for _ in "xy")
+    if coarse:
+        x, xp = np.round(4 * x) / 4, np.round(4 * xp) / 4
+    dec = oracle.fk_decompose(f, x, xp)
+    assert (dec.terms, dec.lhs) == _reference_fk(f, x, xp)
+
+
+# n = 10 crosses several blocks; ridge, the V/U-statistics and the
+# unbatched statistic take d = 2
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_fk_decompose_equals_the_block_loop_at_n10(family):
+    f = _family_statistic(family, 10, 2)
+    gen = np.random.default_rng(31)
+    x, xp = (gen.uniform(f.domain.lower, f.domain.upper, size=(10, f.domain.d)) for _ in "xy")
+    dec = oracle.fk_decompose(f, x, xp)
+    assert (dec.terms, dec.lhs) == _reference_fk(f, x, xp)
+
+
+def _gathered_tuples(n, m, ordered):
+    """(m, T) index tuples in enumeration order: all ordered ones, i-major,
+    or the strictly increasing ones."""
+    if ordered:
+        return np.stack(np.meshgrid(*([np.arange(n)] * m), indexing="ij")).reshape(m, -1)
+    return np.array(list(combinations(range(n), m))).T
+
+
+def _mixed_kernel(m):
+    """An m-ary kernel that mixes the coordinates and is not symmetric."""
+    def evaluator(*xs):
+        prod = xs[0]
+        for x in xs[1:]:
+            prod = prod * x
+        return np.sum(prod, axis=-1) + np.sin(xs[0][..., 0] - 2.0 * xs[-1][..., -1])
+
+    return Kernel(m, evaluator, 3.0, 3.0, label=f"mixed{m}")
+
+
+@_SETTINGS
+@given(data=st.data(), m=st.integers(1, 3), ordered=st.booleans(), d=st.integers(1, 2),
+       size=st.integers(0, 5), product=st.booleans())
+def test_kernel_statistics_equal_the_gathered_tuples(data, m, ordered, d, size, product):
+    n = data.draw(st.integers(m, 8))
+    kernel = product_kernel() if product and m == 2 else _mixed_kernel(m)
+    shape = (size, n, d) if size else (n, d)
+    pts = data.draw(arrays(np.float64, shape, elements=st.floats(-1.0, 1.0, width=64)))
+    out = (v_statistic if ordered else u_statistic)(kernel, pts)
+    ref = _kernel_average(kernel, pts, _gathered_tuples(n, m, ordered))
+    assert type(out) is type(ref)
+    assert np.array_equal(out, ref)
 
 
 def _search_report(f, budget, seed):

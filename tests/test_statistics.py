@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations, product
 
 import numpy as np
@@ -25,6 +26,7 @@ from weakstat import (
     v_stat_statistic,
     v_statistic,
 )
+from weakstat.core import BATCH_BLOCK
 from weakstat.statistics import (
     probe_kernel_lipschitz,
     probe_loss_function,
@@ -81,13 +83,35 @@ class TestVStatistic:
         lambda a, b: a[:, 0] * b[:, 0],
     ], ids=["axis1", "positional"])
     def test_kernel_reducing_the_wrong_axis_is_refused_on_a_stack(self, build, evaluator):
-        # right on one (T, d) configuration, wrong on a (B, T, d) stack
+        # U: right on one (T, d) configuration, wrong on a (B, T, d) stack;
+        # V: wrong on the (n, n, d) grid of one configuration already
         k = Kernel(2, evaluator, 1.0, 1.0, label="wrong_axis")
         f = build(k, 4, unit_interval())
         x = SeededRng(2).generator().uniform(size=(3, 4, 1))
-        assert f.value(x[0]) == build(product_kernel(), 4, unit_interval()).value(x[0])
-        with pytest.raises(ValueError, match=r"kernel 'wrong_axis' returned shape \(3, 1\)"):
+        if build is v_stat_statistic:
+            with pytest.raises(ValueError, match=r"kernel 'wrong_axis' returned shape \(4, 1\)"):
+                f.value(x[0])
+            stack_shape = r"\(3, 4, 1\)"
+        else:
+            assert f.value(x[0]) == build(product_kernel(), 4, unit_interval()).value(x[0])
+            stack_shape = r"\(3, 1\)"
+        with pytest.raises(ValueError, match=rf"kernel 'wrong_axis' returned shape {stack_shape}"):
             f.batch(x)
+
+
+    def test_peak_memory_of_one_block_at_n100(self):
+        # one block of 128 configurations: the (128, 100, 100, 1) kernel
+        # products and their (128, 100, 100) values, 19.5 MiB; gathering
+        # the two arguments as copies first took 39.2 MiB
+        f = v_stat_statistic(product_kernel(), 100, unit_interval())
+        stack = SeededRng(6).generator().uniform(size=(BATCH_BLOCK, 100, 1))
+        tracemalloc.start()
+        try:
+            f.batch(stack)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
 
 
 class TestUStatistic:

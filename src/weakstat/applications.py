@@ -14,8 +14,8 @@ from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, 
 from .complexity import ComplexityEstimate, linear_gaussian_complexity
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
-from .statistics import (LossFunction, WeightFunction, _squared_distances, f_zeta_weight,
-                         l_statistic, smoothed_auc)
+from .statistics import (LossFunction, WeightFunction, _order_average, _order_weights,
+                         _squared_distances, f_zeta_weight, smoothed_auc)
 
 __all__ = [
     "ClusteringResult",
@@ -75,13 +75,11 @@ class RankingSelection:
     delta: float
 
 
-def _rank_weights(losses: np.ndarray, weight: WeightFunction) -> np.ndarray:
-    """Per-point weights F(rank/n) where rank is the ascending position of
-    the point's loss (stable ties)."""
-    n = losses.shape[0]
-    order = np.argsort(losses, kind="stable")
-    w = np.empty(n)
-    w[order] = np.asarray(weight.evaluator(np.arange(1, n + 1) / n), dtype=float)
+def _rank_weights(losses: np.ndarray, order_weights: np.ndarray) -> np.ndarray:
+    """Per-point weights F(rank/n), where rank is the ascending position of
+    the point's loss (stable ties), given the (n,) weights F(i/n)."""
+    w = np.empty(losses.shape[0])
+    w[np.argsort(losses, kind="stable")] = order_weights
     return w
 
 
@@ -103,28 +101,36 @@ def _lloyd_run(data: np.ndarray, K: int, weight: WeightFunction, max_iters: int,
                gen: np.random.Generator) -> tuple[np.ndarray, list, int]:
     n = data.shape[0]
     centers = _plus_plus_init(data, K, gen)
+    order_weights = _order_weights(weight, n)
+    rows = np.arange(n)
     history = []
     reseeds = 0
     prev = math.inf
+    d2 = _squared_distances(data, centers)
+    assign = np.argmin(d2, axis=1)
+    losses = d2[rows, assign]
     for _ in range(max_iters):
-        d2 = _squared_distances(data, centers)
-        assign = np.argmin(d2, axis=1)
-        losses = d2[np.arange(n), assign]
-        w = _rank_weights(losses, weight)
+        w = _rank_weights(losses, order_weights)
+        positive = w > 0
         reseeded = False
         for k in range(K):
-            mask = (assign == k) & (w > 0)
+            mask = (assign == k) & positive
             wk = w[mask]
-            if wk.sum() > 0:
-                centers[k] = (data[mask] * wk[:, None]).sum(axis=0) / wk.sum()
+            total = wk.sum()
+            if total > 0:
+                centers[k] = (data[mask] * wk[:, None]).sum(axis=0) / total
             else:
                 # Cluster carries no weight: restart it at the point whose
                 # weighted loss is largest, so mass moves where it hurts most.
                 centers[k] = data[int(np.argmax(w * losses))]
                 reseeds += 1
                 reseeded = True
+        # the losses at the updated centers give this iteration's objective
+        # and the next iteration's assignment
         d2 = _squared_distances(data, centers)
-        obj = l_statistic(weight, np.min(d2, axis=1))
+        assign = np.argmin(d2, axis=1)
+        losses = d2[rows, assign]
+        obj = float(_order_average(losses, order_weights))
         history.append(obj)
         if not reseeded and obj > prev + _DESCENT_TOL:
             raise DescentViolationError(
@@ -156,13 +162,15 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
         raise ValueError(f"cluster count K={K} must lie in [1, n={n}]")
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
 
     def run(r: int):
         return _lloyd_run(data, K, weight, max_iters, rng.split(r).generator())
 
-    outcomes = [run(r) for r in range(max(1, restarts))]
+    outcomes = [run(r) for r in range(restarts)]
     centers, history, reseeds = min(outcomes, key=lambda outcome: outcome[1][-1])
-    return ClusteringResult(centers, max(1, restarts), tuple(history), reseeds)
+    return ClusteringResult(centers, restarts, tuple(history), reseeds)
 
 
 def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,

@@ -9,6 +9,20 @@ exactly the perimeter of the convex hull of the images of the w_j, over
 its mean over the sample, edge by edge, through the second-moment matrix
 of the data (see linear_gaussian_complexity).  In one dimension the hull
 is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
+
+The Monte-Carlo draws fill one coefficient block per call, reused across
+chunks of at most _CHUNK replicates (class_complexity hands one block to
+all its outer replicates).  Gaussian coefficients are
+``standard_normal(out=...)``.  Rademacher signs come from the raw 64-bit
+Philox words of the stream: word k gives sign 2k from its bit 31 and sign
+2k + 1 from its bit 63, a set bit meaning +1.  That is exactly
+``2 * integers(0, 2) - 1``: Lemire's method on a range of 2 takes the top
+bit of a 32-bit draw and never rejects, and the generator splits each
+word into its low half, then its high half.  The generator keeps an
+unused high half for its next 32-bit draw, while the raw words of a new
+chunk start afresh, so the two agree only because every full chunk holds
+an even number of signs: _CHUNK must stay even.  Only the last chunk may
+hold an odd number, and its unused half is never drawn.
 """
 from __future__ import annotations
 
@@ -39,7 +53,7 @@ RADEMACHER = "rademacher"
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
 
-_CHUNK = 8192
+_CHUNK = 8192  # even: see the module docstring
 
 
 @dataclass(frozen=True)
@@ -96,17 +110,25 @@ def _as_vectors(Y) -> np.ndarray:
 
 
 def _average(Y, replicates: int, rng: SeededRng, kind: str,
-             draw: Callable[[np.random.Generator, int, int], np.ndarray]) -> ComplexityEstimate:
+             fill: Callable[[np.random.Generator, np.ndarray], None],
+             scratch: np.ndarray | None) -> ComplexityEstimate:
     vectors = _as_vectors(Y)
     if replicates < 2:
         raise ValueError("at least 2 replicates are required")
+    shape = (min(replicates, _CHUNK), vectors.shape[1])
+    if scratch is None:
+        scratch = np.empty(shape)
+    elif (scratch.shape != shape or scratch.dtype != np.float64
+          or not scratch.flags.c_contiguous):
+        raise ValueError(f"scratch must be a C-contiguous float64 block of shape {shape}, "
+                         f"got {scratch.dtype} of shape {scratch.shape}")
     gen = rng.generator()
-    N = vectors.shape[1]
     sups = np.empty(replicates)
     done = 0
     while done < replicates:  # chunked to bound memory at large replicate counts
         take = min(_CHUNK, replicates - done)
-        coeff = draw(gen, take, N)
+        coeff = scratch[:take]
+        fill(gen, coeff)
         sups[done:done + take] = (coeff @ vectors.T).max(axis=1)
         done += take
     mean = float(sups.mean())
@@ -114,16 +136,37 @@ def _average(Y, replicates: int, rng: SeededRng, kind: str,
     return ComplexityEstimate(mean=mean, std_error=se, replicates=replicates, kind=kind)
 
 
-def gaussian_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate:
-    """Estimate E sup_{y in Y} <gamma, y> with standard normal gamma."""
+def _fill_signs(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Fill ``out`` in C order with the signs 2 * integers(0, 2) - 1: each
+    raw 64-bit word gives bit 31, then bit 63 (see the module docstring)."""
+    flat = out.reshape(-1)
+    words = gen.bit_generator.random_raw((flat.size + 1) // 2)
+    low, high = flat[0::2], flat[1::2]
+    np.right_shift(words[:high.size], 63, out=high)
+    np.right_shift(words, 31, out=words)
+    np.bitwise_and(words, 1, out=low)
+    np.multiply(flat, 2.0, out=flat)
+    np.subtract(flat, 1.0, out=flat)
+
+
+def gaussian_average(Y, replicates: int, rng: SeededRng, *,
+                     scratch: np.ndarray | None = None) -> ComplexityEstimate:
+    """Estimate E sup_{y in Y} <gamma, y> with standard normal gamma.
+
+    ``scratch``, if given, is the C-contiguous float64 coefficient block of
+    shape (min(replicates, _CHUNK), len(y)) that the draws overwrite.
+    """
     return _average(Y, replicates, rng, GAUSSIAN,
-                    lambda gen, r, N: gen.standard_normal((r, N)))
+                    lambda gen, out: gen.standard_normal(out=out), scratch)
 
 
-def rademacher_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate:
-    """Estimate E sup_{y in Y} <eps, y> with eps uniform on {-1, +1}^N."""
-    return _average(Y, replicates, rng, RADEMACHER,
-                    lambda gen, r, N: gen.integers(0, 2, size=(r, N)).astype(float) * 2.0 - 1.0)
+def rademacher_average(Y, replicates: int, rng: SeededRng, *,
+                       scratch: np.ndarray | None = None) -> ComplexityEstimate:
+    """Estimate E sup_{y in Y} <eps, y> with eps uniform on {-1, +1}^N.
+
+    ``scratch`` is as in gaussian_average.
+    """
+    return _average(Y, replicates, rng, RADEMACHER, _fill_signs, scratch)
 
 
 def class_complexity(fclass: FunctionClass, n: int, kind: str,
@@ -140,13 +183,17 @@ def class_complexity(fclass: FunctionClass, n: int, kind: str,
         raise ValueError(f"unknown complexity kind {kind!r}")
     if outer_reps < 2:
         raise ValueError("at least 2 outer replicates are required")
+    if inner_reps < 2:
+        raise ValueError("at least 2 replicates are required")
     inner = gaussian_average if kind == GAUSSIAN else rademacher_average
+    # one coefficient block serves every outer replicate's draws
+    scratch = np.empty((min(inner_reps, _CHUNK), n * fclass.domain.d))
 
     def one(r: int) -> float:
         stream = rng.split(r)
         raw = fclass.raw_space.sampler(stream.split(0).generator(), n)
         vectors = evaluate_class(fclass, raw).reshape(fclass.size, -1)
-        return inner(vectors, inner_reps, stream.split(1)).mean
+        return inner(vectors, inner_reps, stream.split(1), scratch=scratch).mean
 
     means = np.array([one(r) for r in range(outer_reps)])
     return ComplexityEstimate(

@@ -276,10 +276,19 @@ def l_statistic(F: WeightFunction, x) -> float:
     their input order (tied values contribute identically either way).
     """
     s = _scalar_column(x, "l_statistic")
-    n = s.shape[-1]
+    return _result(_order_average(s, _order_weights(F, s.shape[-1])))
+
+
+def _order_weights(F: WeightFunction, n: int) -> np.ndarray:
+    """The (n,) weights F(i/n), i = 1..n, of the order statistics."""
+    return np.asarray(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
+
+
+def _order_average(s: np.ndarray, w: np.ndarray):
+    """(1/n) sum_i w_i s_(i) over the last axis of s, with s sorted ascending
+    (stable): the one float order of every L-statistic value."""
     order = np.sort(s, axis=-1, kind="stable")
-    w = np.asarray(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
-    return _result((order[..., None, :] @ w)[..., 0] / n)
+    return (order[..., None, :] @ w)[..., 0] / s.shape[-1]
 
 
 def f_zeta(t, zeta: float):

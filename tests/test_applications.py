@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,37 @@ class TestTrimmedKmeans:
             trimmed_kmeans(data, 5, 0.1)
         with pytest.raises(ValueError):
             trimmed_kmeans(data, 1, 0.5)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_restart_floor(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            weighted_rank_kmeans(np.zeros((4, 2)), 1, constant_weight(1.0), restarts=restarts)
+
+    def test_iteration_floor(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            trimmed_kmeans(np.zeros((4, 2)), 1, 0.1, max_iters=0)
+
+    def test_outputs_match_the_recorded_digest(self):
+        # centers, history, reseeds and restarts_used over two mixtures x
+        # seeds x K x zeta; a change to the float order of the Lloyd loop
+        # shows here.  The tight mixture makes some winning runs reseed.
+        digest = hashlib.sha256()
+        reseeds = 0
+        for std, noise in ((0.5, 0.25), (0.05, 0.2)):
+            for seed in range(6):
+                data = gaussian_mixture_with_noise(60, TRUE_CENTERS, std, noise, 6.0,
+                                                   SeededRng(seed).split(0))
+                for K in (1, 2, 3, 5):
+                    for zeta in (0.0, 0.05, 0.125, 0.25):
+                        res = trimmed_kmeans(data, K, zeta, max_iters=50, restarts=2,
+                                             rng=SeededRng(seed).split(1))
+                        reseeds += res.reseeds
+                        digest.update(np.ascontiguousarray(res.centers).tobytes())
+                        digest.update(np.array(res.history).tobytes())
+                        digest.update(np.array([res.reseeds, res.restarts_used]).tobytes())
+        assert reseeds > 0
+        assert digest.hexdigest() == (
+            "2eedd790a5407bb9aefa897a2daf97a951194f32e72a2dc5d9f0c41be3ef2749")
 
     def test_noise_robustness_smoke(self):
         # small-sample version of the benchmark property; the 50-seed run

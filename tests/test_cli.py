@@ -371,6 +371,89 @@ class TestSeminormGolden:
         assert capsys.readouterr().out == _golden_seminorm_text(family)
 
 
+_UNIFORM_SAMPLER = {"kind": "uniform", "low": -1.0, "high": 1.0}
+
+
+def _complexity_config(seed, kind, n, function_class, outer, inner):
+    return {"kind": "complexity", "seed": seed, "complexity_kind": kind,
+            "statistic": {"family": "mean", "n": n}, "function_class": function_class,
+            "sampler": _UNIFORM_SAMPLER, "replicates": {"outer": outer, "inner": inner}}
+
+
+class TestComplexityGolden:
+    """Exact `weakstat complexity` estimates: the certify benchmark's
+    Rademacher shape, a Gaussian run, and runs whose inner replicates span
+    two chunks (complexity._CHUNK = 8192) with n * d = 17 odd, so that the
+    last chunk draws an odd number of coefficients.  A change to the draws,
+    their order or the product over a chunk shows here."""
+
+    @pytest.mark.parametrize("config, mean, std_error", [
+        (_complexity_config(5, "rademacher", 64, {"kind": "linear", "count": 16}, 32, 2048),
+         1.719850720965278, 0.02409979665137206),
+        (_complexity_config(7, "gaussian", 16, {"kind": "linear_symmetric", "count": 8}, 8, 512),
+         1.8621642383743635, 0.04194238702112219),
+        (_complexity_config(11, "rademacher", 17, {"kind": "linear", "count": 4}, 2, 8193),
+         0.6918309200809307, 0.044539907022445195),
+        (_complexity_config(12, "gaussian", 17, {"kind": "linear", "count": 4}, 2, 8193),
+         0.7153751208696127, 0.0020502425985844397),
+    ])
+    def test_estimate(self, config, mean, std_error):
+        doc, status = run(config)
+        assert status == EXIT_OK
+        assert doc["result"] == {
+            "class": "linear", "n": config["statistic"]["n"],
+            "estimate": {"kind": config["complexity_kind"], "mean": mean,
+                         "method": "monte_carlo",
+                         "replicates": config["replicates"]["outer"], "std_error": std_error},
+        }
+
+
+def _cluster_document(centers, g_mean, g_se, g_effective, symmetrization, total,
+                      iterations, objective, recovery_error):
+    return {
+        "centers": centers,
+        "certificate": {
+            "complexity": {"kind": "gaussian", "mean": g_mean, "method": "monte_carlo",
+                           "replicates": 16, "std_error": g_se},
+            "delta": 0.05, "direction": "pop_minus_emp", "g_effective": g_effective,
+            "kind": "bound_certificate", "n": 240, "se_z": 3.0,
+            "seminorms": {"j_lip": 3.2, "j_plain": 3.2, "m_lip": 0.005555555555555555,
+                          "m_plain": 0.8, "method": "analytic_bound", "search_evals": 0},
+            "symmetrization_term": symmetrization, "tail_term": 21.450978467610586,
+            "total": total,
+        },
+        "iterations": iterations, "k": 3, "n": 240, "objective": objective,
+        "recovery_error": recovery_error, "reseeds": 0, "zeta": 0.125,
+    }
+
+
+class TestClusterGolden:
+    """The whole `weakstat cluster` document at its defaults (the certify
+    benchmark's job): a change to the Lloyd loop's float order, its rank
+    weights or the certificate's complexity draws shows here."""
+
+    @pytest.mark.parametrize("seed, expected", [
+        (5, _cluster_document(
+            [[-1.6280204202024398, -2.742923381763917],
+             [-1.735238678855372, 2.85902508463073],
+             [3.3220373785063266, 0.02727367536394823]],
+            70.44639302515608, 1.074151519445342, 73.66884758349211,
+            592.9651146027111, 614.4160930703217,
+            6, 0.32878736218476506, 0.0791177649652298)),
+        (97, _cluster_document(
+            [[-1.724100739492609, 2.801523699233851],
+             [-1.5866446768864197, -2.783556886730293],
+             [3.302092965477019, 0.06797772694679712]],
+            72.93620281820387, 1.2667249006100134, 76.73637752003391,
+            617.6558529545941, 639.1068314222048,
+            11, 0.38374129928066597, 0.08625780588997993)),
+    ])
+    def test_document(self, seed, expected):
+        doc, status = run({"kind": "cluster", "seed": seed})
+        assert status == EXIT_OK
+        assert doc["result"] == expected
+
+
 class TestRidgeProbeStream:
     def test_no_search_restart_shares_the_probe_stream(self):
         assert weakstat.cli._RIDGE_PROBE_STREAM >= 2 * weakstat.seminorms._RESTARTS

@@ -6,9 +6,10 @@ out from Statistic.value; the telescoping decomposition equals, bit for
 bit, a loop over blocks and terms; V- and U-statistics equal the kernel
 average over their gathered index tuples; the seminorm search gives the
 same report at every refinement block size, and each of its lockstep
-restarts the result of that restart searched alone; and the closed-form
+restarts the result of that restart searched alone; the closed-form
 Gaussian complexity of a linear class agrees with its Monte-Carlo
-estimates."""
+estimates; and the Monte-Carlo averages, drawing into a reused block, give
+the bits of fresh standard_normal and integers(0, 2) arrays per chunk."""
 import math
 from itertools import combinations
 from unittest import mock
@@ -39,6 +40,7 @@ from weakstat import (
     mean_statistic,
     partial_difference,
     product_kernel,
+    rademacher_average,
     ramp_loss,
     ridge_error_statistic,
     two_block_ranking_space,
@@ -48,7 +50,7 @@ from weakstat import (
     v_stat_statistic,
     v_statistic,
 )
-from weakstat import oracle, seminorms
+from weakstat import complexity, oracle, seminorms
 from weakstat.cli import _nearest_center_loss
 from weakstat.complexity import linear_gaussian_complexity
 from weakstat.core import BATCH_BLOCK
@@ -410,3 +412,48 @@ def test_closed_form_bounds_class_complexity(weights, sampler, n, seed):
     est = class_complexity(_linear_on(weights, low, high), n, "gaussian", outer_reps=16,
                            inner_reps=256, rng=SeededRng(seed))
     assert closed.mean >= est.mean - 3.0 * est.std_error
+
+
+def _fresh_draw_average(Y, replicates, rng, kind, chunk):
+    """(mean, std_error) of the Monte-Carlo average with a freshly allocated
+    coefficient array per chunk: standard_normal((r, N)) or
+    integers(0, 2, size=(r, N)) * 2 - 1."""
+    vectors = np.atleast_2d(np.asarray(Y, dtype=float))
+    gen = rng.generator()
+    N = vectors.shape[1]
+    sups = np.empty(replicates)
+    done = 0
+    while done < replicates:
+        take = min(chunk, replicates - done)
+        if kind == "gaussian":
+            coeff = gen.standard_normal((take, N))
+        else:
+            coeff = gen.integers(0, 2, size=(take, N)).astype(float) * 2.0 - 1.0
+        sups[done:done + take] = (coeff @ vectors.T).max(axis=1)
+        done += take
+    return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(replicates))
+
+
+@_SETTINGS
+@given(kind=st.sampled_from(["gaussian", "rademacher"]), count=st.integers(1, 4),
+       N=st.integers(1, 9), replicates=st.integers(2, 23),
+       chunk=st.sampled_from([2, 4, 6, complexity._CHUNK]), scratch=st.sampled_from([
+           None, "nan", "noise"]), seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_averages_equal_fresh_draws(kind, count, N, replicates, chunk, scratch,
+                                                seed):
+    # odd N with odd replicates % chunk leaves an odd last chunk; a full
+    # chunk holds chunk * N coefficients, an even count because chunk is even
+    Y = SeededRng(seed, 1).generator().uniform(-1.0, 1.0, size=(count, N))
+    average = gaussian_average if kind == "gaussian" else rademacher_average
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexity, "_CHUNK", chunk)
+        expected = _fresh_draw_average(Y, replicates, SeededRng(seed), kind, chunk)
+        block = None
+        if scratch is not None:
+            block = np.empty((min(replicates, chunk), N))
+            block[...] = np.nan if scratch == "nan" else SeededRng(seed, 2).generator().normal(
+                size=block.shape)
+        first = average(Y, replicates, SeededRng(seed), scratch=block)
+        again = average(Y, replicates, SeededRng(seed), scratch=block)
+    assert (first.mean, first.std_error) == expected
+    assert (again.mean, again.std_error) == expected

@@ -11,8 +11,7 @@ of the data (see linear_gaussian_complexity).  In one dimension the hull
 is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
 
 The Monte-Carlo draws fill one coefficient block per call, reused across
-chunks of at most _CHUNK replicates (class_complexity hands one block to
-all its outer replicates).  Gaussian coefficients are
+chunks of at most _CHUNK replicates.  Gaussian coefficients are
 ``standard_normal(out=...)``.  Rademacher signs come from the raw 64-bit
 Philox words of the stream: word k gives sign 2k from its bit 31 and sign
 2k + 1 from its bit 63, a set bit meaning +1.  That is exactly
@@ -22,7 +21,9 @@ word into its low half, then its high half.  The generator keeps an
 unused high half for its next 32-bit draw, while the raw words of a new
 chunk start afresh, so the two agree only because every full chunk holds
 an even number of signs: _CHUNK must stay even.  Only the last chunk may
-hold an odd number, and its unused half is never drawn.
+hold an odd number, and its unused half is never drawn.  Each chunk's
+product is one ``block @ vectors.T``; splitting it into smaller row blocks
+changes the last bits of the BLAS result.
 """
 from __future__ import annotations
 
@@ -110,24 +111,17 @@ def _as_vectors(Y) -> np.ndarray:
 
 
 def _average(Y, replicates: int, rng: SeededRng, kind: str,
-             fill: Callable[[np.random.Generator, np.ndarray], None],
-             scratch: np.ndarray | None) -> ComplexityEstimate:
+             fill: Callable[[np.random.Generator, np.ndarray], None]) -> ComplexityEstimate:
     vectors = _as_vectors(Y)
     if replicates < 2:
         raise ValueError("at least 2 replicates are required")
-    shape = (min(replicates, _CHUNK), vectors.shape[1])
-    if scratch is None:
-        scratch = np.empty(shape)
-    elif (scratch.shape != shape or scratch.dtype != np.float64
-          or not scratch.flags.c_contiguous):
-        raise ValueError(f"scratch must be a C-contiguous float64 block of shape {shape}, "
-                         f"got {scratch.dtype} of shape {scratch.shape}")
+    block = np.empty((min(replicates, _CHUNK), vectors.shape[1]))
     gen = rng.generator()
     sups = np.empty(replicates)
     done = 0
     while done < replicates:  # chunked to bound memory at large replicate counts
         take = min(_CHUNK, replicates - done)
-        coeff = scratch[:take]
+        coeff = block[:take]
         fill(gen, coeff)
         sups[done:done + take] = (coeff @ vectors.T).max(axis=1)
         done += take
@@ -149,24 +143,15 @@ def _fill_signs(gen: np.random.Generator, out: np.ndarray) -> None:
     np.subtract(flat, 1.0, out=flat)
 
 
-def gaussian_average(Y, replicates: int, rng: SeededRng, *,
-                     scratch: np.ndarray | None = None) -> ComplexityEstimate:
-    """Estimate E sup_{y in Y} <gamma, y> with standard normal gamma.
-
-    ``scratch``, if given, is the C-contiguous float64 coefficient block of
-    shape (min(replicates, _CHUNK), len(y)) that the draws overwrite.
-    """
+def gaussian_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate:
+    """Estimate E sup_{y in Y} <gamma, y> with standard normal gamma."""
     return _average(Y, replicates, rng, GAUSSIAN,
-                    lambda gen, out: gen.standard_normal(out=out), scratch)
+                    lambda gen, out: gen.standard_normal(out=out))
 
 
-def rademacher_average(Y, replicates: int, rng: SeededRng, *,
-                       scratch: np.ndarray | None = None) -> ComplexityEstimate:
-    """Estimate E sup_{y in Y} <eps, y> with eps uniform on {-1, +1}^N.
-
-    ``scratch`` is as in gaussian_average.
-    """
-    return _average(Y, replicates, rng, RADEMACHER, _fill_signs, scratch)
+def rademacher_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate:
+    """Estimate E sup_{y in Y} <eps, y> with eps uniform on {-1, +1}^N."""
+    return _average(Y, replicates, rng, RADEMACHER, _fill_signs)
 
 
 def class_complexity(fclass: FunctionClass, n: int, kind: str,
@@ -183,17 +168,13 @@ def class_complexity(fclass: FunctionClass, n: int, kind: str,
         raise ValueError(f"unknown complexity kind {kind!r}")
     if outer_reps < 2:
         raise ValueError("at least 2 outer replicates are required")
-    if inner_reps < 2:
-        raise ValueError("at least 2 replicates are required")
     inner = gaussian_average if kind == GAUSSIAN else rademacher_average
-    # one coefficient block serves every outer replicate's draws
-    scratch = np.empty((min(inner_reps, _CHUNK), n * fclass.domain.d))
 
     def one(r: int) -> float:
         stream = rng.split(r)
         raw = fclass.raw_space.sampler(stream.split(0).generator(), n)
         vectors = evaluate_class(fclass, raw).reshape(fclass.size, -1)
-        return inner(vectors, inner_reps, stream.split(1), scratch=scratch).mean
+        return inner(vectors, inner_reps, stream.split(1)).mean
 
     means = np.array([one(r) for r in range(outer_reps)])
     return ComplexityEstimate(

@@ -41,19 +41,10 @@ class TestGaussianAverage:
             gaussian_average(np.ones((1, 1)), 1, SeededRng(0))
 
 
-class TestScratchBlock:
+class TestDrawBlock:
     def test_chunks_hold_an_even_number_of_replicates(self):
         # full chunks must draw an even number of signs (module docstring)
         assert weakstat.complexity._CHUNK % 2 == 0
-
-    @pytest.mark.parametrize("average", [gaussian_average, rademacher_average])
-    @pytest.mark.parametrize("block", [
-        np.empty((4, 3)), np.empty((5, 2)), np.empty((5, 3), dtype=np.float32),
-        np.empty((3, 5)).T,
-    ])
-    def test_block_of_another_layout_is_refused(self, average, block):
-        with pytest.raises(ValueError, match="scratch"):
-            average(np.ones((2, 3)), 5, SeededRng(0), scratch=block)
 
     def test_rademacher_signs_are_the_integer_draws(self):
         # sign 2k is bit 31 of raw word k, sign 2k + 1 its bit 63
@@ -153,23 +144,6 @@ class TestClassComplexity:
         fc = FunctionClass((lambda x: x,), uniform_raw_space(), symmetric_interval())
         with pytest.raises(ValueError, match="at least 2 replicates"):
             class_complexity(fc, 4, "gaussian", inner_reps=inner_reps, rng=SeededRng(0))
-
-    @pytest.mark.parametrize("kind, name", [("gaussian", "gaussian_average"),
-                                            ("rademacher", "rademacher_average")])
-    def test_every_outer_replicate_draws_into_one_block(self, monkeypatch, kind, name):
-        blocks = []
-        inner = getattr(weakstat.complexity, name)
-
-        def record(Y, replicates, rng, *, scratch):
-            blocks.append(scratch)
-            return inner(Y, replicates, rng, scratch=scratch)
-
-        monkeypatch.setattr(weakstat.complexity, name, record)
-        fc = FunctionClass((lambda x: x, lambda x: -x), uniform_raw_space(-1, 1),
-                           symmetric_interval(1.0))
-        class_complexity(fc, 5, kind, outer_reps=3, inner_reps=7, rng=SeededRng(3))
-        assert len(blocks) == 3 and all(b is blocks[0] for b in blocks)
-        assert blocks[0].shape == (7, 5)
 
     def test_domain_violations_propagate(self):
         from weakstat import DomainViolationError

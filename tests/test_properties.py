@@ -8,8 +8,8 @@ average over their gathered index tuples; the seminorm search gives the
 same report at every refinement block size, and each of its lockstep
 restarts the result of that restart searched alone; the closed-form
 Gaussian complexity of a linear class agrees with its Monte-Carlo
-estimates; and the Monte-Carlo averages, drawing into a reused block, give
-the bits of fresh standard_normal and integers(0, 2) arrays per chunk."""
+estimates; and the Monte-Carlo averages, drawing each chunk into one reused
+block, give the bits of fresh standard_normal and integers(0, 2) arrays."""
 import math
 from itertools import combinations
 from unittest import mock
@@ -437,23 +437,15 @@ def _fresh_draw_average(Y, replicates, rng, kind, chunk):
 @_SETTINGS
 @given(kind=st.sampled_from(["gaussian", "rademacher"]), count=st.integers(1, 4),
        N=st.integers(1, 9), replicates=st.integers(2, 23),
-       chunk=st.sampled_from([2, 4, 6, complexity._CHUNK]), scratch=st.sampled_from([
-           None, "nan", "noise"]), seed=st.integers(0, 2**32 - 1))
-def test_monte_carlo_averages_equal_fresh_draws(kind, count, N, replicates, chunk, scratch,
-                                                seed):
+       chunk=st.sampled_from([2, 4, 6, complexity._CHUNK]), seed=st.integers(0, 2**32 - 1))
+def test_monte_carlo_averages_equal_fresh_draws(kind, count, N, replicates, chunk, seed):
     # odd N with odd replicates % chunk leaves an odd last chunk; a full
-    # chunk holds chunk * N coefficients, an even count because chunk is even
+    # chunk holds chunk * N coefficients, an even count because chunk is even;
+    # every chunk after the first overwrites the previous chunk's draws
     Y = SeededRng(seed, 1).generator().uniform(-1.0, 1.0, size=(count, N))
     average = gaussian_average if kind == "gaussian" else rademacher_average
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexity, "_CHUNK", chunk)
         expected = _fresh_draw_average(Y, replicates, SeededRng(seed), kind, chunk)
-        block = None
-        if scratch is not None:
-            block = np.empty((min(replicates, chunk), N))
-            block[...] = np.nan if scratch == "nan" else SeededRng(seed, 2).generator().normal(
-                size=block.shape)
-        first = average(Y, replicates, SeededRng(seed), scratch=block)
-        again = average(Y, replicates, SeededRng(seed), scratch=block)
-    assert (first.mean, first.std_error) == expected
-    assert (again.mean, again.std_error) == expected
+        est = average(Y, replicates, SeededRng(seed))
+    assert (est.mean, est.std_error) == expected

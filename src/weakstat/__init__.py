@@ -83,6 +83,7 @@ from .statistics import (
     l_statistic,
     lstat_statistic,
     mean_statistic,
+    nearest_center_losses,
     product_kernel,
     ramp_loss,
     ridge_error,

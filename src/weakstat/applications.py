@@ -15,7 +15,8 @@ from .complexity import ComplexityEstimate, linear_gaussian_complexity
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
 from .statistics import (LossFunction, WeightFunction, _order_average, _order_weights,
-                         _squared_distances, f_zeta_weight, smoothed_auc)
+                         _squared_distances, f_zeta_weight, nearest_center_losses,
+                         smoothed_auc)
 
 __all__ = [
     "ClusteringResult",
@@ -88,7 +89,7 @@ def _plus_plus_init(data: np.ndarray, K: int, gen: np.random.Generator) -> np.nd
     n = data.shape[0]
     centers = [data[int(gen.integers(n))]]
     for _ in range(K - 1):
-        d2 = np.min(_squared_distances(data, np.stack(centers)), axis=1)
+        d2 = nearest_center_losses(data, np.stack(centers))
         total = d2.sum()
         if total <= 0:
             centers.append(data[int(gen.integers(n))])
@@ -185,7 +186,9 @@ def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,
 
 def clustering_certificate(result: ClusteringResult, ball_radius: float, zeta: float,
                            n: int, g: ComplexityEstimate, delta: float) -> BoundCertificate:
-    """Uniform deviation certificate for the trimmed clustering objective.
+    """Uniform deviation certificate for the trimmed clustering objective on
+    n points, over a loss class of closed-form Gaussian complexity g (the
+    CLI passes one loss map fixed before a held-out sample, so g = 0).
 
     Losses are squared distances inside a ball of the given radius, so the
     loss range has diameter (2 r)^2; the trimming weight enters through its

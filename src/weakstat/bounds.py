@@ -5,7 +5,7 @@ surrogate certificate, and the bounded-difference tail.
 A BoundCertificate takes only its inputs and computes its terms from them;
 it refuses search lower bounds, finite-difference estimates, infinite
 seminorms (such as those of the step weight zeta = 0) and complexity terms
-that are not Gaussian."""
+that are not closed-form Gaussian upper bounds."""
 from __future__ import annotations
 
 import math
@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexity import GAUSSIAN, ComplexityEstimate
+from .complexity import CLOSED_FORM, GAUSSIAN, ComplexityEstimate
 from .seminorms import ANALYTIC_BOUND, SeminormReport
 
 __all__ = [
     "POP_MINUS_EMP",
-    "SE_Z",
     "SQRT_2PI",
     "BoundCertificate",
     "CertifiedBoundError",
@@ -31,11 +30,6 @@ __all__ = [
 ]
 
 POP_MINUS_EMP = "pop_minus_emp"
-
-# Standard errors added to a Monte-Carlo complexity estimate before it enters
-# a certificate; fixed, and recorded in every certificate as ``se_z``.  A
-# closed-form complexity has std_error 0, so it enters unchanged.
-SE_Z = 3.0
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -59,23 +53,20 @@ class UnboundedLipschitzError(ValueError):
 @dataclass(frozen=True)
 class BoundCertificate:
     """Uniform bound on sup_h (population - empirical), derived from its
-    inputs: ``g_effective`` is the complexity estimate inflated by ``se_z``
-    (= SE_Z) standard errors, ``symmetrization_term`` the symmetrization
-    bound at it, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
+    inputs: ``symmetrization_term`` is the symmetrization bound at the
+    complexity, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
     their sum.  Search lower bounds, finite-difference estimates, a
-    complexity that is not Gaussian, delta outside (0, 1) and infinite
-    seminorms are refused."""
+    complexity that is not a closed-form Gaussian bound, delta outside
+    (0, 1) and infinite seminorms are refused."""
 
     seminorms: SeminormReport
     complexity: ComplexityEstimate
     n: int
     delta: float
 
-    se_z = SE_Z
-
     def __post_init__(self):
         _require_upper_bound(self.seminorms)
-        _require_gaussian(self.complexity)
+        _require_closed_form_gaussian(self.complexity)
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         rep = self.seminorms
@@ -85,12 +76,8 @@ class BoundCertificate:
             raise ValueError("certificate terms must be nonnegative")
 
     @property
-    def g_effective(self) -> float:
-        return self.complexity.inflated(SE_Z).mean
-
-    @property
     def symmetrization_term(self) -> float:
-        return symmetrization_bound(self.seminorms, self.complexity.inflated(SE_Z))
+        return symmetrization_bound(self.seminorms, self.complexity)
 
     @property
     def tail_term(self) -> float:
@@ -109,8 +96,6 @@ class BoundCertificate:
             "total": self.total,
             "n": self.n,
             "direction": POP_MINUS_EMP,
-            "g_effective": self.g_effective,
-            "se_z": self.se_z,
             "seminorms": self.seminorms.to_dict(),
             "complexity": self.complexity.to_dict(),
         }
@@ -124,20 +109,22 @@ def _require_upper_bound(report: SeminormReport) -> None:
         )
 
 
-def _require_gaussian(g: ComplexityEstimate) -> None:
+def _require_closed_form_gaussian(g: ComplexityEstimate) -> None:
     if g.kind != GAUSSIAN:
         raise ValueError(
             f"certificates need the Gaussian complexity, got a {g.kind!r} average; "
             "complexity.gaussian_from_rademacher converts a Rademacher average soundly"
         )
+    if g.method != CLOSED_FORM:
+        raise ValueError(
+            f"certificates need a closed-form complexity, got a {g.method!r} value; "
+            "the stated delta does not cover the error of an estimate"
+        )
 
 
 def symmetrization_bound(report: SeminormReport, g: ComplexityEstimate) -> float:
-    """In-expectation bound sqrt(2 pi) (2 m_lip + j_lip) * g.mean.
-
-    The complexity estimate is used as given; uniform_bound passes it
-    inflated by SE_Z standard errors (see ComplexityEstimate.inflated).
-    """
+    """In-expectation bound sqrt(2 pi) (2 m_lip + j_lip) * g.mean, with the
+    complexity used as given (certificates pass only closed forms)."""
     _require_upper_bound(report)
     return SQRT_2PI * (2.0 * report.m_lip + report.j_lip) * g.mean
 
@@ -145,9 +132,9 @@ def symmetrization_bound(report: SeminormReport, g: ComplexityEstimate) -> float
 def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int,
                   delta: float) -> BoundCertificate:
     """High-probability uniform bound: the symmetrization term at the
-    complexity estimate inflated by SE_Z standard errors, plus the
-    bounded-difference tail m_plain * sqrt(n ln(1/delta)), holding with
-    probability at least 1 - delta (see BoundCertificate)."""
+    closed-form complexity, plus the bounded-difference tail
+    m_plain * sqrt(n ln(1/delta)), holding with probability at least
+    1 - delta (see BoundCertificate)."""
     return BoundCertificate(report, g, n, delta)
 
 
@@ -157,21 +144,20 @@ def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,
     by maximizing the smoothed surrogate.
 
     Requires a surrogate loss dominated by the indicator of the positive
-    reals; the penalty combines the surrogate's symmetrization term, at the
-    complexity estimate inflated by SE_Z standard errors, with the
-    two-sample tail.  The complexity must be Gaussian.
+    reals; the penalty combines the surrogate's symmetrization term with
+    the two-sample tail.  The complexity must be a closed-form Gaussian
+    bound.
     """
     if not below_indicator:
         raise InapplicableCertificateError(
             "the AUC certificate needs a surrogate loss below the indicator of (0, inf)"
         )
-    _require_gaussian(g)
+    _require_closed_form_gaussian(g)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
     if L < 0:
         raise ValueError("Lipschitz constant must be nonnegative")
-    g_eff = g.inflated(SE_Z).mean
-    return auc_emp - 12.0 * SQRT_2PI * L * g_eff / n - 2.0 * math.sqrt(math.log(1.0 / delta) / n)
+    return auc_emp - 12.0 * SQRT_2PI * L * g.mean / n - 2.0 * math.sqrt(math.log(1.0 / delta) / n)
 
 
 def mcdiarmid_tail(coordinate_ranges, t: float) -> float:

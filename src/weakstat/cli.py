@@ -31,7 +31,7 @@ from . import complexity as cpx
 from . import oracle as orc
 from . import seminorms as smn
 from . import statistics as stats
-from .core import FunctionClass, RawSpace, SeededRng, box, linear_class, uniform_raw_space
+from .core import FunctionClass, SeededRng, box, linear_class, uniform_raw_space
 
 __all__ = ["main", "run", "emit_table", "load_schema", "AggregationError", "ConfigError"]
 
@@ -227,20 +227,13 @@ def _run_seminorm(config: dict) -> dict:
     }
 
 
-def _class_complexity(config: dict, fclass: FunctionClass, n: int, kind: str,
-                      rng: SeededRng, outer: int, inner: int) -> cpx.ComplexityEstimate:
-    """class_complexity at the config's replicate counts, which default to
-    the subcommand's ``outer`` and ``inner``."""
-    reps = config.get("replicates", {})
-    return cpx.class_complexity(fclass, n, kind, int(reps.get("outer", outer)),
-                                int(reps.get("inner", inner)), rng)
-
-
 def _run_complexity(config: dict) -> dict:
     fclass = _build_class(config)
     n = int(_field(config, "statistic.n", 16))
-    est = _class_complexity(config, fclass, n, config.get("complexity_kind", "gaussian"),
-                            SeededRng(config["seed"]), 64, 2048)
+    reps = config.get("replicates", {})
+    est = cpx.class_complexity(fclass, n, config.get("complexity_kind", "gaussian"),
+                               int(reps.get("outer", 64)), int(reps.get("inner", 2048)),
+                               SeededRng(config["seed"]))
     return {"class": fclass.label, "n": n, "estimate": est.to_dict()}
 
 
@@ -337,17 +330,31 @@ def _run_verify(config: dict) -> dict:
     return {"statistic": f.label, "records": records, "all_passed": all(r["pass"] for r in records)}
 
 
-def _nearest_center_loss(centers: np.ndarray):
-    """Class member: each row's squared distance to its nearest center."""
-    return lambda X: np.min(stats._squared_distances(X, centers), axis=1)
-
-
 def _run_cluster(config: dict) -> dict:
+    """Trimmed K-means fitted on one sample and certified on a second;
+    ``replicates`` is accepted and unused.
+
+    The fit sample holds n - m points from stream 0, and the restarts run
+    on stream 1.  The held-out sample holds m = n // 2 points from stream 4,
+    which no other stage uses.  The two are drawn separately, because
+    gaussian_mixture_with_noise fixes a sample's label and noise counts, so
+    two halves of one draw would be dependent.  Given their labels, the
+    held-out points are independent of each other and of the fitted
+    centers.  The certified class is the one loss map x -> min_j |x - c_j|^2
+    at the reported centers, fixed before the held-out sample is seen, so
+    its Gaussian complexity is exactly 0 and the certificate on the
+    held-out L-statistic is the bounded-difference tail alone.
+    """
     opts = config.get("cluster", {})
     n = int(opts.get("n", 240))
     K = int(opts.get("k", 3))
     if K > n:
         raise ConfigError(f"config.cluster.k: {K} clusters exceed cluster.n = {n} points")
+    m = n // 2
+    if n - m < K or m < 1:
+        raise ConfigError(f"config.cluster.n: {n} points split into a fit sample of {n - m} "
+                          f"and a held-out sample of {m}; the fit needs at least "
+                          f"cluster.k = {K} points and the held-out sample at least 1")
     zeta = float(opts.get("zeta", 0.125))
     dim = int(opts.get("dim", 2))
     radius = float(opts.get("ball_radius", 6.0))
@@ -361,39 +368,28 @@ def _run_cluster(config: dict) -> dict:
     true_centers = 0.55 * radius * np.stack(
         [np.cos(angles), np.sin(angles)] + [np.zeros(K)] * (dim - 2)
     ).T
-    data = apps.gaussian_mixture_with_noise(n, true_centers, std, noise, radius, rng.split(0))
-    result = apps.trimmed_kmeans(data, K, zeta, max_iters=max_iters,
+    fit = apps.gaussian_mixture_with_noise(n - m, true_centers, std, noise, radius, rng.split(0))
+    result = apps.trimmed_kmeans(fit, K, zeta, max_iters=max_iters,
                                  restarts=restarts, rng=rng.split(1))
+    held_out = apps.gaussian_mixture_with_noise(m, true_centers, std, noise, radius, rng.split(4))
+    losses = stats.nearest_center_losses(held_out, result.centers)
 
     doc = {
         "n": n,
+        "fit_n": n - m,
+        "held_out_n": m,
         "k": K,
         "zeta": zeta,
-        "objective": result.objective,
+        "fit_objective": result.objective,
+        "held_out_objective": stats.l_statistic(stats.f_zeta_weight(zeta), losses),
         "iterations": result.iterations,
         "reseeds": result.reseeds,
         "centers": [[float(v) for v in c] for c in result.centers],
         "recovery_error": apps.center_matching_error(result.centers, true_centers),
     }
     if zeta > 0:
-        # Deviation certificate over the finite class of per-restart loss
-        # maps; the best-restart pick is covered by a uniform bound on it.
-        loss_box = box([0.0], [(2.0 * radius) ** 2])
-        runs = [
-            apps.trimmed_kmeans(data, K, zeta, max_iters=max_iters, restarts=1,
-                                rng=rng.split(1).split(r)).centers
-            for r in range(restarts)
-        ]
-        space = RawSpace(
-            lambda gen, m: apps.gaussian_mixture_with_noise(
-                m, true_centers, std, noise, radius, gen
-            ),
-            label="mixture",
-        )
-        loss_class = FunctionClass(tuple(_nearest_center_loss(c) for c in runs), space,
-                                   loss_box, label="restart-losses")
-        g = _class_complexity(config, loss_class, n, "gaussian", rng.split(3), 16, 512)
-        cert = apps.clustering_certificate(result, radius, zeta, n, g,
+        one_member = cpx.ComplexityEstimate(0.0, 0.0, 0, cpx.GAUSSIAN, cpx.CLOSED_FORM)
+        cert = apps.clustering_certificate(result, radius, zeta, m, one_member,
                                            float(config.get("delta", 0.05)))
         cert_doc = cert.to_dict()
         validate_certificate(cert_doc)

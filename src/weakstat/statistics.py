@@ -33,6 +33,7 @@ __all__ = [
     "l_statistic",
     "f_zeta",
     "kmeans_loss",
+    "nearest_center_losses",
     "ridge_solution",
     "ridge_error",
     "product_kernel",
@@ -316,13 +317,18 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
 
 
+def nearest_center_losses(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n,) squared Euclidean distances from each of n points to its nearest center."""
+    return np.min(_squared_distances(points, centers), axis=1)
+
+
 def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:
     """Squared Euclidean distance to the nearest center."""
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     p = np.asarray(point, dtype=float)
     if p.shape != (c.shape[1],):
         raise ValueError(f"point shape {p.shape} does not match centers of dimension {c.shape[1]}")
-    return float(np.min(_squared_distances(p[None], c)))
+    return float(nearest_center_losses(p[None], c)[0])
 
 
 def _ridge_split(x, problem: RidgeProblem):

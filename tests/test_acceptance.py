@@ -29,10 +29,14 @@ from weakstat import (
     gaussian_mixture_with_noise,
     indicator_loss,
     linear_class,
+    linear_gaussian_complexity,
     linear_ranker_class,
+    linear_ranker_complexity,
+    l_statistic,
     lstat_condition_check,
     lstat_statistic,
     mean_statistic,
+    nearest_center_losses,
     product_kernel,
     rademacher_average,
     ramp_loss,
@@ -52,6 +56,7 @@ from weakstat import (
     unit_interval,
     weighted_rank_kmeans,
 )
+from weakstat.cli import run
 
 FLOAT_SLACK = 1e-9  # relative allowance where a search sits exactly on the sup
 
@@ -60,10 +65,14 @@ def _report(name: str, ok: bool, elapsed: float, limit: float, detail: str) -> N
     print(f"{'PASS' if ok else 'FAIL'} {name} ({elapsed:.1f}s / limit {limit:.0f}s): {detail}")
 
 
-def _sign_class(n_members: int, scale: float = 1.0):
+def _sign_weights(n_members: int, scale: float = 1.0):
     half = n_members // 2
     weights = [scale * (j + 1) / half for j in range(half)]
-    return linear_class(weights + [-w for w in weights],
+    return weights + [-w for w in weights]
+
+
+def _sign_class(n_members: int, scale: float = 1.0):
+    return linear_class(_sign_weights(n_members, scale),
                         uniform_raw_space(-1.0, 1.0), symmetric_interval(1.0))
 
 
@@ -170,8 +179,8 @@ def test_criterion_5_uniform_bound_coverage():
     dom = symmetric_interval(1.0)
     fclass = _sign_class(16)
     report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
-    g = class_complexity(fclass, n, "gaussian", outer_reps=64, inner_reps=2048,
-                         rng=SeededRng(1100))
+    # the closed form that `weakstat bound` ships; E x^2 = 1/3 on [-1, 1]
+    g = linear_gaussian_complexity(_sign_weights(16), n, 1.0 / 3.0)
     total = uniform_bound(report, g, n, delta).total
 
     violations = 0
@@ -275,8 +284,8 @@ def test_criterion_10_ranking_certificate():
     candidates = linear_ranker_class(2, count, space)
     loss = ramp_loss(1.0)
     hold_loss = indicator_loss()
-    g = class_complexity(candidates, n, "gaussian", outer_reps=32,
-                         inner_reps=1024, rng=SeededRng(5000))
+    # the closed form that `weakstat rank` ships
+    g = linear_ranker_complexity(2, count, 1.5, n)
     covered = 0
     for seed in range(trials):
         rng = SeededRng(seed, 99)
@@ -289,4 +298,39 @@ def test_criterion_10_ranking_certificate():
     ok = covered >= 170 and elapsed < limit
     _report("criterion-10 ranking-certificate", ok, elapsed, limit,
             f"held-out AUC covered the certificate in {covered}/{trials} trials (need 170)")
+    assert ok
+
+
+def test_cluster_certificate_coverage():
+    # `weakstat cluster` at its defaults over many seeds: the population
+    # value E[L-statistic of m fresh held-out losses at the reported
+    # centers], estimated from fresh draws and raised by 3 standard errors,
+    # may exceed the held-out objective by more than the certificate total
+    # in at most a delta fraction of trials
+    limit, t0 = 120.0, time.time()
+    trials, draws, delta = 100, 50, 0.05
+    K, radius, std, noise = 3, 6.0, 0.4, 0.25
+    angles = np.arange(K) * 2.0 * math.pi / K
+    true_centers = 0.55 * radius * np.stack([np.cos(angles), np.sin(angles)]).T
+    weight = f_zeta_weight(0.125)
+    covered, worst_gap, total = 0, -math.inf, math.nan
+    for seed in range(trials):
+        res = run({"kind": "cluster", "seed": seed})[0]["result"]
+        centers = np.array(res["centers"])
+        gen = SeededRng(seed, 111).generator()
+        fresh = [
+            l_statistic(weight, nearest_center_losses(gaussian_mixture_with_noise(
+                res["held_out_n"], true_centers, std, noise, radius, gen), centers))
+            for _ in range(draws)
+        ]
+        population = np.mean(fresh) + 3.0 * np.std(fresh, ddof=1) / math.sqrt(draws)
+        gap = population - res["held_out_objective"]
+        total = res["certificate"]["total"]
+        covered += bool(gap <= total)
+        worst_gap = max(worst_gap, gap)
+    elapsed = time.time() - t0
+    ok = covered >= (1.0 - delta) * trials and elapsed < limit
+    _report("cluster-certificate-coverage", ok, elapsed, limit,
+            f"population - held-out objective <= total={total:.3f} in {covered}/{trials} "
+            f"trials (need {math.ceil((1.0 - delta) * trials)}; largest gap {worst_gap:.4f})")
     assert ok

@@ -34,8 +34,9 @@ from weakstat.applications import UnboundedLipschitzError
 TRUE_CENTERS = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
 
-def _g(mean, se=0.0):
-    return ComplexityEstimate(mean=mean, std_error=se, replicates=4, kind="gaussian")
+def _g(mean):
+    return ComplexityEstimate(mean=mean, std_error=0.0, replicates=0, kind="gaussian",
+                              method="closed_form")
 
 
 class TestTrimmedKmeans:
@@ -208,7 +209,7 @@ class TestSelectRanker:
         from weakstat import ramp_loss
 
         sel = select_ranker(_identity_class(), _two_block_data(10), ramp_loss(),
-                            _g(2.0, se=0.1), 0.1)
+                            _g(2.3), 0.1)
         assert sel.certificate_lower_bound <= sel.empirical_auc
 
     def test_loss_without_flag_rejected(self):

@@ -13,7 +13,6 @@ from weakstat import (
     SeededRng,
     Statistic,
     auc_certificate,
-    class_complexity,
     derivative_seminorms,
     linear_class,
     mcdiarmid_tail,
@@ -42,8 +41,9 @@ def _report(m_lip=0.0, j_lip=0.0, m_plain=0.0, j_plain=0.0, method=ANALYTIC_BOUN
     return SeminormReport(m_lip, j_lip, m_plain, j_plain, method)
 
 
-def _estimate(mean, se=0.0):
-    return ComplexityEstimate(mean=mean, std_error=se, replicates=4, kind="gaussian")
+def _estimate(mean):
+    return ComplexityEstimate(mean=mean, std_error=0.0, replicates=0, kind="gaussian",
+                              method="closed_form")
 
 
 class TestSymmetrizationBound:
@@ -83,14 +83,19 @@ class TestUniformBound:
 
     def test_total_is_sum_of_terms(self):
         cert = uniform_bound(_report(m_lip=0.1, j_lip=0.05, m_plain=0.2),
-                             _estimate(1.5, se=0.1), 25, 0.05)
+                             _estimate(1.5), 25, 0.05)
         assert cert.total == pytest.approx(cert.symmetrization_term + cert.tail_term)
 
-    def test_se_inflation_recorded_and_used(self):
-        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.0), _estimate(1.0, se=0.1), 16, 0.5)
-        assert cert.se_z == 3.0
-        assert cert.g_effective == pytest.approx(1.3)
-        assert cert.symmetrization_term == pytest.approx(SQRT_2PI * 0.2 * 1.3)
+    def test_monte_carlo_complexity_is_refused(self):
+        # the stated delta does not cover an estimate's error, so only a
+        # closed form enters a certificate, and it enters as given
+        est = ComplexityEstimate(mean=1.0, std_error=0.1, replicates=4, kind="gaussian")
+        with pytest.raises(ValueError, match="'monte_carlo'"):
+            uniform_bound(_report(m_lip=0.1), est, 16, 0.5)
+        with pytest.raises(ValueError, match="'monte_carlo'"):
+            auc_certificate(0.8, 1.0, 100, est, 0.1, below_indicator=True)
+        cert = uniform_bound(_report(m_lip=0.1), _estimate(1.3), 16, 0.5)
+        assert cert.symmetrization_term == SQRT_2PI * 0.2 * 1.3
 
     def test_delta_domain(self):
         for bad in (0.0, 1.0, -0.1, 1.5):
@@ -178,7 +183,7 @@ class TestMcdiarmidTail:
 
 class TestCertificateSerialization:
     def test_round_trip_through_schema(self):
-        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0, se=0.05), 16, 0.1)
+        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0), 16, 0.1)
         doc = json.loads(json.dumps(cert.to_dict()))
         validate_certificate(doc)
 
@@ -188,18 +193,21 @@ class TestCertificateSerialization:
         doc = json.loads(json.dumps(cert.to_dict()))
         validate_certificate(doc)
         assert doc["complexity"]["method"] == "closed_form"
-        assert cert.g_effective == g.mean
+        assert doc["complexity"]["mean"] == g.mean
+        assert not {"g_effective", "se_z"} & doc.keys()
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "rademacher"),
-        ("replicates", 0),
-        ("method", "closed_form"),
+        ("replicates", 4),
+        ("method", "monte_carlo"),
+        ("std_error", 0.05),
     ])
     def test_schema_rejects_unsound_complexity(self, field, value):
-        # a Rademacher term, or a Monte-Carlo estimate passed off as having
-        # no replicates or as a closed form with a standard error
-        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0, se=0.05), 16, 0.1)
+        # a Rademacher term, or any trace of a Monte-Carlo estimate in a
+        # closed-form certificate
+        cert = uniform_bound(_report(m_lip=0.1, m_plain=0.2), _estimate(1.0), 16, 0.1)
         doc = cert.to_dict()
+        validate_certificate(doc)
         doc["complexity"][field] = value
         with pytest.raises(jsonschema.ValidationError):
             validate_certificate(doc)
@@ -248,8 +256,7 @@ class TestCoverageSmoke:
         from weakstat import analytic_seminorms_lstat, constant_weight
 
         report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
-        g = class_complexity(fclass, n, "gaussian", outer_reps=16, inner_reps=512,
-                             rng=SeededRng(100))
+        g = linear_gaussian_complexity(weights + [-w for w in weights], n, 1.0 / 3.0)
         total = uniform_bound(report, g, n, delta).total
         violations = 0
         for seed in range(50):

@@ -170,10 +170,20 @@ class TestRunners:
         other = dict(_RANK_CONFIG, replicates={"outer": 2, "inner": 2})
         assert run(other)[0]["result"] == run(_RANK_CONFIG)[0]["result"]
 
+    def test_cluster_ignores_replicates(self):
+        other = dict(_CLUSTER_CONFIG, replicates={"outer": 2, "inner": 2})
+        assert run(other)[0]["result"] == run(_CLUSTER_CONFIG)[0]["result"]
+
+    def test_cluster_odd_n_fits_on_the_larger_part(self):
+        odd = dict(_CLUSTER_CONFIG, cluster=dict(_CLUSTER_CONFIG["cluster"], n=81))
+        res = run(odd)[0]["result"]
+        assert (res["n"], res["fit_n"], res["held_out_n"]) == (81, 41, 40)
+        assert res["certificate"]["n"] == 40
+
 
 class TestCertificateGolden:
     """Exact certificate numbers of the small runs above; a change to the
-    complexity inflation, the seminorm check or the float order of either
+    complexity term, the seminorm check or the float order of either
     certificate formula shows here."""
 
     @pytest.mark.parametrize("config, expected", [
@@ -181,19 +191,21 @@ class TestCertificateGolden:
             "symmetrization_term": 0.25259074277046123,
             "tail_term": 0.43270459565057134,
             "total": 0.6852953384210325,
-            "g_effective": 0.806153015433116,
         }),
+        # one loss map certified on the 40 held-out points: the complexity
+        # is 0, so the total is the tail term alone
         (_CLUSTER_CONFIG, {
-            "symmetrization_term": 158.4038605576531,
-            "tail_term": 32.57347403719254,
-            "total": 190.97733459484564,
-            "g_effective": 6.559930521307339,
+            "symmetrization_term": 0.0,
+            "tail_term": 46.065848757005575,
+            "total": 46.065848757005575,
         }),
     ])
     def test_uniform_bound_certificates(self, config, expected):
         cert = run(config)[0]["result"]["certificate"]
         assert {key: cert[key] for key in expected} == expected
-        assert (cert["direction"], cert["se_z"]) == ("pop_minus_emp", 3.0)
+        assert cert["direction"] == "pop_minus_emp"
+        assert cert["complexity"]["method"] == "closed_form"
+        assert not {"g_effective", "se_z"} & cert.keys()
 
     def test_ranking_certificate(self):
         # the closed-form complexity replaced a 4 x 64 Monte-Carlo estimate
@@ -408,45 +420,43 @@ class TestComplexityGolden:
         }
 
 
-def _cluster_document(centers, g_mean, g_se, g_effective, symmetrization, total,
-                      iterations, objective, recovery_error):
+def _cluster_document(centers, iterations, fit_objective, held_out_objective, recovery_error):
     return {
         "centers": centers,
+        # the held-out certificate at the defaults depends on no draw
         "certificate": {
-            "complexity": {"kind": "gaussian", "mean": g_mean, "method": "monte_carlo",
-                           "replicates": 16, "std_error": g_se},
-            "delta": 0.05, "direction": "pop_minus_emp", "g_effective": g_effective,
-            "kind": "bound_certificate", "n": 240, "se_z": 3.0,
-            "seminorms": {"j_lip": 3.2, "j_plain": 3.2, "m_lip": 0.005555555555555555,
-                          "m_plain": 0.8, "method": "analytic_bound", "search_evals": 0},
-            "symmetrization_term": symmetrization, "tail_term": 21.450978467610586,
-            "total": total,
+            "complexity": {"kind": "gaussian", "mean": 0.0, "method": "closed_form",
+                           "replicates": 0, "std_error": 0.0},
+            "delta": 0.05, "direction": "pop_minus_emp",
+            "kind": "bound_certificate", "n": 120,
+            "seminorms": {"j_lip": 6.4, "j_plain": 6.4, "m_lip": 0.01111111111111111,
+                          "m_plain": 1.6, "method": "analytic_bound", "search_evals": 0},
+            "symmetrization_term": 0.0, "tail_term": 30.336264675068122,
+            "total": 30.336264675068122,
         },
-        "iterations": iterations, "k": 3, "n": 240, "objective": objective,
+        "fit_n": 120, "fit_objective": fit_objective,
+        "held_out_n": 120, "held_out_objective": held_out_objective,
+        "iterations": iterations, "k": 3, "n": 240,
         "recovery_error": recovery_error, "reseeds": 0, "zeta": 0.125,
     }
 
 
 class TestClusterGolden:
     """The whole `weakstat cluster` document at its defaults (the certify
-    benchmark's job): a change to the Lloyd loop's float order, its rank
-    weights or the certificate's complexity draws shows here."""
+    benchmark's job): a change to the fit or held-out draws, the Lloyd
+    loop's float order, its rank weights or the certificate shows here."""
 
     @pytest.mark.parametrize("seed, expected", [
         (5, _cluster_document(
-            [[-1.6280204202024398, -2.742923381763917],
-             [-1.735238678855372, 2.85902508463073],
-             [3.3220373785063266, 0.02727367536394823]],
-            70.44639302515608, 1.074151519445342, 73.66884758349211,
-            592.9651146027111, 614.4160930703217,
-            6, 0.32878736218476506, 0.0791177649652298)),
+            [[3.3269108821843028, -0.005617721155966406],
+             [-1.8158074568227642, 2.8719751535614035],
+             [-1.657816750216267, -2.670015390807796]],
+            6, 0.38180956132063293, 0.3004091811643914, 0.12730904627939119)),
         (97, _cluster_document(
-            [[-1.724100739492609, 2.801523699233851],
-             [-1.5866446768864197, -2.783556886730293],
-             [3.302092965477019, 0.06797772694679712]],
-            72.93620281820387, 1.2667249006100134, 76.73637752003391,
-            617.6558529545941, 639.1068314222048,
-            11, 0.38374129928066597, 0.08625780588997993)),
+            [[-1.6591750651152615, 2.7601921177080047],
+             [-1.5922551867882468, -2.8191094796415404],
+             [3.3056477067034495, 0.10184313050455351]],
+            10, 0.3390572239656727, 0.3686735143576081, 0.08989211477175203)),
     ])
     def test_document(self, seed, expected):
         doc, status = run({"kind": "cluster", "seed": seed})
@@ -585,6 +595,14 @@ class TestMainEntry:
                                       {"kind": "cluster", "seed": 0, "cluster": {"n": 2, "k": 3}})
         assert status == EXIT_ERROR
         assert "config.cluster.k" in err
+
+    @pytest.mark.parametrize("n, k", [(5, 4), (1, 1)])
+    def test_too_small_split_names_n(self, tmp_path, capsys, n, k):
+        # n - n // 2 points are fitted (5 leave 3 for k = 4) and n // 2 held out (1 leaves 0)
+        status, err = self._bad_input(tmp_path, capsys,
+                                      {"kind": "cluster", "seed": 0, "cluster": {"n": n, "k": k}})
+        assert status == EXIT_ERROR
+        assert err.startswith("error: config.cluster.n:")
 
     def test_inverted_sampler_range_names_field(self, tmp_path, capsys):
         status, err = self._bad_input(tmp_path, capsys, {

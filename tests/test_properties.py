@@ -38,6 +38,7 @@ from weakstat import (
     linear_ranker_class,
     lstat_statistic,
     mean_statistic,
+    nearest_center_losses,
     partial_difference,
     product_kernel,
     rademacher_average,
@@ -51,7 +52,6 @@ from weakstat import (
     v_statistic,
 )
 from weakstat import complexity, oracle, seminorms
-from weakstat.cli import _nearest_center_loss
 from weakstat.complexity import linear_gaussian_complexity
 from weakstat.core import BATCH_BLOCK
 from weakstat.seminorms import _differences
@@ -93,15 +93,14 @@ def test_linear_ranker_class_matches_per_datum_loop(data, dim, count):
 
 
 @_SETTINGS
-@given(data=st.data(), dim=st.integers(1, 4), k=st.integers(1, 5), size=st.integers(1, 4))
-def test_cluster_loss_member_matches_kmeans_loss(data, dim, k, size):
-    runs = [data.draw(_samples(-6.0, 6.0, dim, rows=st.just(k))) for _ in range(size)]
+@given(data=st.data(), dim=st.integers(1, 4), k=st.integers(1, 5))
+def test_cluster_loss_member_matches_kmeans_loss(data, dim, k):
+    # the held-out losses that `weakstat cluster` certifies, point by point
+    centers = data.draw(_samples(-6.0, 6.0, dim, rows=st.just(k)))
     X = data.draw(_samples(-6.0, 6.0, dim))
-    fclass = FunctionClass(tuple(_nearest_center_loss(c) for c in runs),
-                           uniform_raw_space(), box([0.0], [1e4]))
-    out = evaluate_class(fclass, X)
-    ref = np.array([[[kmeans_loss(c, x)] for x in X] for c in runs])
-    assert (out == ref).all()
+    out = nearest_center_losses(X, centers)
+    assert out.shape == (X.shape[0],)
+    assert (out == np.array([kmeans_loss(centers, x) for x in X])).all()
 
 
 def test_empty_sample_is_rejected():

@@ -184,8 +184,8 @@ def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,
     return weighted_rank_kmeans(data, K, f_zeta_weight(zeta), max_iters, restarts, rng)
 
 
-def clustering_certificate(result: ClusteringResult, ball_radius: float, zeta: float,
-                           n: int, g: ComplexityEstimate, delta: float) -> BoundCertificate:
+def clustering_certificate(ball_radius: float, zeta: float, n: int, g: ComplexityEstimate,
+                           delta: float) -> BoundCertificate:
     """Uniform deviation certificate for the trimmed clustering objective on
     n points, over a loss class of closed-form Gaussian complexity g (the
     CLI passes one loss map fixed before a held-out sample, so g = 0).

@@ -31,7 +31,7 @@ from . import complexity as cpx
 from . import oracle as orc
 from . import seminorms as smn
 from . import statistics as stats
-from .core import FunctionClass, SeededRng, box, linear_class, uniform_raw_space
+from .core import SeededRng, box, linear_class, uniform_raw_space
 
 __all__ = ["main", "run", "emit_table", "load_schema", "AggregationError", "ConfigError"]
 
@@ -200,11 +200,6 @@ def _linear_spec(config: dict, domain_hint=None):
     return weights, low, high, dom
 
 
-def _build_class(config: dict) -> FunctionClass:
-    weights, low, high, dom = _linear_spec(config)
-    return linear_class(weights, uniform_raw_space(low, high), dom)
-
-
 def _refuse_step_weight(config: dict) -> None:
     s = config["statistic"]
     if s["family"] == "lstat" and float(s.get("zeta", 0.25)) == 0.0:
@@ -228,7 +223,8 @@ def _run_seminorm(config: dict) -> dict:
 
 
 def _run_complexity(config: dict) -> dict:
-    fclass = _build_class(config)
+    weights, low, high, dom = _linear_spec(config)
+    fclass = linear_class(weights, uniform_raw_space(low, high), dom)
     n = int(_field(config, "statistic.n", 16))
     reps = config.get("replicates", {})
     est = cpx.class_complexity(fclass, n, config.get("complexity_kind", "gaussian"),
@@ -389,7 +385,7 @@ def _run_cluster(config: dict) -> dict:
     }
     if zeta > 0:
         one_member = cpx.ComplexityEstimate(0.0, 0.0, 0, cpx.GAUSSIAN, cpx.CLOSED_FORM)
-        cert = apps.clustering_certificate(result, radius, zeta, m, one_member,
+        cert = apps.clustering_certificate(radius, zeta, m, one_member,
                                            float(config.get("delta", 0.05)))
         cert_doc = cert.to_dict()
         validate_certificate(cert_doc)
@@ -498,7 +494,8 @@ def _serialize(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weakstat",
         description="Concentration-bound experiments for nonlinear statistics",
@@ -509,7 +506,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the JSON output path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.config) as fh:

@@ -13,17 +13,19 @@ is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
 The Monte-Carlo draws fill one coefficient block per call, reused across
 chunks of at most _CHUNK replicates.  Gaussian coefficients are
 ``standard_normal(out=...)``.  Rademacher signs come from the raw 64-bit
-Philox words of the stream: word k gives sign 2k from its bit 31 and sign
-2k + 1 from its bit 63, a set bit meaning +1.  That is exactly
-``2 * integers(0, 2) - 1``: Lemire's method on a range of 2 takes the top
-bit of a 32-bit draw and never rejects, and the generator splits each
-word into its low half, then its high half.  The generator keeps an
-unused high half for its next 32-bit draw, while the raw words of a new
-chunk start afresh, so the two agree only because every full chunk holds
-an even number of signs: _CHUNK must stay even.  Only the last chunk may
-hold an odd number, and its unused half is never drawn.  Each chunk's
-product is one ``block @ vectors.T``; splitting it into smaller row blocks
-changes the last bits of the BLAS result.
+Philox words of the stream, made little-endian (no copy on a little-endian
+host) and viewed as int32 halves, low half first: sign 2k comes from bit
+31 of word k and sign 2k + 1 from its bit 63, a set bit meaning +1.  An
+arithmetic shift by 31 maps a half to s = 0 or -1, and -2 s - 1 to the
+sign.  That is exactly ``2 * integers(0, 2) - 1``: Lemire's method on a
+range of 2 takes the top bit of a 32-bit draw and never rejects, and the
+generator splits each word into its low half, then its high half.  The
+generator keeps an unused high half for its next 32-bit draw, while the
+raw words of a new chunk start afresh, so the two agree only because every
+full chunk holds an even number of signs: _CHUNK must stay even.  Only the
+last chunk may hold an odd number, and its unused half is never drawn.
+Each chunk's product is one ``block @ vectors.T``; splitting it into
+smaller row blocks changes the last bits of the BLAS result.
 """
 from __future__ import annotations
 
@@ -123,11 +125,19 @@ def _average(Y, replicates: int, rng: SeededRng, kind: str,
         take = min(_CHUNK, replicates - done)
         coeff = block[:take]
         fill(gen, coeff)
-        sups[done:done + take] = (coeff @ vectors.T).max(axis=1)
+        _member_max(coeff @ vectors.T, sups[done:done + take])
         done += take
     mean = float(sups.mean())
     se = float(sups.std(ddof=1) / math.sqrt(replicates))
     return ComplexityEstimate(mean=mean, std_error=se, replicates=replicates, kind=kind)
+
+
+def _member_max(prod: np.ndarray, out: np.ndarray) -> None:
+    """Row maxima of ``prod`` into ``out`` by one sweep per column, which on
+    finite values equals ``prod.max(axis=1)`` up to the sign of a zero."""
+    out[:] = prod[:, 0]
+    for j in range(1, prod.shape[1]):
+        np.maximum(out, prod[:, j], out=out)
 
 
 def _fill_signs(gen: np.random.Generator, out: np.ndarray) -> None:
@@ -135,11 +145,9 @@ def _fill_signs(gen: np.random.Generator, out: np.ndarray) -> None:
     raw 64-bit word gives bit 31, then bit 63 (see the module docstring)."""
     flat = out.reshape(-1)
     words = gen.bit_generator.random_raw((flat.size + 1) // 2)
-    low, high = flat[0::2], flat[1::2]
-    np.right_shift(words[:high.size], 63, out=high)
-    np.right_shift(words, 31, out=words)
-    np.bitwise_and(words, 1, out=low)
-    np.multiply(flat, 2.0, out=flat)
+    halves = words.astype("<u8", copy=False).view("<i4")[:flat.size]
+    np.right_shift(halves, 31, out=flat, casting="unsafe")  # -1 where the bit is set
+    np.multiply(flat, -2.0, out=flat)
     np.subtract(flat, 1.0, out=flat)
 
 

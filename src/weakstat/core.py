@@ -195,8 +195,9 @@ def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
     """Apply every member to the raw sample and return the (size, n, d) array
     whose entry j is the configuration (h_j(x_1), ..., h_j(x_n)).
 
-    Raises DomainViolationError naming the member, datum and coordinate if
-    any output leaves the domain box.
+    Shapes are checked member by member, then the domain box once over the
+    whole array, so a wrong shape is reported first; a DomainViolationError
+    names the first (member, datum, coordinate) whose value leaves the box.
     """
     n = len(raw_sample)
     if n < 1:
@@ -209,15 +210,15 @@ def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
             raise ValueError(
                 f"member {j} returned points of shape {rows.shape}, expected {(n, dom.d)}"
             )
-        bad = (rows < dom.lower - 1e-12) | (rows > dom.upper + 1e-12)
-        if bad.any():
-            i, c = np.argwhere(bad)[0]
-            raise DomainViolationError(
-                f"member {j} maps datum {i} outside the domain box at coordinate {c}: "
-                f"value {float(rows[i, c])!r} not in "
-                f"[{float(dom.lower[c])!r}, {float(dom.upper[c])!r}]"
-            )
         out[j] = rows
+    bad = (out < dom.lower - 1e-12) | (out > dom.upper + 1e-12)
+    if bad.any():
+        j, i, c = np.argwhere(bad)[0]
+        raise DomainViolationError(
+            f"member {j} maps datum {i} outside the domain box at coordinate {c}: "
+            f"value {float(out[j, i, c])!r} not in "
+            f"[{float(dom.lower[c])!r}, {float(dom.upper[c])!r}]"
+        )
     return out
 
 

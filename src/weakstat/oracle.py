@@ -3,13 +3,14 @@ sample sizes where exhaustive subset enumeration is feasible.
 
 The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') evaluates f
 once on each of the 2^n swap configurations and sums each term's 2^k
-subset differences with compensated summation, so that residuals stay at
-the 1e-9 scale the identity checks assert.  The swap masks and the
-indices of every term's subset differences depend only on n, and are
-built once per n and cached.  The configurations are built in blocks of
-BATCH_BLOCK consecutive masks, each evaluated by one ``Statistic.batch``
-call, so only one block of configurations exists at a time, never the
-whole 2^n table; all n terms' differences then come from one gather.
+subset differences with the correctly rounded math.fsum, so that
+residuals stay at the 1e-9 scale the identity checks assert.  The swap
+masks and the indices of every term's subset differences depend only on
+n, and are built once per n and cached.  The configurations are built in
+blocks of BATCH_BLOCK consecutive masks, each evaluated by one
+``Statistic.batch`` call, so only one block of configurations exists at a
+time, never the whole 2^n table; all n terms' differences then come from
+one gather.
 
 Result records derive their numbers: a CheckResult's pass and slack follow
 from lhs, rhs and tol, and an FkDecomposition's residual from its terms.
@@ -25,6 +26,7 @@ import numpy as np
 from .bounds import UnboundedLipschitzError
 from .core import BATCH_BLOCK, FunctionClass, SeededRng, Statistic, as_points, evaluate_class
 from .seminorms import BudgetError, _differences, _row
+from .statistics import l_statistic
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -50,7 +52,7 @@ INEQUALITY_SLACK = 1e-7
 @dataclass(frozen=True)
 class FkDecomposition:
     """Per-coordinate telescoping terms of lhs = f(x) - f(x'), with the
-    reconstruction residual |lhs - sum terms| (compensated sum)."""
+    reconstruction residual |lhs - sum terms| (correctly rounded sum)."""
 
     terms: tuple
     lhs: float
@@ -61,7 +63,7 @@ class FkDecomposition:
 
     @property
     def residual(self) -> float:
-        return abs(self.lhs - _kahan_sum(self.terms))
+        return abs(self.lhs - math.fsum(self.terms))
 
     def ok(self, rtol: float = IDENTITY_RTOL) -> bool:
         return self.residual <= rtol * max(1.0, abs(self.lhs))
@@ -122,17 +124,6 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
-def _kahan_sum(values) -> float:
-    """Compensated sum of the values, in their order."""
-    total = comp = 0.0
-    for value in values:
-        y = value - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
-
-
 def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
     a, b = as_points(x), as_points(xp)
     if a.shape != b.shape:
@@ -181,7 +172,7 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c) with the complement
     A^c taken in all n coordinates.  The masks and these four indices per
     difference come from a table cached per n; one gather gives the
-    differences of every term, and each term's are Kahan-summed in order.
+    differences of every term, and each term's are summed by math.fsum.
 
     The residual |f(x) - f(x') - sum terms| is zero in exact arithmetic for
     every f; it is reported so callers can assert float-level smallness.
@@ -195,7 +186,7 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
         vals[start:start + len(swapped)] = f.batch(np.where(swapped, b, a))
     g = vals[index]
     diffs = (g[0] - g[1] + g[2] - g[3]).tolist()
-    terms = tuple(_kahan_sum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
+    terms = tuple(math.fsum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
                   for k in range(n))
     return FkDecomposition(terms, float(vals[0] - vals[-1]))
 
@@ -305,8 +296,6 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
     second-order condition of this form and raises UnboundedLipschitzError.
     """
-    from .statistics import l_statistic
-
     if not math.isfinite(F.lip_norm):
         raise UnboundedLipschitzError(f"weight {F.label} has Lipschitz norm {F.lip_norm}")
     pts = as_points(x)

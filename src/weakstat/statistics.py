@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Union
 
 import numpy as np
 
-from .core import Domain, Statistic, as_points, box, unit_interval
+from .core import Domain, Statistic, _readonly, as_points, box, unit_interval
 
 __all__ = [
     "Kernel",
@@ -280,9 +280,10 @@ def l_statistic(F: WeightFunction, x) -> float:
     return _result(_order_average(s, _order_weights(F, s.shape[-1])))
 
 
+@functools.lru_cache(maxsize=64)
 def _order_weights(F: WeightFunction, n: int) -> np.ndarray:
-    """The (n,) weights F(i/n), i = 1..n, of the order statistics."""
-    return np.asarray(F.evaluator(np.arange(1, n + 1) / n), dtype=float)
+    """The read-only (n,) order-statistic weights F(i/n), i = 1..n."""
+    return _readonly(np.array(F.evaluator(np.arange(1, n + 1) / n), dtype=float))
 
 
 def _order_average(s: np.ndarray, w: np.ndarray):

@@ -148,31 +148,22 @@ class TestTrimmedKmeans:
 
 
 class TestClusteringCertificate:
-    def _result(self):
-        data = gaussian_mixture_with_noise(60, TRUE_CENTERS, 0.4, 0.2, 6.0, SeededRng(11))
-        return trimmed_kmeans(data, 3, 0.25, restarts=2, rng=SeededRng(12))
-
     def test_trimming_slope_enters_second_order_term(self):
-        res = self._result()
-        cert = clustering_certificate(res, ball_radius=6.0, zeta=0.25, n=60,
-                                      g=_g(1.0), delta=0.1)
+        cert = clustering_certificate(ball_radius=6.0, zeta=0.25, n=60, g=_g(1.0), delta=0.1)
         diam = (2.0 * 6.0) ** 2
         assert cert.seminorms.j_lip == pytest.approx(diam * (8.0 / 3.0) / 60)
 
     def test_step_weight_is_refused(self):
-        res = self._result()
         with pytest.raises(UnboundedLipschitzError):
-            clustering_certificate(res, 6.0, 0.0, 60, _g(1.0), 0.1)
+            clustering_certificate(6.0, 0.0, 60, _g(1.0), 0.1)
 
     def test_vanishing_complexity_and_tail(self):
-        res = self._result()
-        cert = clustering_certificate(res, 6.0, 0.25, 60, _g(0.0), 1 - 1e-12)
+        cert = clustering_certificate(6.0, 0.25, 60, _g(0.0), 1 - 1e-12)
         assert cert.total == pytest.approx(0.0, abs=1e-4)
 
     def test_total_monotone_in_inverse_zeta(self):
-        res = self._result()
         totals = [
-            clustering_certificate(res, 6.0, z, 60, _g(1.0), 0.1).total
+            clustering_certificate(6.0, z, 60, _g(1.0), 0.1).total
             for z in (0.25, 0.125, 0.0625)
         ]
         assert totals[0] < totals[1] < totals[2]

@@ -1,5 +1,10 @@
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,35 +241,35 @@ def _identity_records(*lhs):
 
 class TestVerifyGolden:
     """Exact (lhs, rhs, slack, pass) of each record of a small verify run
-    per family; a change to the residual, its Kahan sum, the order in which
+    per family; a change to the residual, its sum, the order in which
     a statistic sums its terms or the slack arithmetic shows here."""
 
     @pytest.mark.parametrize("family, expected", [
         ("mean", _identity_records(
-            0.0, 1.1102230246251565e-16, 2.1658193783793286e-16, 0.0,
-            1.1102230246251565e-16, 1.1102230246251565e-16, 6.938893903907228e-17, 0.0,
+            0.0, 1.1102230246251565e-16, 2.1658193783793286e-16, 2.7755575615628914e-17,
+            1.1102230246251565e-16, 5.551115123125783e-17, 6.938893903907228e-17, 0.0,
         )),
         ("lstat", _identity_records(
-            0.0, 1.2794573716330748e-16, 1.3877787807814457e-17, 2.220446049250313e-16,
-            0.0, 1.1102230246251565e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
+            0.0, 1.2794573716330748e-16, 1.3877787807814457e-17, 2.498001805406602e-16,
+            1.1102230246251565e-16, 1.1102230246251565e-16, 1.1102230246251565e-16,
+            1.1102230246251565e-16,
         ) + [(0.0, 0.0, 0.0, True)]),
         ("auc", _identity_records(
             0.0, 1.1102230246251565e-16, 2.7755575615628914e-17, 1.3877787807814457e-17,
         )),
         ("ustat", _identity_records(
             1.4622080405136921e-16, 3.950105423554113e-16, 3.0311744913297935e-16,
-            1.1102230246251565e-16, 8.326672684688674e-17, 1.3877787807814457e-17,
+            1.1102230246251565e-16, 1.1102230246251565e-16, 1.3877787807814457e-17,
             1.1102230246251565e-16,
         )),
         ("vstat", _identity_records(
-            2.220446049250313e-16, 2.220446049250313e-16, 2.220446049250313e-16,
+            2.220446049250313e-16, 1.1102230246251565e-16, 2.220446049250313e-16,
             2.220446049250313e-16, 2.7755575615628914e-16, 1.7180358212042002e-16,
-            5.551115123125783e-17,
+            1.1102230246251565e-16,
         )),
         ("ridge", _identity_records(
-            1.3877787807814457e-17, 0.0, 2.7755575615628914e-17, 2.7755575615628914e-17,
-            2.7755575615628914e-17, 6.938893903907228e-18, 1.3877787807814457e-17,
-            2.7755575615628914e-17,
+            1.3877787807814457e-17, 0.0, 1.3877787807814457e-17, 2.7755575615628914e-17,
+            2.7755575615628914e-17, 0.0, 1.3877787807814457e-17, 0.0,
         )),
     ])
     def test_records(self, family, expected):
@@ -420,6 +425,35 @@ class TestComplexityGolden:
         }
 
 
+class TestDegenerateComplexity:
+    """`weakstat complexity` on the sampler low = high = 0: every product is
+    zero, so each member maximum is a tie of zeros.  The sha256 of each
+    document was recorded when the maximum was ``.max(axis=1)``; the mean
+    must stay +0.0, as "-0.0" would change the bytes."""
+
+    @pytest.mark.parametrize("kind, count, n, outer, inner, digest", [
+        ("rademacher", 16, 64, 32, 2048,
+         "df4debd92659956601e704316510682ebdf4a3a8bf841e6d6c1bcec3926944bc"),
+        ("gaussian", 16, 64, 32, 2048,
+         "7dae9ab359db3e53b244d9db8ad3aa15f06dbe5b73bb07e9f6e3c1cfc2363283"),
+        ("gaussian", 17, 5, 4, 300,
+         "451662f73093d5ee3f3844ae3bf85f130851bd59b1a3d832439c26a76c1226f4"),
+        ("rademacher", 33, 17, 2, 8193,
+         "ae8c86731b5afe15326625d1ea77437d1903427a3516680a7c143337567f57c1"),
+    ])
+    def test_document_bytes(self, kind, count, n, outer, inner, digest):
+        config = dict(_complexity_config(5, kind, n, {"kind": "linear", "count": count},
+                                         outer, inner),
+                      sampler={"kind": "uniform", "low": 0.0, "high": 0.0})
+        doc, status = run(config)
+        assert status == EXIT_OK
+        estimate = doc["result"]["estimate"]
+        assert (estimate["mean"], estimate["std_error"]) == (0.0, 0.0)
+        assert math.copysign(1.0, estimate["mean"]) == 1.0
+        text = weakstat.cli._serialize(doc)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def _cluster_document(centers, iterations, fit_objective, held_out_objective, recovery_error):
     return {
         "centers": centers,
@@ -557,6 +591,42 @@ class TestMainEntry:
         main(["seminorm", "--config", str(cfg_path), "--out", str(out_a)])
         main(["seminorm", "--config", str(cfg_path), "--out", str(out_b)])
         assert out_a.read_bytes() == out_b.read_bytes()
+
+    def test_one_process_equals_fresh_processes(self, tmp_path, capsys):
+        # one parser serves every call: no override or output path of one
+        # call may leak into the next, and a bad subcommand leaves no trace
+        bound = tmp_path / "bound.json"
+        bound.write_text(json.dumps(_BOUND_CONFIG))
+        complexity = tmp_path / "complexity.json"
+        complexity.write_text(json.dumps(_complexity_config(
+            5, "rademacher", 16, {"kind": "linear", "count": 4}, 4, 256)))
+        out = tmp_path / "out.json"
+        calls = [["bound", "--config", str(bound)],
+                 ["complexity", "--config", str(complexity)],
+                 ["bound", "--config", str(bound), "--seed", "9", "--out", str(out)],
+                 ["bound", "--config", str(bound)]]
+        texts = []
+        for argv in calls[:2]:
+            assert main(argv) == EXIT_OK
+            texts.append(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--config", str(bound)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(calls[2]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        texts.append(out.read_text())
+        assert main(calls[3]) == EXIT_OK
+        texts.append(capsys.readouterr().out)
+        assert texts[3] == texts[0] != texts[2]
+
+        env = dict(os.environ, PYTHONPATH=str(Path(weakstat.cli.__file__).parents[1]))
+        fresh_out = tmp_path / "fresh.json"
+        for argv, text in zip(calls, texts):
+            fresh_argv = [str(fresh_out) if arg == str(out) else arg for arg in argv]
+            proc = subprocess.run([sys.executable, "-m", "weakstat.cli", *fresh_argv],
+                                  env=env, capture_output=True, text=True, check=True)
+            assert (fresh_out.read_text() if str(out) in argv else proc.stdout) == text
 
     def test_schema_violation_exits_one(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

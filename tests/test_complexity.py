@@ -57,6 +57,21 @@ class TestDrawBlock:
         assert np.array_equal(block.reshape(-1), bits * 2.0 - 1.0)
 
 
+class TestMemberMax:
+    @pytest.mark.parametrize("members", [1, 2, 16, 17, 33])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_column_sweeps_equal_the_axis_max(self, members, ties):
+        # bit for bit on finite products; small integers give exact ties
+        gen = SeededRng(members, int(ties)).generator()
+        if ties:
+            prod = gen.integers(-2, 3, size=(2049, members)).astype(float)
+        else:
+            prod = gen.standard_normal((2049, members)) * 10.0 ** gen.integers(-3, 4, size=members)
+        out = np.full(2049, np.nan)
+        weakstat.complexity._member_max(prod, out)
+        assert out.tobytes() == prod.max(axis=1).tobytes()
+
+
 class TestRademacherAverage:
     def test_sign_pair_is_exactly_one(self):
         est = rademacher_average(np.array([[1.0], [-1.0]]), 500, SeededRng(3))

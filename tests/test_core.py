@@ -67,6 +67,30 @@ class TestEvaluateClass:
                            match=r"member 1 maps datum 1 .* coordinate 0"):
             evaluate_class(fc, np.array([0.3, 0.5]))
 
+    def test_first_violation_in_member_datum_coordinate_order(self):
+        # member 0 leaves the box only at datum 2, coordinate 1; member 1 at
+        # datum 0 in both coordinates
+        dom = box([0.0, 0.0], [1.0, 1.0])
+        first = lambda x: np.stack([x, np.where(x > 0.8, 1.5, x)], axis=1)
+        second = lambda x: np.stack([x - 1.0, x - 1.0], axis=1)
+        fc = FunctionClass((first, second), uniform_raw_space(), dom)
+        with pytest.raises(DomainViolationError) as exc:
+            evaluate_class(fc, np.array([0.5, 0.6, 0.9]))
+        assert str(exc.value) == ("member 0 maps datum 2 outside the domain box at "
+                                  "coordinate 1: value 1.5 not in [0.0, 1.0]")
+
+    def test_wrong_shape_is_reported_before_an_earlier_box_violation(self):
+        # the box is checked once, after every member's shape
+        fc = FunctionClass(
+            (lambda x: x + 5.0, lambda x: np.zeros((len(x), 2))),
+            uniform_raw_space(),
+            unit_interval(),
+        )
+        with pytest.raises(ValueError) as exc:
+            evaluate_class(fc, np.array([0.3, 0.5]))
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "member 1 returned points of shape (2, 2), expected (2, 1)"
+
     def test_clipped_linear_classes_stay_inside(self):
         # domain closure: members that clip into the box can never trip the check
         dom = unit_interval()

@@ -264,7 +264,7 @@ def _reference_fk(f, x, xp):
         bit = 1 << k
         A = np.arange(1 << k)
         rest = full ^ A
-        total = oracle._kahan_sum(
+        total = math.fsum(
             (vals[A] - vals[A | bit] + vals[rest & ~bit] - vals[rest]).tolist())
         terms.append(total / float(2 ** (k + 1)))
     return tuple(terms), float(vals[0] - vals[full])

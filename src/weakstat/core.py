@@ -28,20 +28,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-# Configurations per evaluator call in Statistic.batch.  The V-statistic at
-# n = 12 held about 4.6 KB of intermediates per configuration when it
-# gathered its arguments: evaluating all 4096 swap configurations of
-# fk_decompose at once raised the peak RSS of the telescoping benchmark
-# from 43 to 61 MB, while blocks of 128 needed about 0.6 MB and left it at
-# 43 MB.  The V/U intermediates grow as n^m per configuration, so a block
-# costs more at large n.  For the pairwise V-statistic with the product
-# kernel at n = 100, tracemalloc puts one block's peak at 19.5 MiB: the
-# kernel products and their values, 80 KB each per configuration, now
-# that the arguments are broadcast views of the grid (39.2 MiB when they
-# were gathered copies).  A U-statistic block still gathers its tuples
-# and peaks at about the same 19.5 MiB there.
-BATCH_BLOCK = 128
-
 
 class DomainViolationError(ValueError):
     """A function-class member produced a point outside the domain box."""
@@ -139,8 +125,9 @@ class Statistic:
         """Values at each configuration of a (B, n, d) stack, as a (B,)
         float array equal to ``[self.value(p) for p in stack]``.
 
-        A batched evaluator is called once per block of BATCH_BLOCK
-        configurations; otherwise ``value`` is called per configuration.
+        A batched evaluator is called once with the whole stack (families
+        whose temporaries outgrow a configuration block it themselves);
+        otherwise ``value`` is called per configuration.
         """
         stack = np.ascontiguousarray(stack, dtype=float)
         if stack.ndim != 3:
@@ -148,8 +135,8 @@ class Statistic:
         if not self.batched:
             return np.array([self.value(p) for p in stack], dtype=float)
         out = np.empty(stack.shape[0])
-        for s in range(0, stack.shape[0], BATCH_BLOCK):
-            out[s:s + BATCH_BLOCK] = self.evaluator(stack[s:s + BATCH_BLOCK])
+        if len(out):
+            out[:] = self.evaluator(stack)
         return out
 
     def __call__(self, x) -> float:

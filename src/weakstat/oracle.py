@@ -7,7 +7,7 @@ subset differences with the correctly rounded math.fsum, so that
 residuals stay at the 1e-9 scale the identity checks assert.  The swap
 masks and the indices of every term's subset differences depend only on
 n, and are built once per n and cached.  The configurations are built in
-blocks of BATCH_BLOCK consecutive masks, each evaluated by one
+blocks of _SWAP_BLOCK (128) consecutive masks, each evaluated by one
 ``Statistic.batch`` call, so only one block of configurations exists at a
 time, never the whole 2^n table; all n terms' differences then come from
 one gather.
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import UnboundedLipschitzError
-from .core import BATCH_BLOCK, FunctionClass, SeededRng, Statistic, as_points, evaluate_class
+from .core import FunctionClass, SeededRng, Statistic, as_points, evaluate_class
 from .seminorms import BudgetError, _differences, _row
 from .statistics import l_statistic
 
@@ -44,6 +44,11 @@ __all__ = [
 ]
 
 MAX_EXHAUSTIVE_N = 14
+
+# Swap configurations per f.batch call in fk_decompose.  Evaluating all
+# 4096 of them at n = 12 at once raised the peak RSS of the telescoping
+# benchmark from 43 to 61 MB, and 512-mask blocks made the AUC slower.
+_SWAP_BLOCK = 128
 
 IDENTITY_RTOL = 1e-9
 INEQUALITY_SLACK = 1e-7
@@ -181,8 +186,8 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     n = a.shape[0]
     masks, index = _swap_tables(n)
     vals = np.empty(1 << n)
-    for start in range(0, 1 << n, BATCH_BLOCK):
-        swapped = masks[start:start + BATCH_BLOCK, :, None]
+    for start in range(0, 1 << n, _SWAP_BLOCK):
+        swapped = masks[start:start + _SWAP_BLOCK, :, None]
         vals[start:start + len(swapped)] = f.batch(np.where(swapped, b, a))
     g = vals[index]
     diffs = (g[0] - g[1] + g[2] - g[3]).tolist()

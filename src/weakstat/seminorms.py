@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BATCH_BLOCK, SeededRng, Statistic, as_points
+from .core import SeededRng, Statistic, as_points
 from .statistics import WeightFunction
 
 __all__ = [
@@ -96,8 +96,10 @@ class SeminormReport:
 
     def __post_init__(self):
         for name in ("m_lip", "j_lip", "m_plain", "j_plain"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            # not (v >= 0) also refuses NaN, which to_dict would write as
+            # null, the mark of no finite upper bound; inf stays allowed
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if self.method not in (ANALYTIC_BOUND, EMPIRICAL_SEARCH, DERIVATIVE_ESTIMATE):
             raise ValueError(f"unknown seminorm method {self.method!r}")
 
@@ -144,15 +146,46 @@ def _distance(gap: np.ndarray):
     return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
 
 
-def _sample_pair(gen, lower, upper, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    y = gen.uniform(lower, upper)
-    for _ in range(_PAIR_TRIES):
-        yp = gen.uniform(lower, upper)
-        if _distance(y - yp) >= floor:
-            return y, yp
-    # Boxes wider than the floor always admit a separated second point.
-    yp = np.where(y - lower >= upper - y, lower, upper)
-    return y, yp
+def _redraw_pairs(gen, lower, upper, floor: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, d) rows y and y' of ``count`` pairs at least ``floor`` apart.
+
+    Pair after pair, y is one uniform draw and y' the first of up to
+    _PAIR_TRIES further draws that lies ``floor`` from y; if none does,
+    y' is the box corner farthest from y in each coordinate (boxes wider
+    than the floor always admit one).  Rows are drawn in blocks of the
+    fewest that the pairs left can need (two per pair, one once its y is
+    drawn), so the pairs whose first y' is separated take one pass, and
+    the generator stops where the one-pair-at-a-time loop stops.
+    """
+    d = len(lower)
+    ys, yps = np.empty((count, d)), np.empty((count, d))
+    i, tries, opened = 0, 0, False
+    while i < count:
+        rows = gen.uniform(lower, upper, size=(2 * (count - i) - opened, d))
+        at = 0
+        while at < len(rows):
+            if not opened:
+                # fresh pairs up to the first whose first y' is too close
+                fresh = (len(rows) - at) // 2
+                y, yp = rows[at:at + 2 * fresh:2], rows[at + 1:at + 2 * fresh:2]
+                close = np.flatnonzero(_distance(y - yp) < floor)
+                taken = close[0] if len(close) else fresh
+                ys[i:i + taken], yps[i:i + taken] = y[:taken], yp[:taken]
+                i, at = i + taken, at + 2 * taken
+                if at == len(rows):
+                    break
+                ys[i], at, tries, opened = rows[at], at + 1, 0, True
+            candidates = rows[at:at + _PAIR_TRIES - tries]
+            far = np.flatnonzero(_distance(ys[i] - candidates) >= floor)
+            if len(far):
+                yps[i], at, opened = candidates[far[0]], at + far[0] + 1, False
+                i += 1
+                continue
+            at, tries = at + len(candidates), tries + len(candidates)
+            if tries == _PAIR_TRIES:
+                yps[i] = np.where(ys[i] - lower >= upper - ys[i], lower, upper)
+                i, opened = i + 1, False
+    return ys, yps
 
 
 def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
@@ -166,26 +199,19 @@ def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
     parity is that of its bit count.  So a probe's difference is
     f(y) - f(y') at order 1 and (v0 + v3) - (v1 + v2) at order 2, with
     rows (y, y') at coordinate k and (z, z') at coordinate l; the latter is
-    bit-identical under exchanging the two operators.  The corners
-    of BATCH_BLOCK // 2^order probes at a time go to one ``f.batch`` call,
-    so the corner stack stays one block long.
+    bit-identical under exchanging the two operators.  The corners of
+    all probes go to one ``f.batch`` call.
     """
     corners = 1 << order
-    per_call = max(BATCH_BLOCK // corners, 1)
-    out = np.empty(len(xs))
-    for s in range(0, len(xs), per_call):
-        part = slice(s, s + per_call)
-        x, idx = xs[part], coords[part]
-        probe = np.arange(len(x))
-        configs = np.repeat(x[:, None], corners, axis=1)
-        for c in range(corners):
-            for j in range(order):
-                configs[probe, c, idx[:, j]] = rows[2 * j + ((c >> j) & 1)][part]
-        vals = f.batch(configs.reshape(-1, *x.shape[1:])).reshape(len(x), corners)
-        even = sum(vals[:, c] for c in range(corners) if not bin(c).count("1") % 2)
-        odd = sum(vals[:, c] for c in range(corners) if bin(c).count("1") % 2)
-        out[part] = even - odd
-    return out
+    probe = np.arange(len(xs))
+    configs = np.repeat(xs[:, None], corners, axis=1)
+    for c in range(corners):
+        for j in range(order):
+            configs[probe, c, coords[:, j]] = rows[2 * j + ((c >> j) & 1)]
+    vals = f.batch(configs.reshape(-1, *xs.shape[1:])).reshape(len(xs), corners)
+    even = sum(vals[:, c] for c in range(corners) if not bin(c).count("1") % 2)
+    odd = sum(vals[:, c] for c in range(corners) if bin(c).count("1") % 2)
+    return even - odd
 
 
 def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
@@ -203,8 +229,9 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
     since every absolute candidate also enters the ratio race.
 
     Each restart explores alone, so that only its own probes are held: it
-    draws all of them, redraws the pairs under the separation floor, draws
-    its refinement noise and evaluates the probes in one _differences call.
+    draws all of them, redraws the pairs under the separation floor in one
+    pass (_redraw_pairs), draws its refinement noise and evaluates the
+    probes in one _differences call.
     Refinement step t perturbs the ratio witness (even t) or the range
     witness (odd t) by Gaussian noise of scale frac_t * widths, with frac_t
     shrinking in t.  The restarts refine in lockstep rounds: a round builds
@@ -252,8 +279,9 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
 
     for r, rng in enumerate(streams):
         gen = rng.generator()
-        # draw every probe, redraw the pairs under the separation floor in
-        # draw order (rare for floors well below the box widths)
+        # draw every probe, then redraw the pairs under the separation
+        # floor in draw order, all in one pass (rare for floors well below
+        # the box widths)
         probe = np.empty((explore, width, dom.d))
         probe[:, :n] = gen.uniform(lo, hi, size=(explore, n, dom.d))
         for j in range(2 * order):
@@ -265,9 +293,10 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
             ls = gen.integers(n - 1, size=explore)
             coords = np.stack([ks, ls + (ls >= ks)], axis=1)
         dist = _distance(probe[:, n] - probe[:, n + 1])
-        for t in np.flatnonzero(dist < floor):
-            probe[t, n], probe[t, n + 1] = _sample_pair(gen, lo, hi, floor)
-            dist[t] = _distance(probe[t, n] - probe[t, n + 1])
+        short = np.flatnonzero(dist < floor)
+        if len(short):
+            probe[short, n], probe[short, n + 1] = _redraw_pairs(gen, lo, hi, floor, len(short))
+            dist[short] = _distance(probe[short, n] - probe[short, n + 1])
         # one row of noise per refinement step; nothing is drawn after it,
         # so drawing it for a restart that finds no witness changes nothing
         noise[r] = gen.normal(0.0, 1.0, size=(refine, width, dom.d))

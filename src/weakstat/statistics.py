@@ -168,6 +168,28 @@ def _check_arity(m: int, n: int) -> None:
         raise ValueError(f"kernel arity m={m} exceeds sample size n={n}")
 
 
+# Values that one block of a (B, n, d) stack may hold.  The tuple averages
+# of the V- and U-statistics hold n^m or C(n, m) kernel values per
+# configuration, and the AUC (n/2)^2 losses, so these families evaluate a
+# stack in blocks of at most this many values (and at least one
+# configuration); every other family's temporaries are the size of its
+# configurations and it takes a stack whole.  The budget is 128
+# configurations of the pairwise V-statistic at n = 12, so that a swap
+# block of fk_decompose (128 configurations, n <= 12) stays one call for
+# each pairwise family.
+_BLOCK_VALUES = 128 * 12**2
+
+
+def _in_blocks(evaluate, a: np.ndarray, values: int, stacked: bool):
+    """evaluate(a) for one configuration; for a stack along axis 0 whose
+    configurations hold ``values`` temporaries each, evaluate over blocks
+    of max(_BLOCK_VALUES // values, 1) configurations, concatenated."""
+    size = max(_BLOCK_VALUES // values, 1)
+    if not stacked or len(a) <= size:
+        return evaluate(a)
+    return np.concatenate([evaluate(a[s:s + size]) for s in range(0, len(a), size)])
+
+
 @functools.cache
 def _index_tuples(n: int, m: int) -> np.ndarray:
     """Read-only (m, T) array whose columns are the strictly increasing
@@ -228,9 +250,11 @@ def _kernel_statistic(kernels: KernelSpec, x, ordered: bool):
     _check_arity(m, n)
     shared = _shared_kernel(kernels)
     if shared is not None:
+        stacked = pts.ndim == 3
         if ordered:
-            return _grid_average(shared, pts, m)
-        return _kernel_average(shared, pts, _index_tuples(n, m))
+            return _in_blocks(lambda p: _grid_average(shared, p, m), pts, n**m, stacked)
+        idx = _index_tuples(n, m)
+        return _in_blocks(lambda p: _kernel_average(shared, p, idx), pts, idx.shape[1], stacked)
     _one_configuration(pts)
     count = n**m if ordered else math.comb(n, m)
     total = 0.0
@@ -265,9 +289,13 @@ def smoothed_auc(loss: LossFunction, x) -> float:
     if n % 2 != 0:
         raise ValueError(f"smoothed_auc requires an even sample size, got n={n}")
     half = n // 2
-    diffs = s[..., :half, None] - s[..., None, half:]
-    vals = np.ascontiguousarray(loss.evaluator(diffs), dtype=float)
-    return _result(_mean(vals.reshape(*vals.shape[:-2], half * half)))
+
+    def pair_mean(v):
+        vals = np.ascontiguousarray(loss.evaluator(v[..., :half, None] - v[..., None, half:]),
+                                    dtype=float)
+        return _mean(vals.reshape(*vals.shape[:-2], half * half))
+
+    return _result(_in_blocks(pair_mean, s, half * half, s.ndim == 2))
 
 
 def l_statistic(F: WeightFunction, x) -> float:

@@ -26,7 +26,7 @@ from weakstat import (
     vk_vector,
 )
 from weakstat.bounds import UnboundedLipschitzError
-from weakstat.core import BATCH_BLOCK
+from weakstat.oracle import _SWAP_BLOCK
 from weakstat.seminorms import BudgetError
 
 
@@ -83,8 +83,8 @@ class TestFkDecompose:
         lstat_statistic(f_zeta_weight(0.25), 9),
     ], ids=["vstat", "lstat"])
     def test_batched_equals_scalar_evaluation(self, f):
-        # the 2^9 swap configurations span several blocks of the batched path
-        assert f.batched and 2**9 > 2 * BATCH_BLOCK
+        # the 2^9 swap configurations span several swap blocks
+        assert f.batched and 2**9 > 2 * _SWAP_BLOCK
         gen = SeededRng(8).generator()
         x, xp = gen.uniform(size=(9, 1)), gen.uniform(size=(9, 1))
         batched = fk_decompose(f, x, xp)

@@ -6,7 +6,9 @@ out from Statistic.value; the telescoping decomposition equals, bit for
 bit, a loop over blocks and terms; V- and U-statistics equal the kernel
 average over their gathered index tuples; the seminorm search gives the
 same report at every refinement block size, and each of its lockstep
-restarts the result of that restart searched alone; the closed-form
+restarts the result of that restart searched alone; the one-pass redraw
+of pairs under the separation floor equals, bit for bit and in its use of
+the generator, a loop that draws one pair at a time; the closed-form
 Gaussian complexity of a linear class agrees with its Monte-Carlo
 estimates; and the Monte-Carlo averages, drawing each chunk into one reused
 block, give the bits of fresh standard_normal and integers(0, 2) arrays."""
@@ -53,9 +55,9 @@ from weakstat import (
 )
 from weakstat import complexity, oracle, seminorms
 from weakstat.complexity import linear_gaussian_complexity
-from weakstat.core import BATCH_BLOCK
+from weakstat.oracle import _SWAP_BLOCK
 from weakstat.seminorms import _differences
-from weakstat.statistics import _kernel_average
+from weakstat.statistics import _BLOCK_VALUES, _kernel_average
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -139,6 +141,24 @@ _FAMILIES = {
 }
 
 
+# kernel values per configuration of the families that evaluate a stack in
+# blocks of at most _BLOCK_VALUES of them
+_BLOCK_TEMPORARIES = {
+    "ustat": lambda n: math.comb(n, 2),
+    "vstat": lambda n: n * n,
+    "auc": lambda n: (n // 2) ** 2,
+}
+
+
+def _block_size(family, n):
+    """Configurations per evaluator call of a blocking family at n; the
+    other families take any stack whole, and get the largest of these."""
+    values = _BLOCK_TEMPORARIES.get(family)
+    if values is None:
+        return max(_block_size(name, n) for name in _BLOCK_TEMPORARIES)
+    return max(_BLOCK_VALUES // values(n), 1)
+
+
 def _family_statistic(family, n, d):
     build, _, _, _ = _FAMILIES[family]
     f = build(n, d)
@@ -164,7 +184,8 @@ def test_batch_equals_per_configuration_values(data, family, size):
 def test_batch_of_a_stack_larger_than_a_block(family):
     f = _family_statistic(family, 8, 2)
     gen = np.random.default_rng(11)
-    stack = gen.uniform(f.domain.lower, f.domain.upper, size=(2 * BATCH_BLOCK + 3, 8, f.domain.d))
+    count = 2 * _block_size(family, 8) + 3
+    stack = gen.uniform(f.domain.lower, f.domain.upper, size=(count, 8, f.domain.d))
     assert (f.batch(stack) == np.array([f.value(p) for p in stack])).all()
 
 
@@ -212,9 +233,10 @@ def _probes(f, order, count, gen, coarse=False):
     return xs, coords, rows
 
 
-# BATCH_BLOCK // 2^order probes go to one batch call: the two large counts
-# cross a block boundary at order 2 and at order 1
-_PROBE_COUNTS = [1, 2, 7, BATCH_BLOCK // 4 + 1, BATCH_BLOCK // 2 + 1]
+# a probe gives 2^order configurations: the two large counts cross a
+# block boundary of the pairwise V-statistic at n = 12 at order 2 and at
+# order 1
+_PROBE_COUNTS = [1, 2, 7, _block_size("vstat", 12) // 4 + 1, _block_size("vstat", 12) // 2 + 1]
 
 
 @_SETTINGS
@@ -241,7 +263,7 @@ def test_differences_equal_corner_sums(data, family, order, count, seed, coarse)
 @pytest.mark.parametrize("family", sorted(_FAMILIES))
 def test_differences_across_blocks(family, order):
     f = _family_statistic(family, 8, 2)
-    count = 2 * (BATCH_BLOCK >> order) + 3
+    count = 2 * (_block_size(family, 8) >> order) + 3
     xs, coords, rows = _probes(f, order, count, np.random.default_rng(23))
     assert (_differences(f, order, xs, coords, rows) == _corner_sums(f, order, xs, coords, rows)).all()
 
@@ -254,8 +276,8 @@ def _reference_fk(f, x, xp):
     n = a.shape[0]
     bits = np.arange(n)
     vals = np.empty(1 << n)
-    for start in range(0, 1 << n, BATCH_BLOCK):
-        masks = np.arange(start, min(start + BATCH_BLOCK, 1 << n))
+    for start in range(0, 1 << n, _SWAP_BLOCK):
+        masks = np.arange(start, min(start + _SWAP_BLOCK, 1 << n))
         swapped = ((masks[:, None] >> bits) & 1).astype(bool)
         vals[start:start + len(masks)] = f.batch(np.where(swapped[..., None], b, a))
     full = (1 << n) - 1
@@ -367,6 +389,50 @@ def test_lockstep_restarts_equal_lone_restarts(family, half_n, order, evals, blo
         if wit is not None:
             assert len(wit) == len(lone[2])
             assert all(np.array_equal(u, v) for u, v in zip(wit, lone[2]))
+
+
+def _sample_pair(gen, lower, upper, floor):
+    """One separated pair drawn one row at a time: y, then up to
+    _PAIR_TRIES candidates y', then the corner farthest from y."""
+    y = gen.uniform(lower, upper)
+    for _ in range(seminorms._PAIR_TRIES):
+        yp = gen.uniform(lower, upper)
+        if seminorms._distance(y - yp) >= floor:
+            return y, yp
+    return y, np.where(y - lower >= upper - y, lower, upper)
+
+
+def _check_redraw(lower, upper, floor, count, seed):
+    one, loop = SeededRng(seed).generator(), SeededRng(seed).generator()
+    ys, yps = seminorms._redraw_pairs(one, lower, upper, floor, count)
+    ref = [_sample_pair(loop, lower, upper, floor) for _ in range(count)]
+    assert ys.shape == yps.shape == (count, len(lower))
+    assert np.array_equal(ys, [y for y, _ in ref])
+    assert np.array_equal(yps, [yp for _, yp in ref])
+    # the generator stops where the loop leaves it
+    assert np.array_equal(one.uniform(size=4), loop.uniform(size=4))
+    return yps
+
+
+# floors up to 1.2 diameters: near the diameter most candidates are too
+# close, and past it every pair falls back to the corner
+@_SETTINGS
+@given(data=st.data(), d=st.integers(1, 3), count=st.integers(1, 40),
+       fraction=st.one_of(st.floats(0.0, 0.3), st.floats(0.3, 1.2)),
+       seed=st.integers(0, 2**32 - 1))
+def test_redraw_equals_the_one_pair_loop(data, d, count, fraction, seed):
+    lower = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d)))
+    widths = np.array(data.draw(st.lists(st.floats(0.01, 4.0), min_size=d, max_size=d)))
+    upper = lower + widths
+    _check_redraw(lower, upper, fraction * float(np.linalg.norm(widths)), count, seed)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_redraw_falls_back_to_the_corner(d):
+    lower, upper = -np.ones(d), np.arange(1.0, d + 1.0)
+    floor = 2.0 * float(np.linalg.norm(upper - lower))
+    yps = _check_redraw(lower, upper, floor, 5, 17)
+    assert ((yps == lower) | (yps == upper)).all()
 
 
 # Monte-Carlo comparisons at fixed examples, so that a run cannot draw the

@@ -295,6 +295,28 @@ class TestAnalyticBounds:
         assert rep.m_lip == 0.0 and rep.m_plain == 0.0
 
 
+class TestSeminormReport:
+    _FIELDS = ("m_lip", "j_lip", "m_plain", "j_plain")
+
+    def _report(self, name, value):
+        values = {field: 0.5 for field in self._FIELDS}
+        values[name] = value
+        return seminorms.SeminormReport(**values, method=seminorms.ANALYTIC_BOUND)
+
+    @pytest.mark.parametrize("name", _FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), -1.0, -np.inf])
+    def test_nan_and_negative_values_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative"):
+            self._report(name, value)
+
+    @pytest.mark.parametrize("name", _FIELDS)
+    def test_an_infinite_value_is_written_as_null(self, name):
+        # the closed form of a weight with an infinite Lipschitz norm
+        doc = self._report(name, np.inf).to_dict()
+        assert doc[name] is None
+        assert all(doc[field] == 0.5 for field in self._FIELDS if field != name)
+
+
 class TestSandwich:
     @pytest.mark.parametrize("seed", range(3))
     def test_empirical_below_analytic(self, seed):

@@ -6,8 +6,11 @@ import pytest
 
 from weakstat import (
     Kernel,
+    LossFunction,
     RidgeProblem,
     SeededRng,
+    auc_statistic,
+    empirical_seminorms,
     f_zeta,
     f_zeta_weight,
     constant_weight,
@@ -26,8 +29,9 @@ from weakstat import (
     v_stat_statistic,
     v_statistic,
 )
-from weakstat.core import BATCH_BLOCK
+from weakstat.oracle import fk_decompose
 from weakstat.statistics import (
+    _BLOCK_VALUES,
     probe_kernel_lipschitz,
     probe_loss_function,
     probe_weight_function,
@@ -100,18 +104,69 @@ class TestVStatistic:
 
 
     def test_peak_memory_of_one_block_at_n100(self):
-        # one block of 128 configurations: the (128, 100, 100, 1) kernel
-        # products and their (128, 100, 100) values, 19.5 MiB; gathering
-        # the two arguments as copies first took 39.2 MiB
+        # a configuration holds n^2 = 10^4 kernel values, so the value
+        # budget gives blocks of one configuration: its (1, 100, 100, 1)
+        # kernel products and (1, 100, 100) values, 160 KB (224 KiB in all);
+        # blocks of 128 took 19.5 MiB, and blocks of two 478 KiB
         f = v_stat_statistic(product_kernel(), 100, unit_interval())
-        stack = SeededRng(6).generator().uniform(size=(BATCH_BLOCK, 100, 1))
-        tracemalloc.start()
-        try:
-            f.batch(stack)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert _BLOCK_VALUES // 100**2 == 1
+        stack = SeededRng(6).generator().uniform(size=(128, 100, 1))
+        assert _traced_peak(lambda: f.batch(stack)) <= 256 * 2**10
+
+
+def _traced_peak(run) -> int:
+    """Peak traced bytes of a second call of ``run``; the first fills the
+    caches of the index and swap tables."""
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlocks:
+    """The kernel tuple averages and the AUC pair matrix evaluate a stack in
+    blocks of at most _BLOCK_VALUES kernel values, and at least one
+    configuration; the pins fail a change that lets blocks grow."""
+
+    @pytest.mark.parametrize("family, values", [
+        ("vstat", 8 * 8), ("ustat", 8 * 7 // 2), ("auc", 4 * 4),
+    ])
+    def test_a_stack_is_evaluated_in_blocks_of_the_budget(self, family, values):
+        calls = []
+
+        def counted(evaluate):
+            def wrapper(*args):
+                calls.append(len(args[0]))
+                return evaluate(*args)
+            return wrapper
+
+        if family == "auc":
+            f = auc_statistic(LossFunction(counted(ramp_loss().evaluator), 1.0), 8)
+        else:
+            build = v_stat_statistic if family == "vstat" else u_stat_statistic
+            f = build(Kernel(2, counted(product_kernel().evaluator), 1.0, 1.0), 8, unit_interval())
+        size = _BLOCK_VALUES // values
+        stack = SeededRng(9).generator().uniform(size=(2 * size + 3, 8, 1))
+        out = f.batch(stack)
+        assert calls == [size, size, 3]
+        assert (out == np.array([f.value(p) for p in stack])).all()
+
+    def test_peak_memory_of_the_vstat_n8_search(self):
+        # the seminorm-vstat-n8 search of the benchmark: 563 KiB, against
+        # 846 KiB at twice the budget and 1.24 MiB with no blocks
+        f = v_stat_statistic(product_kernel(), 8, unit_interval())
+        assert _traced_peak(lambda: empirical_seminorms(f, 20000, SeededRng(5))) <= 640 * 2**10
+
+    def test_peak_memory_of_fk_decompose_at_n12(self):
+        # 128 swap configurations per call: 336 KiB, against 774 KiB for
+        # the whole 2^12 table at once
+        f = v_stat_statistic(product_kernel(), 12, unit_interval())
+        gen = SeededRng(3).generator()
+        x, xp = gen.uniform(size=(12, 1)), gen.uniform(size=(12, 1))
+        assert _traced_peak(lambda: fk_decompose(f, x, xp)) <= 384 * 2**10
 
 
 class TestUStatistic:

@@ -56,6 +56,7 @@ from .oracle import (
     fk_term,
     jlip_lemma_check,
     lstat_condition_check,
+    lstat_condition_counts,
     sup_deviation_estimate,
     vk_vector,
 )

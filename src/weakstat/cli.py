@@ -104,6 +104,21 @@ def _field(config: dict, path: str, default=None):
     return node
 
 
+def _interval(low_field: str, low: float, high_field: str, high: float):
+    """The box [low, high], or a ConfigError naming the field at fault: a
+    bound that is not finite, low above high, or a width high - low that
+    overflows, which no uniform draw can span."""
+    for name, v in ((low_field, low), (high_field, high)):
+        if not math.isfinite(v):
+            raise ConfigError(f"config.{name}: must be a finite number, got {v}")
+    if low > high:
+        raise ConfigError(f"config.{low_field}: {low} exceeds {high_field} {high}")
+    if not math.isfinite(high - low):
+        raise ConfigError(f"config.{high_field}: the interval [{low}, {high}] is wider than the "
+                          f"largest float, so {high_field} - {low_field} overflows")
+    return box([low], [high])
+
+
 def _build_statistic(config: dict):
     """Resolve the statistic family into (Statistic, upper-bound report fn).
 
@@ -116,9 +131,7 @@ def _build_statistic(config: dict):
     s = config["statistic"]
     lower = float(s.get("lower", 0.0))
     upper = float(s.get("upper", 1.0))
-    if lower > upper:
-        raise ConfigError(f"config.statistic.lower: {lower} exceeds statistic.upper {upper}")
-    dom = box([lower], [upper])
+    dom = _interval("statistic.lower", lower, "statistic.upper", upper)
 
     if family == "mean":
         f = stats.mean_statistic(n, dom)
@@ -175,8 +188,7 @@ def _linear_spec(config: dict, domain_hint=None):
     sampler_cfg = config.get("sampler", {"kind": "uniform", "low": -1.0, "high": 1.0})
     low = float(sampler_cfg.get("low", -1.0))
     high = float(sampler_cfg.get("high", 1.0))
-    if low > high:
-        raise ConfigError(f"config.sampler.low: {low} exceeds sampler.high {high}")
+    _interval("sampler.low", low, "sampler.high", high)
     count = int(cls.get("count", 16))
     if cls["kind"] == "linear":
         weights = [(j + 1) / count for j in range(count)]
@@ -193,6 +205,10 @@ def _linear_spec(config: dict, domain_hint=None):
         raise ConfigError(f"config.function_class.kind: unknown kind {cls['kind']!r}")
     ends = [w * e for w in weights for e in (low, high)]
     lo, hi = min(ends), max(ends)
+    if domain_hint is None and not math.isfinite(hi - lo):
+        field = "low" if abs(low) > abs(high) else "high"
+        raise ConfigError(f"config.sampler.{field}: the class maps [{low}, {high}] onto "
+                          f"[{lo}, {hi}], which is wider than the largest float")
     dom = domain_hint if domain_hint is not None else box([lo], [hi])
     if lo < dom.lower[0] or hi > dom.upper[0]:
         raise ConfigError(f"config.sampler: the class maps [{low}, {high}] onto [{lo}, {hi}], "
@@ -258,6 +274,10 @@ def _run_bound(config: dict) -> dict:
 
 
 def _run_verify(config: dict) -> dict:
+    """The telescoping identity at each size up to verify.max_n; for lstat
+    also the two response conditions.  One generator draws the pairs, then
+    per probe its configuration, k, l and rows y, y', z, z'; the probes are
+    checked after, in one oracle.lstat_condition_counts call."""
     f, _ = _build_statistic(config)
     opts = config.get("verify", {})
     max_n = int(opts.get("max_n", min(f.n, 8)))
@@ -301,19 +321,17 @@ def _run_verify(config: dict) -> dict:
 
     if family == "lstat":
         weight = stats.f_zeta_weight(float(config["statistic"].get("zeta", 0.25)))
-        n = f.n
-        fails = 0
-        worst = 0.0
-        for _ in range(probes):
-            x = f.domain.uniform(gen, n)
+        n, dom = f.n, f.domain
+        xs = np.empty((probes, n, 1))
+        kl = np.empty((2, probes), dtype=int)
+        rows = np.empty((4, probes))
+        for t in range(probes):
+            xs[t] = dom.uniform(gen, n)
             k = int(gen.integers(n))
             l = int(gen.integers(n - 1))
-            if l >= k:
-                l += 1
-            y, yp, z, zp = gen.uniform(f.domain.lower[0], f.domain.upper[0], size=4)
-            c1, c2 = orc.lstat_condition_check(weight, x, k, l, y, yp, z, zp)
-            fails += (not c1.passed) + (not c2.passed)
-            worst = max(worst, -c1.slack, -c2.slack)
+            kl[:, t] = k, l + (l >= k)
+            rows[:, t] = dom.uniform(gen, 4)[:, 0]
+        fails, worst = orc.lstat_condition_counts(weight, xs, *kl, *rows)
         records.append({
             "check": "lstat_conditions",
             "inputs": f"n={n},probes={probes}",

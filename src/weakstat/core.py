@@ -6,7 +6,7 @@ threads.  Indices are 0-based throughout the public API.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,11 +45,14 @@ class Domain:
 
     The box is the sample space of every statistic: each configuration row
     must lie inside it.  Ball-shaped spaces are represented by their
-    bounding box with any projection handled inside class members.
+    bounding box with any projection handled inside class members.  Its
+    widths upper - lower are computed once and must be finite, so a box
+    wider than the largest float is refused.
     """
 
     lower: np.ndarray
     upper: np.ndarray
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = _readonly(np.atleast_1d(self.lower))
@@ -60,25 +63,35 @@ class Domain:
             raise ValueError("lower bound exceeds upper bound in some coordinate")
         if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
             raise ValueError("box bounds must be finite")
+        with np.errstate(over="ignore"):
+            widths = _readonly(hi - lo)
+        if not np.all(np.isfinite(widths)):
+            raise ValueError("box widths must be finite: upper - lower overflows")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
+        object.__setattr__(self, "widths", widths)
 
     @property
     def d(self) -> int:
         return self.lower.shape[0]
 
     @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
     def diameter(self) -> float:
         """Euclidean diameter of the box."""
-        return float(np.linalg.norm(self.upper - self.lower))
+        return float(np.linalg.norm(self.widths))
 
-    def uniform(self, gen: np.random.Generator, n: int) -> np.ndarray:
-        """Draw n points uniformly from the box, shape (n, d)."""
-        return gen.uniform(self.lower, self.upper, size=(n, self.d))
+    def uniform(self, gen: np.random.Generator, shape) -> np.ndarray:
+        """Points drawn uniformly from the box, shape (*shape, d); an int
+        shape n gives (n, d).
+
+        lower + widths * gen.random(...) is numpy's gen.uniform(lower,
+        upper) bit for bit (low + (high - low) * next_double per element, in
+        C order, from the same draws) without its per-element broadcasting
+        over array bounds.  This assumes numpy does not fuse that
+        multiply-add; tests/test_properties.py checks it.
+        """
+        shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
+        return self.lower + self.widths * gen.random((*shape, self.d))
 
 
 def unit_interval() -> Domain:

@@ -4,10 +4,11 @@ sample sizes where exhaustive subset enumeration is feasible.
 The telescoping decomposition f(x) - f(x') = sum_k F_k(x, x') evaluates f
 once on each of the 2^n swap configurations and sums each term's 2^k
 subset differences with the correctly rounded math.fsum, so that
-residuals stay at the 1e-9 scale the identity checks assert.  The swap
-masks and the indices of every term's subset differences depend only on
-n, and are built once per n and cached.  The configurations are built in
-blocks of _SWAP_BLOCK (128) consecutive masks, each evaluated by one
+residuals stay at the 1e-9 scale the identity checks assert.  The rows
+each swap configuration takes and the indices of every term's subset
+differences depend only on n, and are built once per n and cached.  The
+configurations are gathered in blocks of _SWAP_BLOCK (128) consecutive
+masks, each evaluated by one
 ``Statistic.batch`` call, so only one block of configurations exists at a
 time, never the whole 2^n table; all n terms' differences then come from
 one gather.
@@ -26,7 +27,7 @@ import numpy as np
 from .bounds import UnboundedLipschitzError
 from .core import FunctionClass, SeededRng, Statistic, as_points, evaluate_class
 from .seminorms import BudgetError, _differences, _row
-from .statistics import l_statistic
+from .statistics import _BLOCK_VALUES, l_statistic
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
@@ -41,6 +42,7 @@ __all__ = [
     "fk_difference_check",
     "sup_deviation_estimate",
     "lstat_condition_check",
+    "lstat_condition_counts",
 ]
 
 MAX_EXHAUSTIVE_N = 14
@@ -144,27 +146,31 @@ def _check_pair(f: Statistic, x, xp) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _swap_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only swap masks and telescoping indices of n coordinates.
+    """The read-only swap rows and telescoping indices of n coordinates.
 
-    Row s of the (2^n, n) bool masks holds the bits of s: which rows the
-    swap configuration s takes from x'.  The (4, 2^n - 1) int32 index
+    Row s of the (2^n, n) uint8 swap rows gives the rows of (x; x'), x
+    stacked on x', that swap configuration s takes: i + n at coordinate i
+    if bit i of s is set (the row of x'), i otherwise.  The (4, 2^n - 1)
+    int32 index
     table holds, for each term k in its segment [2^k - 1, 2^(k+1) - 1),
     the configurations A, A | bit, rest & ~bit and rest, where A runs over
     the 2^k masks of the first k coordinates, bit = 2^k and rest is the
     complement of A in all n coordinates.
     """
     # the little-endian bytes of each 32-bit mask, unpacked low bit first,
-    # so that no (2^n, n) integer temporary is made
+    # so that no (2^n, n) temporary wider than a byte is made
     counts = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    masks = np.unpackbits(counts, axis=1, count=n, bitorder="little").view(bool)
+    rows = np.unpackbits(counts, axis=1, count=n, bitorder="little")
+    rows *= n
+    rows += np.arange(n, dtype=np.uint8)
     sizes = 1 << np.arange(n, dtype=np.int32)
     A = np.concatenate([np.arange(size, dtype=np.int32) for size in sizes.tolist()])
     bit = np.repeat(sizes, sizes)
     rest = ((1 << n) - 1) ^ A
     index = np.stack([A, A | bit, rest & ~bit, rest])
-    masks.setflags(write=False)
+    rows.setflags(write=False)
     index.setflags(write=False)
-    return masks, index
+    return rows, index
 
 
 def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
@@ -172,11 +178,13 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     terms, each a 2^k-subset average of partial differences.
 
     f is evaluated once on each of the 2^n swap configurations, which take
-    rows from x' on a bitmask and from x elsewhere, one block of masks per
-    ``f.batch`` call.  F_k sums, over the masks A of the first k
+    rows from x' on a bitmask and from x elsewhere, gathered from (x; x')
+    one block of masks per ``f.batch`` call (exact copies of the rows, so
+    the configurations equal np.where(mask, x', x) bit for bit, at a
+    fraction of its broadcasting cost).  F_k sums, over the masks A of the first k
     coordinates, f(A) - f(A + k) + f(A^c - k) - f(A^c) with the complement
-    A^c taken in all n coordinates.  The masks and these four indices per
-    difference come from a table cached per n; one gather gives the
+    A^c taken in all n coordinates.  The swap rows and these four indices
+    per difference come from tables cached per n; one gather gives the
     differences of every term, and each term's are summed by math.fsum.
 
     The residual |f(x) - f(x') - sum terms| is zero in exact arithmetic for
@@ -184,11 +192,12 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     """
     a, b = _check_pair(f, x, xp)
     n = a.shape[0]
-    masks, index = _swap_tables(n)
+    rows, index = _swap_tables(n)
+    both = np.concatenate([a, b])
     vals = np.empty(1 << n)
     for start in range(0, 1 << n, _SWAP_BLOCK):
-        swapped = masks[start:start + _SWAP_BLOCK, :, None]
-        vals[start:start + len(swapped)] = f.batch(np.where(swapped, b, a))
+        block = rows[start:start + _SWAP_BLOCK]
+        vals[start:start + len(block)] = f.batch(both.take(block, axis=0))
     g = vals[index]
     diffs = (g[0] - g[1] + g[2] - g[3]).tolist()
     terms = tuple(math.fsum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
@@ -284,10 +293,54 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
     return DeviationEstimate(mean=float(vals.mean()), std_error=se, replicates=outer_reps)
 
 
-def _intersection_diam(a: float, b: float, c: float, d: float) -> float:
-    lo = max(min(a, b), min(c, d))
-    hi = min(max(a, b), max(c, d))
-    return max(0.0, hi - lo)
+def _lstat_sides(F, xs, k, l, y, yp, z, zp) -> tuple[np.ndarray, np.ndarray]:
+    """(2, P) lhs and rhs of the first- and second-order conditions of P
+    probes (see lstat_condition_counts).
+
+    Probe t evaluates six configurations of xs[t]: row k at y and y', then
+    the four corners of row k at (y, y') and row l at (z, z').  The
+    configurations of up to max(_BLOCK_VALUES // (6 n), 1) probes go to
+    one l_statistic call, so one block of them exists at a time.
+    """
+    if not math.isfinite(F.lip_norm):
+        raise UnboundedLipschitzError(f"weight {F.label} has Lipschitz norm {F.lip_norm}")
+    xs, k, l = np.asarray(xs, dtype=float), np.asarray(k), np.asarray(l)
+    y, yp, z, zp = (np.asarray(v, dtype=float) for v in (y, yp, z, zp))
+    if xs.shape[2:] != (1,):
+        raise ValueError("the L-statistic conditions are stated for scalar data")
+    P, n = xs.shape[:2]
+    k_rows = np.stack([y, yp, y, yp, y, yp], axis=1)
+    l_rows = np.stack([z, z, zp, zp], axis=1)
+    vals = np.empty((P, 6))
+    size = max(_BLOCK_VALUES // (6 * n), 1)
+    for s in range(0, P, size):
+        b = slice(s, s + size)
+        stack = np.repeat(xs[b, None], 6, axis=1)
+        t = np.arange(len(stack))[:, None]
+        stack[t, range(6), k[b, None], 0] = k_rows[b]
+        stack[t, range(2, 6), l[b, None], 0] = l_rows[b]
+        vals[b] = l_statistic(F, stack.reshape(-1, n, 1)).reshape(-1, 6)
+    # the length max(0, hi - lo) of the intervals' intersection, +0.0 if empty
+    lo = np.maximum(np.minimum(z, zp), np.minimum(y, yp))
+    hi = np.minimum(np.maximum(z, zp), np.maximum(y, yp))
+    lhs = np.stack([np.abs(vals[:, 0] - vals[:, 1]),
+                    np.abs(vals[:, 2] - vals[:, 3] - vals[:, 4] + vals[:, 5])])
+    rhs = np.stack([F.sup_norm * np.abs(y - yp) / n,
+                    F.lip_norm * np.where(hi > lo, hi - lo, 0.0) / (n * n)])
+    return lhs, rhs
+
+
+def lstat_condition_counts(F, xs, k, l, y, yp, z, zp,
+                           tol: float = INEQUALITY_SLACK) -> tuple[int, float]:
+    """(failures, worst violation max(0, -slack)) of the two response
+    conditions over P probes, as lstat_condition_check per probe would
+    count and reduce them: xs is the (P, n, 1) stack of configurations, and
+    k, l, y, y', z and z' are the (P,) indices and rows of the probes.
+    """
+    lhs, rhs = _lstat_sides(F, xs, k, l, y, yp, z, zp)
+    fails = int(np.count_nonzero(~(lhs <= rhs + tol)))
+    # fmax skips NaN, as a running Python max does
+    return fails, float(np.fmax.reduce(-(rhs + tol - lhs), axis=None, initial=0.0))
 
 
 def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
@@ -298,25 +351,13 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     interval, and the second-order difference against the Lipschitz norm
     times the diameter of the interval intersection.
 
+    This is the one-probe case of lstat_condition_counts, with the lhs and
+    rhs of each condition and a digest of the probe in its CheckResult.
     A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
     second-order condition of this form and raises UnboundedLipschitzError.
     """
-    if not math.isfinite(F.lip_norm):
-        raise UnboundedLipschitzError(f"weight {F.label} has Lipschitz norm {F.lip_norm}")
     pts = as_points(x)
-    if pts.shape[1] != 1:
-        raise ValueError("the L-statistic conditions are stated for scalar data")
-    n = pts.shape[0]
-
-    # the two first-order configurations, then the four second-order corners
-    stack = np.repeat(pts[None], 6, axis=0)
-    stack[:2, k, 0] = (y, yp)
-    stack[2:, k, 0] = (y, yp, y, yp)
-    stack[2:, l, 0] = (z, z, zp, zp)
-    vals = l_statistic(F, stack).tolist()
+    (lhs1, lhs2), (rhs1, rhs2) = _lstat_sides(F, pts[None], [k], [l], [y], [yp], [z], [zp])
     digest = _digest(pts, [k, l], [y, yp, z, zp])
-    first = CheckResult("lstat_first_order", abs(vals[0] - vals[1]),
-                        F.sup_norm * abs(y - yp) / n, tol, digest)
-    second = CheckResult("lstat_second_order", abs(vals[2] - vals[3] - vals[4] + vals[5]),
-                         F.lip_norm * _intersection_diam(z, zp, y, yp) / (n * n), tol, digest)
-    return first, second
+    return (CheckResult("lstat_first_order", float(lhs1[0]), float(rhs1[0]), tol, digest),
+            CheckResult("lstat_second_order", float(lhs2[0]), float(rhs2[0]), tol, digest))

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SeededRng, Statistic, as_points
+from .core import Domain, SeededRng, Statistic, as_points
 from .statistics import WeightFunction
 
 __all__ = [
@@ -146,8 +146,9 @@ def _distance(gap: np.ndarray):
     return np.sqrt((gap[..., None, :] @ gap[..., :, None])[..., 0, 0])
 
 
-def _redraw_pairs(gen, lower, upper, floor: float, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(count, d) rows y and y' of ``count`` pairs at least ``floor`` apart.
+def _redraw_pairs(gen, dom: Domain, floor: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(count, d) rows y and y' of ``count`` pairs at least ``floor`` apart
+    in the box ``dom``.
 
     Pair after pair, y is one uniform draw and y' the first of up to
     _PAIR_TRIES further draws that lies ``floor`` from y; if none does,
@@ -157,11 +158,11 @@ def _redraw_pairs(gen, lower, upper, floor: float, count: int) -> tuple[np.ndarr
     drawn), so the pairs whose first y' is separated take one pass, and
     the generator stops where the one-pair-at-a-time loop stops.
     """
-    d = len(lower)
+    d, lower, upper = dom.d, dom.lower, dom.upper
     ys, yps = np.empty((count, d)), np.empty((count, d))
     i, tries, opened = 0, 0, False
     while i < count:
-        rows = gen.uniform(lower, upper, size=(2 * (count - i) - opened, d))
+        rows = dom.uniform(gen, 2 * (count - i) - opened)
         at = 0
         while at < len(rows):
             if not opened:
@@ -245,7 +246,7 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
     its call.
     """
     dom = f.domain
-    lo, hi, widths = dom.lower, dom.upper, dom.widths
+    lo, hi = dom.lower, dom.upper
     n, R = f.n, len(streams)
     if n < order:
         return [(0.0, 0.0, None, 0)] * R
@@ -283,9 +284,9 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
         # floor in draw order, all in one pass (rare for floors well below
         # the box widths)
         probe = np.empty((explore, width, dom.d))
-        probe[:, :n] = gen.uniform(lo, hi, size=(explore, n, dom.d))
+        probe[:, :n] = dom.uniform(gen, (explore, n))
         for j in range(2 * order):
-            probe[:, n + j] = gen.uniform(lo, hi, size=(explore, dom.d))
+            probe[:, n + j] = dom.uniform(gen, explore)
         if order == 1:
             coords = (np.arange(explore) % n)[:, None]
         else:
@@ -295,7 +296,7 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
         dist = _distance(probe[:, n] - probe[:, n + 1])
         short = np.flatnonzero(dist < floor)
         if len(short):
-            probe[short, n], probe[short, n + 1] = _redraw_pairs(gen, lo, hi, floor, len(short))
+            probe[short, n], probe[short, n + 1] = _redraw_pairs(gen, dom, floor, len(short))
             dist[short] = _distance(probe[short, n] - probe[short, n + 1])
         # one row of noise per refinement step; nothing is drawn after it,
         # so drawing it for a restart that finds no witness changes nothing
@@ -309,7 +310,7 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
             improve(np.array([r]), keep[top][None], vals[top, [0, 1]][None], probe, coords)
 
     frac = 0.25 * (1.0 - np.arange(refine) / max(refine, 1)) + 0.01
-    sigma = frac[:, None] * widths
+    sigma = frac[:, None] * dom.widths
     # a restart without a witness has nothing to refine
     start = np.where(found.any(axis=1), 0, refine)
     drawn = np.zeros(R, dtype=int)
@@ -456,7 +457,7 @@ def _interior_probe(gen, dom, n, margin):
         raise StepError(
             f"finite-difference step {margin} leaves no interior in a box of widths {dom.widths}"
         )
-    return gen.uniform(lo, hi, size=(n, dom.d))
+    return Domain(lo, hi).uniform(gen, n)
 
 
 def _stencil(x: np.ndarray, ks: np.ndarray, axes: np.ndarray, h: float):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -278,6 +279,32 @@ class TestVerifyGolden:
         records = doc["result"]["records"]
         assert [(r["lhs"], r["rhs"], r["slack"], r["pass"]) for r in records] == expected
         assert all(type(r["pass"]) is bool for r in records)
+
+
+class TestVerifyConditionFailures:
+    def test_failed_conditions_record_the_worst_slack(self, monkeypatch):
+        # a weight whose stated norms are a tenth of its true ones fails the
+        # conditions: the record counts the failures of the per-probe
+        # checks, its slack is minus their worst violation, and verify
+        # exits 2
+        def understated(zeta, true_weight=weakstat.cli.stats.f_zeta_weight):
+            F = true_weight(zeta)
+            return dataclasses.replace(F, sup_norm=0.1 * F.sup_norm, lip_norm=0.1 * F.lip_norm)
+
+        monkeypatch.setattr(weakstat.cli.stats, "f_zeta_weight", understated)
+        seen = []
+        counts = weakstat.oracle.lstat_condition_counts
+        monkeypatch.setattr(weakstat.oracle, "lstat_condition_counts",
+                            lambda *probes: seen.append(probes) or counts(*probes))
+        doc, status = run(_VERIFY_CONFIGS["lstat"])
+        F, xs, *columns = seen[0]
+        checks = [c for probe in zip(xs, *columns)
+                  for c in weakstat.oracle.lstat_condition_check(F, *probe)]
+        fails = sum(not c.passed for c in checks)
+        assert fails > 0 and status == EXIT_CHECK_FAILED
+        assert doc["result"]["records"][-1] == {
+            "check": "lstat_conditions", "inputs": "n=8,probes=20", "lhs": float(fails),
+            "rhs": 0.0, "slack": -max(-c.slack for c in checks), "pass": False}
 
 
 _SEMINORM_NAMES = ("m_lip", "j_lip", "m_plain", "j_plain")
@@ -683,6 +710,34 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.sampler.low" in err
+
+    @pytest.mark.parametrize("kind, bounds, field", [
+        ("verify", {"lower": -1e308, "upper": 1e308}, "statistic.upper"),
+        ("verify", {"lower": -math.inf}, "statistic.lower"),
+        ("verify", {"upper": math.nan}, "statistic.upper"),
+        ("verify", {"lower": 1.0, "upper": 0.5}, "statistic.lower"),
+        ("seminorm", {"lower": -1e308, "upper": 1e308}, "statistic.upper"),
+        ("complexity", {"low": -1e308, "high": 1e308}, "sampler.high"),
+        ("complexity", {"low": 0.0, "high": 1e308}, "sampler.high"),
+        ("complexity", {"low": math.nan, "high": 1.0}, "sampler.low"),
+    ])
+    def test_box_no_draw_can_span_names_field(self, tmp_path, capsys, kind, bounds, field):
+        # a box that is not finite, is unordered, or whose width overflows
+        # (as at +-1e308, where the class box of [0, 1e308] is
+        # [-1e308, 1e308]) ends before any number is printed
+        config = {"kind": kind, "seed": 5, "budget": 200,
+                  "statistic": {"family": "lstat", "n": 8, **bounds},
+                  "verify": {"max_n": 3, "pairs": 2, "probes": 10}}
+        if kind == "complexity":
+            config = {"kind": kind, "seed": 5, "statistic": {"family": "mean", "n": 8},
+                      "sampler": {"kind": "uniform", **bounds},
+                      "replicates": {"outer": 2, "inner": 8}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        status = main([kind, "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: config.{field}:")
 
     @pytest.mark.parametrize("family", ["ustat", "vstat"])
     def test_sample_below_kernel_arity_names_field(self, tmp_path, capsys, family):

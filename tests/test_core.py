@@ -28,6 +28,11 @@ class TestDomain:
         with pytest.raises(ValueError):
             box([0.0], [np.inf])
 
+    def test_rejects_widths_that_overflow(self):
+        # each bound is finite, but upper - lower is not, and no draw spans it
+        with pytest.raises(ValueError, match="widths must be finite"):
+            box([-1e308, 0.0], [1e308, 1.0])
+
     def test_uniform_draws_stay_inside(self):
         dom = box([-2.0, 0.0], [-1.0, 3.0])
         pts = dom.uniform(SeededRng(5).generator(), 100)

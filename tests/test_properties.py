@@ -8,10 +8,13 @@ average over their gathered index tuples; the seminorm search gives the
 same report at every refinement block size, and each of its lockstep
 restarts the result of that restart searched alone; the one-pass redraw
 of pairs under the separation floor equals, bit for bit and in its use of
-the generator, a loop that draws one pair at a time; the closed-form
-Gaussian complexity of a linear class agrees with its Monte-Carlo
-estimates; and the Monte-Carlo averages, drawing each chunk into one reused
-block, give the bits of fresh standard_normal and integers(0, 2) arrays."""
+the generator, a loop that draws one pair at a time; a box draw equals
+numpy's uniform over the box bit for bit and leaves the generator where
+uniform does; the L-statistic conditions checked in blocks of probes
+equal a per-probe scalar loop; the closed-form Gaussian complexity of a
+linear class agrees with its Monte-Carlo estimates; and the Monte-Carlo
+averages, drawing each chunk into one reused block, give the bits of
+fresh standard_normal and integers(0, 2) arrays."""
 import math
 from itertools import combinations
 from unittest import mock
@@ -27,6 +30,7 @@ from weakstat import (
     RidgeProblem,
     SeededRng,
     Statistic,
+    WeightFunction,
     auc_statistic,
     box,
     class_complexity,
@@ -36,6 +40,7 @@ from weakstat import (
     f_zeta_weight,
     gaussian_average,
     kmeans_loss,
+    l_statistic,
     linear_class,
     linear_ranker_class,
     lstat_statistic,
@@ -404,7 +409,7 @@ def _sample_pair(gen, lower, upper, floor):
 
 def _check_redraw(lower, upper, floor, count, seed):
     one, loop = SeededRng(seed).generator(), SeededRng(seed).generator()
-    ys, yps = seminorms._redraw_pairs(one, lower, upper, floor, count)
+    ys, yps = seminorms._redraw_pairs(one, box(lower, upper), floor, count)
     ref = [_sample_pair(loop, lower, upper, floor) for _ in range(count)]
     assert ys.shape == yps.shape == (count, len(lower))
     assert np.array_equal(ys, [y for y, _ in ref])
@@ -433,6 +438,91 @@ def test_redraw_falls_back_to_the_corner(d):
     floor = 2.0 * float(np.linalg.norm(upper - lower))
     yps = _check_redraw(lower, upper, floor, 5, 17)
     assert ((yps == lower) | (yps == upper)).all()
+
+
+# one coordinate of a box: zero width (signed zeros included), signed-zero
+# ends, narrow (a few ulps to 1e-9 wide) or wide (up to 1.6e308); not
+# (0.0, -0.0), whose width -0.0 numpy's uniform refuses as negative
+_COORDINATE = st.one_of(
+    st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (-0.0, 1.0), (-1.0, -0.0),
+                     (2.5, 2.5)]),
+    st.tuples(st.floats(-1e6, 1e6), st.integers(1, 4)).map(
+        lambda t: (t[0], t[0] + t[1] * np.spacing(abs(t[0])))),
+    st.tuples(st.floats(-1e3, 1e3), st.floats(1e-12, 1e-9)).map(lambda t: (t[0], t[0] + t[1])),
+    st.tuples(st.floats(-8e307, 0.0), st.floats(0.0, 8e307)),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(0.0, 20.0)).map(lambda t: (t[0], t[0] + t[1])),
+)
+
+
+@_SETTINGS
+@given(coords=st.lists(_COORDINATE, min_size=1, max_size=3),
+       shape=st.one_of(st.integers(0, 6), st.lists(st.integers(0, 4), min_size=1, max_size=3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_box_draw_equals_numpy_uniform(coords, shape, seed):
+    # Domain.uniform is lower + widths * random, which must be numpy's
+    # uniform(lower, upper) bit for bit (it fails if numpy fuses that
+    # multiply-add), and must leave the generator where uniform leaves it
+    lower, upper = (np.array(v) for v in zip(*coords))
+    dom = box(lower, upper)
+    one, ref = SeededRng(seed).generator(), SeededRng(seed).generator()
+    size = (shape,) if isinstance(shape, int) else tuple(shape)
+    got = dom.uniform(one, shape)
+    want = ref.uniform(lower, upper, size=(*size, len(coords)))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(one.random(3).view(np.uint64), ref.random(3).view(np.uint64))
+
+
+def _scalar_conditions(F, x, k, l, y, yp, z, zp, tol):
+    """(passed, slack, lhs, rhs) of each of the two conditions of one
+    probe, written out with one l_statistic call on its six configurations
+    and Python float arithmetic."""
+    n = len(x)
+    stack = np.repeat(np.asarray(x, dtype=float)[None], 6, axis=0)
+    stack[:2, k, 0] = (y, yp)
+    stack[2:, k, 0] = (y, yp, y, yp)
+    stack[2:, l, 0] = (z, z, zp, zp)
+    v = l_statistic(F, stack).tolist()
+    diam = max(0.0, min(max(z, zp), max(y, yp)) - max(min(z, zp), min(y, yp)))
+    sides = [(abs(v[0] - v[1]), F.sup_norm * abs(y - yp) / n),
+             (abs(v[2] - v[3] - v[4] + v[5]), F.lip_norm * diam / (n * n))]
+    return [(lhs <= rhs + tol, rhs + tol - lhs, lhs, rhs) for lhs, rhs in sides]
+
+
+@_SETTINGS
+@given(n=st.integers(2, 14), count=st.integers(1, 60), grid=st.sampled_from([0, 4]),
+       ties=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 0.3, 0.05, 0.0]),
+       tol=st.sampled_from([oracle.INEQUALITY_SLACK, 0.0]), block=st.integers(1, 400),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_conditions_equal_the_scalar_loop(n, count, grid, ties, scale, tol, block, seed):
+    # stated norms scaled down by ``scale`` make the conditions fail;
+    # ``grid`` rounds the data to quarters, so that order statistics tie
+    zeta = f_zeta_weight(0.25)
+    F = WeightFunction(zeta.evaluator, scale * zeta.sup_norm, scale * zeta.lip_norm)
+    gen = SeededRng(seed).generator()
+    xs = gen.random((count, n, 1))
+    y, yp, z, zp = gen.random((4, count))
+    if grid:
+        xs, y, yp, z, zp = (np.round(a * grid) / grid for a in (xs, y, yp, z, zp))
+    yp = np.where(gen.random(count) < ties, y, yp)
+    zp = np.where(gen.random(count) < ties, z, zp)
+    k = gen.integers(n, size=count)
+    l = gen.integers(n - 1, size=count)
+    l += l >= k
+    fails, worst = 0, 0.0
+    for t in range(count):
+        probe = (xs[t], int(k[t]), int(l[t]), float(y[t]), float(yp[t]), float(z[t]),
+                 float(zp[t]))
+        ref = _scalar_conditions(F, *probe, tol)
+        checks = oracle.lstat_condition_check(F, *probe, tol=tol)
+        for (passed, slack, lhs, rhs), c in zip(ref, checks):
+            assert (c.passed, c.slack, c.lhs, c.rhs) == (passed, slack, lhs, rhs)
+            fails += not passed
+            worst = max(worst, -slack)
+    # a value budget of 1 to 400 gives blocks of one probe (any budget
+    # below 6 n) up to 33 (400 values at n = 2)
+    with mock.patch.object(oracle, "_BLOCK_VALUES", block):
+        assert oracle.lstat_condition_counts(F, xs, k, l, y, yp, z, zp, tol) == (fails, worst)
 
 
 # Monte-Carlo comparisons at fixed examples, so that a run cannot draw the

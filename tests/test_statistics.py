@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from weakstat import (
     v_stat_statistic,
     v_statistic,
 )
+from weakstat import cli, oracle
 from weakstat.oracle import fk_decompose
 from weakstat.statistics import (
     _BLOCK_VALUES,
@@ -167,6 +169,39 @@ class TestBlocks:
         gen = SeededRng(3).generator()
         x, xp = gen.uniform(size=(12, 1)), gen.uniform(size=(12, 1))
         assert _traced_peak(lambda: fk_decompose(f, x, xp)) <= 384 * 2**10
+
+
+class TestConditionBlocks:
+    """The verify condition probes evaluate their six configurations each
+    in blocks of max(_BLOCK_VALUES // (6 n), 1) probes, one l_statistic
+    call per block; the pin fails a change that stacks them all."""
+
+    @staticmethod
+    def _verify(n: int, probes: int) -> dict:
+        # max_n = 1 leaves only the condition phase of any size
+        return {"kind": "verify", "seed": 5, "statistic": {"family": "lstat", "n": n},
+                "verify": {"max_n": 1, "pairs": 1, "probes": probes}}
+
+    @pytest.mark.parametrize("n, probes", [(12, 200), (12, 600), (100, 200)])
+    def test_one_l_statistic_call_per_block(self, n, probes):
+        size = max(_BLOCK_VALUES // (6 * n), 1)
+        calls = []
+
+        def counted(F, stack):
+            calls.append(len(stack))
+            return l_statistic(F, stack)
+
+        with mock.patch.object(oracle, "l_statistic", counted):
+            doc, status = cli.run(self._verify(n, probes))
+        assert status == cli.EXIT_OK
+        assert len(calls) == -(-probes // size)
+        assert calls == [6 * min(size, probes - s) for s in range(0, probes, size)]
+
+    def test_peak_memory_of_the_conditions_at_n1000(self):
+        # the drawn probes take 7.6 MiB (1000 configurations of 1000
+        # points) and one block of 3 probes the rest: 8.1 MiB in all,
+        # against 99 MiB with all 6000 configurations in one call
+        assert _traced_peak(lambda: cli.run(self._verify(1000, 1000))) <= 9 * 2**20
 
 
 class TestUStatistic:

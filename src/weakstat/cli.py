@@ -40,7 +40,7 @@ EXIT_ERROR = 1
 EXIT_CHECK_FAILED = 2
 
 # The child of the seed's stream that the ridge estimate draws its probes
-# from.  empirical_seminorms takes children 0 ... 2 * restarts - 1 for its
+# from.  empirical_seminorms takes children 0 ... 2 * _RESTARTS - 1 for its
 # restart searches (first order, then second), so no search restart shares
 # it.
 _RIDGE_PROBE_STREAM = 2 * smn._RESTARTS
@@ -454,7 +454,10 @@ def run(config: dict) -> tuple[dict, int]:
     """Execute the configured pipeline; returns (document, exit_status)."""
     validate_config(config)
     kind = config["kind"]
-    result = _RUNNERS[kind](config)
+    try:
+        result = _RUNNERS[kind](config)
+    except orc.NonFiniteStatisticError as exc:  # only the box can make a family overflow
+        raise ConfigError(f"config.statistic.lower, config.statistic.upper: {exc}") from exc
     doc = {"kind": kind, "config": config, "result": result}
     status = EXIT_OK
     if kind == "verify" and not result["all_passed"]:

@@ -30,7 +30,7 @@ smaller row blocks changes the last bits of the BLAS result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -88,10 +88,6 @@ class ComplexityEstimate:
             raise ValueError("standard error must be nonnegative")
         if self.kind not in (GAUSSIAN, RADEMACHER):
             raise ValueError(f"unknown complexity kind {self.kind!r}")
-
-    def inflated(self, z: float) -> "ComplexityEstimate":
-        """Conservative copy with the mean shifted up by z standard errors."""
-        return replace(self, mean=self.mean + z * self.std_error)
 
     def to_dict(self) -> dict:
         return {

@@ -8,10 +8,9 @@ residuals stay at the 1e-9 scale the identity checks assert.  The rows
 each swap configuration takes and the indices of every term's subset
 differences depend only on n, and are built once per n and cached.  The
 configurations are gathered in blocks of _SWAP_BLOCK (128) consecutive
-masks, each evaluated by one
-``Statistic.batch`` call, so only one block of configurations exists at a
-time, never the whole 2^n table; all n terms' differences then come from
-one gather.
+masks, each evaluated by one ``Statistic.batch`` call, so only one block
+of configurations exists at a time, never the whole 2^n table; all n
+terms' differences then come from one gather.
 
 Result records derive their numbers: a CheckResult's pass and slack follow
 from lhs, rhs and tol, and an FkDecomposition's residual from its terms.
@@ -31,6 +30,7 @@ from .statistics import _BLOCK_VALUES, l_statistic
 
 __all__ = [
     "MAX_EXHAUSTIVE_N",
+    "NonFiniteStatisticError",
     "FkDecomposition",
     "VkVector",
     "CheckResult",
@@ -54,6 +54,10 @@ _SWAP_BLOCK = 128
 
 IDENTITY_RTOL = 1e-9
 INEQUALITY_SLACK = 1e-7
+
+
+class NonFiniteStatisticError(ValueError):
+    """Raised when a checked statistic is not finite or its telescoping terms overflow."""
 
 
 @dataclass(frozen=True)
@@ -151,11 +155,10 @@ def _swap_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     Row s of the (2^n, n) uint8 swap rows gives the rows of (x; x'), x
     stacked on x', that swap configuration s takes: i + n at coordinate i
     if bit i of s is set (the row of x'), i otherwise.  The (4, 2^n - 1)
-    int32 index
-    table holds, for each term k in its segment [2^k - 1, 2^(k+1) - 1),
-    the configurations A, A | bit, rest & ~bit and rest, where A runs over
-    the 2^k masks of the first k coordinates, bit = 2^k and rest is the
-    complement of A in all n coordinates.
+    int32 index table holds, for each term k in its segment
+    [2^k - 1, 2^(k+1) - 1), the configurations A, A | bit, rest & ~bit and
+    rest, where A runs over the 2^k masks of the first k coordinates,
+    bit = 2^k and rest is the complement of A in all n coordinates.
     """
     # the little-endian bytes of each 32-bit mask, unpacked low bit first,
     # so that no (2^n, n) temporary wider than a byte is made
@@ -198,10 +201,15 @@ def fk_decompose(f: Statistic, x, xp) -> FkDecomposition:
     for start in range(0, 1 << n, _SWAP_BLOCK):
         block = rows[start:start + _SWAP_BLOCK]
         vals[start:start + len(block)] = f.batch(both.take(block, axis=0))
+    if not np.isfinite(vals).all():
+        raise NonFiniteStatisticError(f"{f.label} takes a value that is not finite")
     g = vals[index]
     diffs = (g[0] - g[1] + g[2] - g[3]).tolist()
-    terms = tuple(math.fsum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
-                  for k in range(n))
+    try:
+        terms = tuple(math.fsum(diffs[(1 << k) - 1:(2 << k) - 1]) / float(2 ** (k + 1))
+                      for k in range(n))
+    except OverflowError as exc:  # finite values whose differences sum past the largest float
+        raise NonFiniteStatisticError(f"the telescoping terms of {f.label} overflow") from exc
     return FkDecomposition(terms, float(vals[0] - vals[-1]))
 
 
@@ -320,6 +328,8 @@ def _lstat_sides(F, xs, k, l, y, yp, z, zp) -> tuple[np.ndarray, np.ndarray]:
         stack[t, range(6), k[b, None], 0] = k_rows[b]
         stack[t, range(2, 6), l[b, None], 0] = l_rows[b]
         vals[b] = l_statistic(F, stack.reshape(-1, n, 1)).reshape(-1, 6)
+        if not np.isfinite(vals[b]).all():
+            raise NonFiniteStatisticError(f"lstat[{F.label}] takes a value that is not finite")
     # the length max(0, hi - lo) of the intervals' intersection, +0.0 if empty
     lo = np.maximum(np.minimum(z, zp), np.minimum(y, yp))
     hi = np.minimum(np.maximum(z, zp), np.maximum(y, yp))
@@ -353,6 +363,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
 
     This is the one-probe case of lstat_condition_counts, with the lhs and
     rhs of each condition and a digest of the probe in its CheckResult.
+    The tests hold the batched lstat_condition_counts to this reference.
     A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
     second-order condition of this form and raises UnboundedLipschitzError.
     """

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Domain, SeededRng, Statistic, as_points
-from .statistics import WeightFunction
+from .statistics import WeightFunction, _check_arity
 
 __all__ = [
     "ANALYTIC_BOUND",
@@ -215,8 +215,7 @@ def _differences(f: Statistic, order: int, xs: np.ndarray, coords: np.ndarray,
     return even - odd
 
 
-def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
-            explore_frac: float) -> list:
+def _search(f: Statistic, order: int, evals: int, streams: list, floor: float) -> list:
     """Search for n^(order-1) * |order-th difference| / dist (the Lipschitz
     seminorm) and n^(order-1) * |order-th difference| (the range seminorm)
     with ``evals`` evaluations per restart stream; returns one (ratio,
@@ -253,7 +252,7 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
     corners = 1 << order
     scale = n ** (order - 1)
     probes = max(evals // corners, 1)
-    explore = max(int(round(probes * explore_frac)), 1)
+    explore = max(int(round(probes * _EXPLORE_FRACTION)), 1)
     refine = max(probes - explore, 0)
     # a probe or witness is n configuration rows, then 2 * order pair rows
     width = n + 2 * order
@@ -353,34 +352,30 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float,
             for r in range(R)]
 
 
-def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng, *,
-                        explore_frac: float = _EXPLORE_FRACTION,
-                        restarts: int = _RESTARTS) -> SeminormReport:
+def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng) -> SeminormReport:
     """Randomized maximization of the four seminorm objectives.
 
     ``budget`` counts statistic evaluations and is split half/half between
     the first- and second-order searches (each of which serves its ratio
     and range objective from shared probes).  The schedule is 80% uniform
     exploration, 20% Gaussian refinement around the incumbent with a
-    shrinking radius, repeated over independent restart streams and reduced
-    by max in restart order.  The restarts of one order explore one at a
-    time and refine in lockstep (see _search); the report equals that of
-    the restarts run one after another.  Returned values are lower bounds
-    of the true seminorms.
+    shrinking radius, repeated over _RESTARTS (8) independent restart
+    streams and reduced by max in restart order.  The restarts of one order
+    explore one at a time and refine in lockstep (see _search); the report
+    equals that of the restarts run one after another.  Returned values are
+    lower bounds of the true seminorms.
     """
     if budget < 1:
         raise BudgetError("empirical_seminorms needs a positive evaluation budget")
     floor = PAIR_SEPARATION_FRACTION * f.domain.diameter
-    restarts = max(1, int(restarts))
 
     found = []
     evals = 0
     for order in (1, 2):
-        per_search = max(budget // 2 // restarts, 2 ** order)
-        streams = [rng.split((order - 1) * restarts + r) for r in range(restarts)]
+        per_search = max(budget // 2 // _RESTARTS, 2 ** order)
+        streams = [rng.split((order - 1) * _RESTARTS + r) for r in range(_RESTARTS)]
         lip, plain, witness = 0.0, 0.0, None
-        for ratio, absval, wit, used in _search(f, order, per_search, streams, floor,
-                                                explore_frac):
+        for ratio, absval, wit, used in _search(f, order, per_search, streams, floor):
             evals += used
             if ratio > lip:
                 lip, witness = ratio, wit
@@ -398,12 +393,11 @@ def analytic_seminorms_ustat(L: float, B: float, m: int, n: int,
                              kind: str = "U") -> SeminormReport:
     """Seminorm bounds for U- and V-statistics built from kernels with
     Lipschitz constant at most L and range constant at most B: the statistic
-    inherits the worst kernel's constants scaled by m/n (first order) and
+    inherits the kernel's constants scaled by m/n (first order) and
     m^2/n (second order)."""
     if kind not in ("U", "V"):
         raise ValueError(f"kind must be 'U' or 'V', got {kind!r}")
-    if m > n:
-        raise ValueError(f"kernel arity m={m} exceeds sample size n={n}")
+    _check_arity(m, n)
     if L < 0 or B < 0:
         raise ValueError("kernel constants must be nonnegative")
     return SeminormReport(

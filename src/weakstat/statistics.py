@@ -4,18 +4,18 @@ and the ridge-regression error functional.
 
 Every operation is a pure function of its arguments.  Functions accept an
 (n, d) array or a plain sequence (treated as d=1).  The statistic families
-(the mean, the shared-kernel V/U-statistics, the smoothed AUC, the
-L-statistic and the ridge error) also accept a (B, n, d) stack and return
-its (B,) values, each bit-identical to the value of that configuration
-alone; the builders at the end mark their statistics ``batched``.
+(the mean, the V/U-statistics, the smoothed AUC, the L-statistic and the
+ridge error) also accept a (B, n, d) stack and return its (B,) values,
+each bit-identical to the value of that configuration alone; the
+builders at the end mark their statistics ``batched``.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Callable, Mapping, Union
+from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -124,9 +124,6 @@ class RidgeProblem:
             raise ValueError("feature dimension must be >= 1")
 
 
-KernelSpec = Union[Kernel, Mapping[tuple, Kernel]]
-
-
 def _scalar_column(x, op: str) -> np.ndarray:
     pts = as_points(x)
     if pts.shape[-1] != 1:
@@ -147,20 +144,6 @@ def _result(v):
 def sample_mean(x) -> float:
     """Arithmetic mean of a scalar configuration."""
     return _result(_mean(_scalar_column(x, "sample_mean")))
-
-
-def _shared_kernel(kernels: KernelSpec) -> Kernel | None:
-    return kernels if isinstance(kernels, Kernel) else None
-
-
-def _kernel_arity(kernels: KernelSpec) -> int:
-    k = _shared_kernel(kernels)
-    if k is not None:
-        return k.m
-    arities = {kk.m for kk in kernels.values()}
-    if len(arities) != 1:
-        raise ValueError(f"all kernels must share one arity, got {sorted(arities)}")
-    return arities.pop()
 
 
 def _check_arity(m: int, n: int) -> None:
@@ -212,8 +195,7 @@ def _kernel_mean(kernel: Kernel, args, shape: tuple, lead: tuple):
             f"kernel {kernel.label or kernel.evaluator!r} returned shape {vals.shape} for "
             f"arguments of shape {args[0].shape}; it must reduce over the last axis only"
         )
-    vals = vals.reshape(lead + (-1,))
-    return _result(np.add.reduce(vals, axis=-1) / vals.shape[-1])
+    return _result(_mean(vals.reshape(lead + (-1,))))
 
 
 def _kernel_average(kernel: Kernel, pts: np.ndarray, idx: np.ndarray):
@@ -236,46 +218,27 @@ def _grid_average(kernel: Kernel, pts: np.ndarray, m: int):
     return _kernel_mean(kernel, args, grid, lead)
 
 
-def _one_configuration(pts: np.ndarray) -> None:
-    if pts.ndim != 2:
-        raise ValueError("per-index kernel families take one (n, d) configuration")
-
-
-def _kernel_statistic(kernels: KernelSpec, x, ordered: bool):
+def _kernel_statistic(kernel: Kernel, x, ordered: bool):
     """Kernel average over the ordered index tuples (V) or the strictly
     increasing ones (U)."""
     pts = as_points(x)
-    n = pts.shape[-2]
-    m = _kernel_arity(kernels)
+    n, m = pts.shape[-2], kernel.m
     _check_arity(m, n)
-    shared = _shared_kernel(kernels)
-    if shared is not None:
-        stacked = pts.ndim == 3
-        if ordered:
-            return _in_blocks(lambda p: _grid_average(shared, p, m), pts, n**m, stacked)
-        idx = _index_tuples(n, m)
-        return _in_blocks(lambda p: _kernel_average(shared, p, idx), pts, idx.shape[1], stacked)
-    _one_configuration(pts)
-    count = n**m if ordered else math.comb(n, m)
-    total = 0.0
-    for j in product(range(n), repeat=m) if ordered else combinations(range(n), m):
-        total += float(kernels[j].evaluator(*(pts[i] for i in j)))
-    return total / count
+    stacked = pts.ndim == 3
+    if ordered:
+        return _in_blocks(lambda p: _grid_average(kernel, p, m), pts, n**m, stacked)
+    idx = _index_tuples(n, m)
+    return _in_blocks(lambda p: _kernel_average(kernel, p, idx), pts, idx.shape[1], stacked)
 
 
-def v_statistic(kernels: KernelSpec, x) -> float:
-    """V-statistic: n^-m average of the kernel over all ordered index tuples.
-
-    A single Kernel is accepted as shorthand for a family that is constant
-    in the multi-index; a mapping from index tuples to kernels supports
-    per-index families such as two-sample layouts.
-    """
-    return _kernel_statistic(kernels, x, ordered=True)
+def v_statistic(kernel: Kernel, x) -> float:
+    """V-statistic: n^-m average of the kernel over all ordered index tuples."""
+    return _kernel_statistic(kernel, x, ordered=True)
 
 
-def u_statistic(kernels: KernelSpec, x) -> float:
+def u_statistic(kernel: Kernel, x) -> float:
     """U-statistic: average of the kernel over strictly increasing index tuples."""
-    return _kernel_statistic(kernels, x, ordered=False)
+    return _kernel_statistic(kernel, x, ordered=False)
 
 
 def smoothed_auc(loss: LossFunction, x) -> float:

@@ -739,6 +739,19 @@ class TestMainEntry:
         assert status == EXIT_ERROR and out == ""
         assert err.startswith(f"error: config.{field}:")
 
+    @pytest.mark.parametrize("family", ["mean", "ustat", "vstat", "lstat"])
+    def test_overflowing_statistic_names_the_box(self, tmp_path, family):
+        # a finite box on which every one of these families overflows; run
+        # in a fresh process, where an overflow warning stays a warning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "verify", "seed": 5, "statistic": {
+            "family": family, "n": 8, "lower": 1e307, "upper": 1.7e308}}))
+        env = dict(os.environ, PYTHONPATH=str(Path(weakstat.cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "weakstat.cli", "verify",
+                               "--config", str(cfg_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR and proc.stdout == ""
+        assert "error: config.statistic.lower, config.statistic.upper: " in proc.stderr
+
     @pytest.mark.parametrize("family", ["ustat", "vstat"])
     def test_sample_below_kernel_arity_names_field(self, tmp_path, capsys, family):
         status, err = self._bad_input(tmp_path, capsys, {

@@ -290,7 +290,3 @@ class TestEstimateInvariants:
         with pytest.raises(ValueError):
             ComplexityEstimate(mean=1.0, std_error=0.1, replicates=4, kind="gaussian",
                                method="guess")
-
-    def test_inflated_shifts_mean(self):
-        est = ComplexityEstimate(mean=1.0, std_error=0.2, replicates=4, kind="gaussian")
-        assert est.inflated(3.0).mean == pytest.approx(1.6)

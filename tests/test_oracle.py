@@ -7,6 +7,7 @@ import pytest
 from weakstat import (
     SeededRng,
     Statistic,
+    WeightFunction,
     class_complexity,
     f_zeta_weight,
     fk_decompose,
@@ -26,7 +27,7 @@ from weakstat import (
     vk_vector,
 )
 from weakstat.bounds import UnboundedLipschitzError
-from weakstat.oracle import _SWAP_BLOCK
+from weakstat.oracle import _SWAP_BLOCK, NonFiniteStatisticError, lstat_condition_counts
 from weakstat.seminorms import BudgetError
 
 
@@ -97,6 +98,17 @@ class TestFkDecompose:
         f = mean_statistic(15)
         with pytest.raises(BudgetError):
             fk_decompose(f, np.zeros((15, 1)), np.ones((15, 1)))
+
+    def test_non_finite_value_is_refused(self):
+        f = Statistic(lambda pts: math.inf if pts[0, 0] > 0.5 else 0.0, unit_interval(), 3, "inf")
+        with pytest.raises(NonFiniteStatisticError, match="inf takes a value that is not finite"):
+            fk_decompose(f, np.zeros((3, 1)), np.ones((3, 1)))
+
+    def test_overflowing_terms_are_refused(self):
+        # finite values, but F_2 = 4 * (-8e307) / 8 sums past the largest float
+        f = Statistic(lambda pts: 4e307 * float(pts[2, 0]), unit_interval(), 3, "big")
+        with pytest.raises(NonFiniteStatisticError, match="telescoping terms of big overflow"):
+            fk_decompose(f, np.zeros((3, 1)), np.ones((3, 1)))
 
 
 class TestFkTermSymmetries:
@@ -263,6 +275,12 @@ class TestLstatConditions:
             y, yp, z, zp = gen.uniform(size=4)
             first, second = lstat_condition_check(F, x, k, l, y, yp, z, zp)
             assert first.passed and second.passed
+
+    def test_non_finite_value_is_refused(self):
+        F = WeightFunction(lambda t: np.full_like(t, math.inf), 1.0, 1.0, label="inf")
+        xs = SeededRng(10).generator().uniform(0.1, 1.0, size=(3, 4, 1))
+        with pytest.raises(NonFiniteStatisticError, match=r"lstat\[inf\]"):
+            lstat_condition_counts(F, xs, [0, 1, 2], [1, 2, 3], *np.full((4, 3), 0.5))
 
     def test_step_weight_is_refused(self):
         x = SeededRng(10).generator().uniform(size=(4, 1))

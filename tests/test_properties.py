@@ -385,8 +385,8 @@ def test_lockstep_restarts_equal_lone_restarts(family, half_n, order, evals, blo
     streams = [SeededRng(seed).split(r) for r in range(seminorms._RESTARTS)]
     floor = seminorms.PAIR_SEPARATION_FRACTION * f.domain.diameter
     with mock.patch.object(seminorms, "_REFINE_BLOCK", block):
-        together = seminorms._search(f, order, evals, streams, floor, 0.8)
-        alone = [seminorms._search(f, order, evals, [s], floor, 0.8)[0] for s in streams]
+        together = seminorms._search(f, order, evals, streams, floor)
+        alone = [seminorms._search(f, order, evals, [s], floor)[0] for s in streams]
     assert len(together) == len(streams)
     for (ratio, absval, wit, used), lone in zip(together, alone):
         assert (ratio, absval, used) == (lone[0], lone[1], lone[3])

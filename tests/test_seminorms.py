@@ -146,7 +146,7 @@ class TestEmpiricalSearch:
         b = empirical_seminorms(neg, 6000, SeededRng(4))
         assert (a.m_lip, a.j_lip, a.m_plain, a.j_plain) == (b.m_lip, b.j_lip, b.m_plain, b.j_plain)
 
-    def test_subadditivity_over_shared_probes(self):
+    def test_subadditivity_over_shared_probes(self, monkeypatch):
         n = 6
         dom = unit_interval()
         f = mean_statistic(n, dom)
@@ -157,10 +157,11 @@ class TestEmpiricalSearch:
         )
         # pure exploration: probes depend only on the seed, so all three
         # searches scan exactly the same points and subadditivity is exact
-        kw = dict(explore_frac=1.0, restarts=4)
-        rc = empirical_seminorms(combo, 8000, SeededRng(5), **kw)
-        rf = empirical_seminorms(f, 8000, SeededRng(5), **kw)
-        rg = empirical_seminorms(g, 8000, SeededRng(5), **kw)
+        monkeypatch.setattr(seminorms, "_EXPLORE_FRACTION", 1.0)
+        monkeypatch.setattr(seminorms, "_RESTARTS", 4)
+        rc = empirical_seminorms(combo, 8000, SeededRng(5))
+        rf = empirical_seminorms(f, 8000, SeededRng(5))
+        rg = empirical_seminorms(g, 8000, SeededRng(5))
         assert rc.m_lip <= a * rf.m_lip + b * rg.m_lip + 1e-12
         assert rc.j_lip <= a * rf.j_lip + b * rg.j_lip + 1e-12
 
@@ -222,9 +223,10 @@ class TestEmpiricalSearch:
         # every ratio underflows to 0, so only the range witness is set and
         # only the odd refinement steps run (2 restarts x 37 steps x 2 corners)
         monkeypatch.setattr(seminorms, "_REFINE_BLOCK", block)
+        monkeypatch.setattr(seminorms, "_RESTARTS", 2)
         f = Statistic(lambda pts: 5e-324 * float((pts[:, 0] > 0.0).sum()),
                       box([-1000.0], [1000.0]), 4, "tiny")
-        rep = empirical_seminorms(f, 3000, SeededRng(3), restarts=2)
+        rep = empirical_seminorms(f, 3000, SeededRng(3))
         assert (rep.m_lip, rep.m_plain, rep.argmax_witness) == (0.0, 5e-324, None)
         assert rep.search_evals == 2400 + 2 * 37 * 2
 

@@ -75,14 +75,6 @@ class TestVStatistic:
         with pytest.raises(ValueError, match="arity"):
             v_statistic(product_kernel(), [1.0])
 
-    def test_per_index_kernel_family(self):
-        kernels = {
-            (0,): Kernel(1, lambda a: a[..., 0], 1.0, 1.0),
-            (1,): Kernel(1, lambda a: 2.0 * a[..., 0], 2.0, 2.0),
-        }
-        # (x0 + 2 x1) / 2 by direct expansion
-        assert v_statistic(kernels, [3.0, 5.0]) == pytest.approx((3.0 + 10.0) / 2)
-
     @pytest.mark.parametrize("build", [v_stat_statistic, u_stat_statistic])
     @pytest.mark.parametrize("evaluator", [
         lambda a, b: np.sum(a * b, axis=1),

@@ -76,71 +76,17 @@ class RankingSelection:
     delta: float
 
 
-def _rank_weights(losses: np.ndarray, order_weights: np.ndarray) -> np.ndarray:
-    """Per-point weights F(rank/n), where rank is the ascending position of
-    the point's loss (stable ties), given the (n,) weights F(i/n)."""
-    w = np.empty(losses.shape[0])
-    w[np.argsort(losses, kind="stable")] = order_weights
-    return w
-
-
-def _plus_plus_init(data: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
-    """Distance-squared-proportional seeding."""
+def _plus_plus_seeds(data: np.ndarray, K: int, gens: list) -> np.ndarray:
+    """(R, K, m) distance-squared-proportional seeds, one center set per
+    generator.  Step k takes the nearest-center losses of every set in one
+    (R, n, k) computation; each generator draws as a lone seeding would."""
     n = data.shape[0]
-    centers = [data[int(gen.integers(n))]]
+    picks = [[int(gen.integers(n))] for gen in gens]
     for _ in range(K - 1):
-        d2 = nearest_center_losses(data, np.stack(centers))
-        total = d2.sum()
-        if total <= 0:
-            centers.append(data[int(gen.integers(n))])
-            continue
-        centers.append(data[int(gen.choice(n, p=d2 / total))])
-    return np.stack(centers)
-
-
-def _lloyd_run(data: np.ndarray, K: int, weight: WeightFunction, max_iters: int,
-               gen: np.random.Generator) -> tuple[np.ndarray, list, int]:
-    n = data.shape[0]
-    centers = _plus_plus_init(data, K, gen)
-    order_weights = _order_weights(weight, n)
-    rows = np.arange(n)
-    history = []
-    reseeds = 0
-    prev = math.inf
-    d2 = _squared_distances(data, centers)
-    assign = np.argmin(d2, axis=1)
-    losses = d2[rows, assign]
-    for _ in range(max_iters):
-        w = _rank_weights(losses, order_weights)
-        positive = w > 0
-        reseeded = False
-        for k in range(K):
-            mask = (assign == k) & positive
-            wk = w[mask]
-            total = wk.sum()
-            if total > 0:
-                centers[k] = (data[mask] * wk[:, None]).sum(axis=0) / total
-            else:
-                # Cluster carries no weight: restart it at the point whose
-                # weighted loss is largest, so mass moves where it hurts most.
-                centers[k] = data[int(np.argmax(w * losses))]
-                reseeds += 1
-                reseeded = True
-        # the losses at the updated centers give this iteration's objective
-        # and the next iteration's assignment
-        d2 = _squared_distances(data, centers)
-        assign = np.argmin(d2, axis=1)
-        losses = d2[rows, assign]
-        obj = float(_order_average(losses, order_weights))
-        history.append(obj)
-        if not reseeded and obj > prev + _DESCENT_TOL:
-            raise DescentViolationError(
-                f"objective increased from {prev!r} to {obj!r} without a reseed"
-            )
-        if abs(prev - obj) < _CONVERGENCE_TOL:
-            break
-        prev = obj
-    return centers, history, reseeds
+        near = nearest_center_losses(data, data[picks])
+        for pick, gen, d2, total in zip(picks, gens, near, near.sum(axis=1)):
+            pick.append(int(gen.integers(n)) if total <= 0 else int(gen.choice(n, p=d2 / total)))
+    return data[picks]
 
 
 def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
@@ -152,8 +98,17 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
     Weights are frozen during the center update and ranks recomputed after,
     which keeps the recorded objective nonincreasing (the old ranking is a
     feasible ranking for the new losses); an increase without a reseed
-    aborts loudly.  Restarts run on indexed streams and the best objective
-    wins, ties to the lowest restart index.
+    aborts loudly.
+
+    Restart r runs on stream ``rng.split(r)``, and all restarts advance in
+    lockstep: one k-means++ step for all, then up to ``max_iters`` Lloyd
+    rounds over the (R, n, K) stack of restarts not yet converged.  Each gets a
+    lone run's bits: distances from ``_squared_distances``, ranks from a
+    stable argsort per row, objectives from ``_order_average`` of the stack,
+    and per (restart, cluster) group a pairwise ``sum`` of its weights and
+    an in-order ``sum(axis=0)`` of its weighted rows, each over one
+    contiguous slice.  Memory is R times a lone run's.  The lowest final
+    objective wins, ties to the lowest restart index.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -166,12 +121,62 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
-    def run(r: int):
-        return _lloyd_run(data, K, weight, max_iters, rng.split(r).generator())
-
-    outcomes = [run(r) for r in range(restarts)]
-    centers, history, reseeds = min(outcomes, key=lambda outcome: outcome[1][-1])
-    return ClusteringResult(centers, restarts, tuple(history), reseeds)
+    centers = _plus_plus_seeds(data, K, [rng.split(r).generator() for r in range(restarts)])
+    order_weights = _order_weights(weight, n)
+    histories = [[] for _ in range(restarts)]
+    reseeds = [0] * restarts
+    prev = [math.inf] * restarts
+    live = np.arange(restarts)
+    d2 = _squared_distances(data, centers)
+    assign = np.argmin(d2, axis=2)
+    losses = d2.min(axis=2)
+    for _ in range(max_iters):
+        c = centers[live]
+        groups = live.size * K
+        rows = np.arange(live.size)[:, None]
+        w = np.empty_like(losses)
+        w[rows, np.argsort(losses, axis=1, kind="stable")] = order_weights
+        # positive-weight points by (restart, cluster) group, in input order
+        key = np.where(w > 0, assign + K * rows, groups).ravel()
+        order = np.argsort(key, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(key, minlength=groups + 1))))
+        ws = w.ravel()[order]
+        terms = data[order % n] * ws[:, None]
+        spans = list(zip(bounds[:groups].tolist(), bounds[1:groups + 1].tolist()))
+        totals = np.array([ws[a:b].sum() for a, b in spans])
+        sums = np.array([terms[a:b].sum(axis=0) for a, b in spans])
+        flat = c.reshape(groups, -1)
+        fed = totals > 0
+        flat[fed] = sums[fed] / totals[fed, None]
+        # a cluster that carries no weight restarts at the point whose
+        # weighted loss is largest, so mass moves where it hurts most
+        starved = ~fed.reshape(live.size, K)
+        for i, k in zip(*np.nonzero(starved)):
+            c[i, k] = data[np.argmax(w[i] * losses[i])]
+        # the losses at the updated centers give this round's objectives
+        # and the next round's assignment
+        centers[live] = c
+        d2 = _squared_distances(data, c)
+        assign = np.argmin(d2, axis=2)
+        losses = d2.min(axis=2)
+        objs = _order_average(losses, order_weights).tolist()
+        going = []
+        for i, (r, obj, starts) in enumerate(zip(live.tolist(), objs,
+                                                 starved.sum(axis=1).tolist())):
+            histories[r].append(obj)
+            reseeds[r] += starts
+            if not starts and obj > prev[r] + _DESCENT_TOL:
+                raise DescentViolationError(f"objective increased from {prev[r]!r} to {obj!r} "
+                                            "without a reseed")
+            if abs(prev[r] - obj) < _CONVERGENCE_TOL:
+                continue
+            prev[r] = obj
+            going.append(i)
+        if not going:
+            break
+        live, assign, losses = live[going], assign[going], losses[going]
+    best = min(range(restarts), key=lambda r: histories[r][-1])
+    return ClusteringResult(centers[best].copy(), restarts, tuple(histories[best]), reseeds[best])
 
 
 def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,

@@ -119,6 +119,16 @@ def _interval(low_field: str, low: float, high_field: str, high: float):
     return box([low], [high])
 
 
+def _diameter(dom) -> float:
+    """The box diameter, which the mean and lstat closed forms and the search
+    scale with; a ConfigError if it overflows (from widths near 1.3e154)."""
+    diameter = dom.diameter
+    if not math.isfinite(diameter):
+        raise ConfigError("config.statistic.lower, config.statistic.upper: the box diameter "
+                          f"overflows to {diameter}, and the seminorms scale with it")
+    return diameter
+
+
 def _build_statistic(config: dict):
     """Resolve the statistic family into (Statistic, upper-bound report fn).
 
@@ -135,7 +145,8 @@ def _build_statistic(config: dict):
 
     if family == "mean":
         f = stats.mean_statistic(n, dom)
-        report = lambda: smn.analytic_seminorms_lstat(stats.constant_weight(1.0), dom.diameter, n)
+        unit = stats.constant_weight(1.0)
+        report = lambda: smn.analytic_seminorms_lstat(unit, _diameter(dom), n)
     elif family in ("ustat", "vstat"):
         kernel = stats.product_kernel()
         if n < kernel.m:
@@ -168,7 +179,7 @@ def _build_statistic(config: dict):
     elif family == "lstat":
         weight = stats.f_zeta_weight(float(s.get("zeta", 0.25)))
         f = stats.lstat_statistic(weight, n, dom)
-        report = lambda: smn.analytic_seminorms_lstat(weight, dom.diameter, n)
+        report = lambda: smn.analytic_seminorms_lstat(weight, _diameter(dom), n)
     elif family == "ridge":
         problem = stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1)))
         f = stats.ridge_error_statistic(problem, n)
@@ -225,9 +236,10 @@ def _refuse_step_weight(config: dict) -> None:
 
 def _run_seminorm(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
-    # before the search, so that a refused closed form fails at once; each
-    # builds its generators afresh from (seed, stream), so order is moot
+    # before the search, so that a refused closed form or box fails at once;
+    # each builds its generators afresh from (seed, stream), so order is moot
     upper = report_fn()
+    _diameter(f.domain)
     budget = int(config.get("budget", 20000))
     emp = smn.empirical_seminorms(f, budget, SeededRng(config["seed"]))
     return {

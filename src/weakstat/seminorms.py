@@ -368,6 +368,9 @@ def empirical_seminorms(f: Statistic, budget: int, rng: SeededRng) -> SeminormRe
     if budget < 1:
         raise BudgetError("empirical_seminorms needs a positive evaluation budget")
     floor = PAIR_SEPARATION_FRACTION * f.domain.diameter
+    if not math.isfinite(floor):
+        raise ValueError(f"{f.label}: the pair separation floor is {floor}, because the box "
+                         "diameter overflows; no pair could pass it")
 
     found = []
     evals = 0

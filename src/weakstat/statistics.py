@@ -305,13 +305,23 @@ def f_zeta(t, zeta: float):
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n, K) squared Euclidean distances from each of n points to each of K centers."""
-    return np.sum((points[:, None, :] - centers[None]) ** 2, axis=2)
+    """(..., n, K) squared Euclidean distances from each of n points to each
+    of K centers, for centers of shape (..., K, m); each set in a stack gets
+    its lone values.  numpy sums a contiguous axis left to right below 8
+    terms and pairwise from 8 on; below 8 the same sum runs over one
+    (..., K, n) plane per coordinate, so inner loops span n, not m."""
+    m = points.shape[1]
+    if m >= 8:
+        return np.sum((points[:, None, :] - centers[..., None, :, :]) ** 2, axis=-1)
+    planes = np.ascontiguousarray(points.T).reshape((m,) + (1,) * (centers.ndim - 1) + (-1,))
+    sq = (planes - np.moveaxis(centers, -1, 0)[..., None]) ** 2
+    return np.sum(sq, axis=0).swapaxes(-1, -2)
 
 
 def nearest_center_losses(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """(n,) squared Euclidean distances from each of n points to its nearest center."""
-    return np.min(_squared_distances(points, centers), axis=1)
+    """(..., n) squared Euclidean distances from each of n points to its
+    nearest center, for centers of shape (..., K, m)."""
+    return np.min(_squared_distances(points, centers), axis=-1)
 
 
 def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:

@@ -1,7 +1,9 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakstat import (
     ComplexityEstimate,
@@ -14,6 +16,7 @@ from weakstat import (
     clustering_certificate,
     constant_weight,
     f_zeta,
+    f_zeta_weight,
     gaussian_mixture_with_noise,
     class_complexity,
     evaluate_class,
@@ -29,7 +32,8 @@ from weakstat import (
     uniform_raw_space,
     weighted_rank_kmeans,
 )
-from weakstat.applications import UnboundedLipschitzError
+from weakstat.applications import DescentViolationError, UnboundedLipschitzError
+from weakstat.statistics import _order_average, _order_weights
 
 TRUE_CENTERS = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
@@ -145,6 +149,107 @@ class TestTrimmedKmeans:
             tr.append(center_matching_error(a.centers, TRUE_CENTERS))
             pl.append(center_matching_error(b.centers, TRUE_CENTERS))
         assert float(np.median(tr)) < float(np.median(pl))
+
+
+def _lone_distances(data, centers):
+    return np.sum((data[:, None, :] - centers[None]) ** 2, axis=2)
+
+
+def _lone_seeds(data, K, gen):
+    """Reference k-means++ seeding of one restart, one center at a time."""
+    n = data.shape[0]
+    centers = [data[int(gen.integers(n))]]
+    for _ in range(K - 1):
+        d2 = np.min(_lone_distances(data, np.stack(centers)), axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(data[int(gen.integers(n))])
+            continue
+        centers.append(data[int(gen.choice(n, p=d2 / total))])
+    return np.stack(centers)
+
+
+def _lone_lloyd(data, K, weight, max_iters, gen):
+    """Reference Lloyd run of one restart, one cluster at a time."""
+    n = data.shape[0]
+    centers = _lone_seeds(data, K, gen)
+    order_weights = _order_weights(weight, n)
+    rows = np.arange(n)
+    history = []
+    reseeds = 0
+    prev = math.inf
+    d2 = _lone_distances(data, centers)
+    assign = np.argmin(d2, axis=1)
+    losses = d2[rows, assign]
+    for _ in range(max_iters):
+        w = np.empty(n)
+        w[np.argsort(losses, kind="stable")] = order_weights
+        positive = w > 0
+        reseeded = False
+        for k in range(K):
+            mask = (assign == k) & positive
+            wk = w[mask]
+            total = wk.sum()
+            if total > 0:
+                centers[k] = (data[mask] * wk[:, None]).sum(axis=0) / total
+            else:
+                centers[k] = data[int(np.argmax(w * losses))]
+                reseeds += 1
+                reseeded = True
+        d2 = _lone_distances(data, centers)
+        assign = np.argmin(d2, axis=1)
+        losses = d2[rows, assign]
+        obj = float(_order_average(losses, order_weights))
+        history.append(obj)
+        if not reseeded and obj > prev + 1e-12:
+            raise DescentViolationError(f"objective increased from {prev!r} to {obj!r}")
+        if abs(prev - obj) < 1e-10:
+            break
+        prev = obj
+    return centers, history, reseeds
+
+
+def _lone_restarts(data, K, weight, max_iters, restarts, rng):
+    """Reference restart loop: each restart run alone on its stream, the
+    lowest final objective winning, ties to the lowest index."""
+    outcomes = [_lone_lloyd(data, K, weight, max_iters, rng.split(r).generator())
+                for r in range(restarts)]
+    return min(outcomes, key=lambda outcome: outcome[1][-1])
+
+
+_WEIGHTS = [f_zeta_weight(0.0), f_zeta_weight(0.05), f_zeta_weight(0.25), constant_weight(1.0)]
+
+
+@st.composite
+def _clustering_cases(draw):
+    n = draw(st.integers(1, 40))
+    dim = draw(st.sampled_from([1, 2, 3, 7, 8, 9]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modes = 3.0 * gen.standard_normal((draw(st.integers(1, 4)), dim))
+    spread = draw(st.sampled_from([0.0, 1e-9, 0.05, 1.0]))
+    data = modes[gen.integers(len(modes), size=n)] + spread * gen.standard_normal((n, dim))
+    if draw(st.booleans()):
+        # a grid with repeated points and -0.0 coordinates
+        data = np.round(data)
+    if draw(st.booleans()):
+        # a coordinate at -0.0 throughout, where each center sums -0.0 terms
+        data[:, draw(st.integers(0, dim - 1))] = -0.0
+    return dict(data=data, K=draw(st.integers(1, min(5, n))),
+                weight=draw(st.sampled_from(_WEIGHTS)), max_iters=draw(st.integers(1, 12)),
+                restarts=draw(st.integers(1, 10)), seed=draw(st.integers(0, 1000)))
+
+
+class TestLockstepRestarts:
+    @settings(max_examples=150, deadline=None)
+    @given(case=_clustering_cases())
+    def test_lockstep_equals_lone_restarts(self, case):
+        rng = SeededRng(case["seed"])
+        args = (case["data"], case["K"], case["weight"], case["max_iters"], case["restarts"])
+        centers, history, reseeds = _lone_restarts(*args, rng)
+        res = weighted_rank_kmeans(*args, rng)
+        assert res.centers.tobytes() == np.ascontiguousarray(centers).tobytes()
+        assert np.array(res.history).tobytes() == np.array(history).tobytes()
+        assert (res.reseeds, res.restarts_used) == (reseeds, case["restarts"])
 
 
 class TestClusteringCertificate:

@@ -752,6 +752,24 @@ class TestMainEntry:
         assert proc.returncode == EXIT_ERROR and proc.stdout == ""
         assert "error: config.statistic.lower, config.statistic.upper: " in proc.stderr
 
+    @pytest.mark.parametrize("lower, upper", [(1e307, 1.7e308), (0.0, 1e200)])
+    @pytest.mark.parametrize("kind, family", [
+        ("seminorm", "mean"), ("seminorm", "lstat"), ("seminorm", "auc"),
+        ("bound", "mean"), ("bound", "lstat"),
+    ])
+    def test_overflowing_diameter_names_the_box(self, tmp_path, kind, family, lower, upper):
+        # the widths are finite but their norm overflows, which the search's
+        # pair separation and the mean and lstat closed forms scale with
+        config = dict(_BOUND_CONFIG, kind=kind, seed=5, budget=2000, statistic={
+            "family": family, "n": 8, "lower": lower, "upper": upper})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        env = dict(os.environ, PYTHONPATH=str(Path(weakstat.cli.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "weakstat.cli", kind,
+                               "--config", str(cfg_path)], env=env, capture_output=True, text=True)
+        assert proc.returncode == EXIT_ERROR and proc.stdout == ""
+        assert "error: config.statistic.lower, config.statistic.upper: " in proc.stderr
+
     @pytest.mark.parametrize("family", ["ustat", "vstat"])
     def test_sample_below_kernel_arity_names_field(self, tmp_path, capsys, family):
         status, err = self._bad_input(tmp_path, capsys, {

@@ -112,6 +112,15 @@ class TestEmpiricalSearch:
         with pytest.raises(BudgetError):
             empirical_seminorms(mean_statistic(3), 0, SeededRng(0))
 
+    @pytest.mark.parametrize("lower, upper", [(1e307, 1.7e308), (0.0, 1e200)])
+    def test_overflowing_diameter_rejected(self, lower, upper):
+        # a finite width whose norm overflows gives an infinite separation
+        # floor, under which the search would keep no pair
+        f = lstat_statistic(f_zeta_weight(0.25), 8, box([lower], [upper]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="separation floor"):
+                empirical_seminorms(f, 2000, SeededRng(5))
+
     def test_auc_search_attains_grid_oracle(self):
         n = 4
         f = auc_statistic(ramp_loss(), n)

@@ -14,9 +14,9 @@ from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, 
 from .complexity import ComplexityEstimate, linear_gaussian_complexity
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
-from .statistics import (LossFunction, WeightFunction, _order_average, _order_weights,
-                         _squared_distances, f_zeta_weight, nearest_center_losses,
-                         smoothed_auc)
+from .statistics import (_BLOCK_VALUES, LossFunction, WeightFunction, _order_average,
+                         _order_weights, _squared_distances, f_zeta_weight,
+                         nearest_center_losses, smoothed_auc)
 
 __all__ = [
     "ClusteringResult",
@@ -76,62 +76,23 @@ class RankingSelection:
     delta: float
 
 
-def _plus_plus_seeds(data: np.ndarray, K: int, gens: list) -> np.ndarray:
-    """(R, K, m) distance-squared-proportional seeds, one center set per
-    generator.  Step k takes the nearest-center losses of every set in one
-    (R, n, k) computation; each generator draws as a lone seeding would."""
+def _lockstep(data: np.ndarray, K: int, order_weights: np.ndarray, max_iters: int,
+              gens: list) -> list:
+    """Seed and run one restart per generator in lockstep: (centers, history, reseeds) of each."""
     n = data.shape[0]
+    # k-means++: step k takes the nearest-center losses of every restart in
+    # one (R, n, k) computation; each generator draws as a lone seeding would
     picks = [[int(gen.integers(n))] for gen in gens]
     for _ in range(K - 1):
         near = nearest_center_losses(data, data[picks])
         for pick, gen, d2, total in zip(picks, gens, near, near.sum(axis=1)):
             pick.append(int(gen.integers(n)) if total <= 0 else int(gen.choice(n, p=d2 / total)))
-    return data[picks]
-
-
-def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
-                         max_iters: int = 100, restarts: int = 10,
-                         rng: SeededRng = SeededRng(0)) -> ClusteringResult:
-    """Weighted Lloyd iteration where each point's weight is a function of
-    the rank of its current loss.
-
-    Weights are frozen during the center update and ranks recomputed after,
-    which keeps the recorded objective nonincreasing (the old ranking is a
-    feasible ranking for the new losses); an increase without a reseed
-    aborts loudly.
-
-    Restart r runs on stream ``rng.split(r)``, and all restarts advance in
-    lockstep: one k-means++ step for all, then up to ``max_iters`` Lloyd
-    rounds over the (R, n, K) stack of restarts not yet converged.  Each gets a
-    lone run's bits: distances from ``_squared_distances``, ranks from a
-    stable argsort per row, objectives from ``_order_average`` of the stack,
-    and per (restart, cluster) group a pairwise ``sum`` of its weights and
-    an in-order ``sum(axis=0)`` of its weighted rows, each over one
-    contiguous slice.  Memory is R times a lone run's.  The lowest final
-    objective wins, ties to the lowest restart index.
-    """
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 2:
-        raise ValueError("data must be an (n, m) array")
-    n = data.shape[0]
-    if K < 1 or K > n:
-        raise ValueError(f"cluster count K={K} must lie in [1, n={n}]")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-
-    centers = _plus_plus_seeds(data, K, [rng.split(r).generator() for r in range(restarts)])
-    order_weights = _order_weights(weight, n)
-    histories = [[] for _ in range(restarts)]
-    reseeds = [0] * restarts
-    prev = [math.inf] * restarts
-    live = np.arange(restarts)
+    centers = data[picks]
+    histories, reseeds, prev = [[] for _ in gens], [0] * len(gens), [math.inf] * len(gens)
+    live = np.arange(len(gens))
     d2 = _squared_distances(data, centers)
-    assign = np.argmin(d2, axis=2)
-    losses = d2.min(axis=2)
+    assign, losses = np.argmin(d2, axis=2), d2.min(axis=2)
     for _ in range(max_iters):
-        c = centers[live]
         groups = live.size * K
         rows = np.arange(live.size)[:, None]
         w = np.empty_like(losses)
@@ -145,9 +106,10 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
         spans = list(zip(bounds[:groups].tolist(), bounds[1:groups + 1].tolist()))
         totals = np.array([ws[a:b].sum() for a, b in spans])
         sums = np.array([terms[a:b].sum(axis=0) for a, b in spans])
-        flat = c.reshape(groups, -1)
+        flat = centers[live].reshape(groups, -1)
         fed = totals > 0
         flat[fed] = sums[fed] / totals[fed, None]
+        c = flat.reshape(live.size, K, -1)
         # a cluster that carries no weight restarts at the point whose
         # weighted loss is largest, so mass moves where it hurts most
         starved = ~fed.reshape(live.size, K)
@@ -157,12 +119,10 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
         # and the next round's assignment
         centers[live] = c
         d2 = _squared_distances(data, c)
-        assign = np.argmin(d2, axis=2)
-        losses = d2.min(axis=2)
+        assign, losses = np.argmin(d2, axis=2), d2.min(axis=2)
         objs = _order_average(losses, order_weights).tolist()
         going = []
-        for i, (r, obj, starts) in enumerate(zip(live.tolist(), objs,
-                                                 starved.sum(axis=1).tolist())):
+        for i, (r, obj, starts) in enumerate(zip(live.tolist(), objs, starved.sum(1).tolist())):
             histories[r].append(obj)
             reseeds[r] += starts
             if not starts and obj > prev[r] + _DESCENT_TOL:
@@ -175,8 +135,50 @@ def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
         if not going:
             break
         live, assign, losses = live[going], assign[going], losses[going]
-    best = min(range(restarts), key=lambda r: histories[r][-1])
-    return ClusteringResult(centers[best].copy(), restarts, tuple(histories[best]), reseeds[best])
+    return list(zip(centers, histories, reseeds))
+
+
+def weighted_rank_kmeans(data: np.ndarray, K: int, weight: WeightFunction,
+                         max_iters: int = 100, restarts: int = 10,
+                         rng: SeededRng = SeededRng(0)) -> ClusteringResult:
+    """Weighted Lloyd iteration where each point's weight is a function of
+    the rank of its current loss.
+
+    Weights are frozen during the center update and ranks recomputed after,
+    which keeps the recorded objective nonincreasing (the old ranking is a
+    feasible ranking for the new losses); an increase without a reseed
+    aborts loudly.
+
+    Restart r runs on stream ``rng.split(r)``.  Blocks of max(_BLOCK_VALUES
+    // (n K m), 1) restarts, which bound the (R, n, K, m) distance
+    temporary, advance in lockstep: one k-means++ step for all, then up to
+    ``max_iters`` Lloyd rounds over the (R, n, K) stack of those not yet
+    converged.  Each gets a lone run's bits: ``_squared_distances``, a
+    stable argsort per row for the ranks, ``_order_average`` of the stack
+    for the objectives, and per (restart, cluster) group a pairwise ``sum``
+    of its weights and an in-order ``sum(axis=0)`` of its weighted rows,
+    each over one contiguous slice.  The lowest final objective wins, ties
+    to the lowest restart index.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 2:
+        raise ValueError("data must be an (n, m) array")
+    n, m = data.shape
+    if K < 1 or K > n:
+        raise ValueError(f"cluster count K={K} must lie in [1, n={n}]")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+
+    order_weights = _order_weights(weight, n)
+    size = max(_BLOCK_VALUES // (n * K * max(m, 1)), 1)
+    runs = []
+    for start in range(0, restarts, size):
+        gens = [rng.split(r).generator() for r in range(start, min(start + size, restarts))]
+        runs += _lockstep(data, K, order_weights, max_iters, gens)
+    centers, history, reseeds = min(runs, key=lambda run: run[1][-1])
+    return ClusteringResult(centers.copy(), restarts, tuple(history), reseeds)
 
 
 def trimmed_kmeans(data: np.ndarray, K: int, zeta: float, max_iters: int = 100,

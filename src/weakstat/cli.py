@@ -145,8 +145,7 @@ def _build_statistic(config: dict):
 
     if family == "mean":
         f = stats.mean_statistic(n, dom)
-        unit = stats.constant_weight(1.0)
-        report = lambda: smn.analytic_seminorms_lstat(unit, _diameter(dom), n)
+        report = lambda: smn.analytic_seminorms_lstat(stats.constant_weight(1.0), _diameter(dom), n)
     elif family in ("ustat", "vstat"):
         kernel = stats.product_kernel()
         if n < kernel.m:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from weakstat import (
     uniform_raw_space,
     weighted_rank_kmeans,
 )
+from weakstat import applications
 from weakstat.applications import DescentViolationError, UnboundedLipschitzError
-from weakstat.statistics import _order_average, _order_weights
+from weakstat.statistics import _BLOCK_VALUES, _order_average, _order_weights
 
 TRUE_CENTERS = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
@@ -236,7 +239,9 @@ def _clustering_cases(draw):
         data[:, draw(st.integers(0, dim - 1))] = -0.0
     return dict(data=data, K=draw(st.integers(1, min(5, n))),
                 weight=draw(st.sampled_from(_WEIGHTS)), max_iters=draw(st.integers(1, 12)),
-                restarts=draw(st.integers(1, 10)), seed=draw(st.integers(0, 1000)))
+                restarts=draw(st.integers(1, 10)), seed=draw(st.integers(0, 1000)),
+                # the default, one restart per block, or blocks of any size
+                budget=draw(st.sampled_from([_BLOCK_VALUES, 1]) | st.integers(1, 4000)))
 
 
 class TestLockstepRestarts:
@@ -246,10 +251,40 @@ class TestLockstepRestarts:
         rng = SeededRng(case["seed"])
         args = (case["data"], case["K"], case["weight"], case["max_iters"], case["restarts"])
         centers, history, reseeds = _lone_restarts(*args, rng)
-        res = weighted_rank_kmeans(*args, rng)
+        with mock.patch.object(applications, "_BLOCK_VALUES", case["budget"]):
+            res = weighted_rank_kmeans(*args, rng)
         assert res.centers.tobytes() == np.ascontiguousarray(centers).tobytes()
         assert np.array(res.history).tobytes() == np.array(history).tobytes()
         assert (res.reseeds, res.restarts_used) == (reseeds, case["restarts"])
+
+    @pytest.mark.parametrize("n, sizes", [(240, [10]), (1000, [3, 3, 3, 1]), (20000, [1] * 10)])
+    def test_restarts_run_in_blocks_of_the_budget(self, n, sizes):
+        # max(_BLOCK_VALUES // (n K m), 1) restarts per block at K = 3, m = 2
+        data = SeededRng(1).generator().standard_normal((n, 2))
+        blocks = []
+        lockstep = applications._lockstep
+
+        def counted(data, K, order_weights, max_iters, gens):
+            blocks.append(len(gens))
+            return lockstep(data, K, order_weights, max_iters, gens)
+
+        with mock.patch.object(applications, "_lockstep", counted):
+            trimmed_kmeans(data, 3, 0.25, max_iters=2, restarts=10, rng=SeededRng(5))
+        assert blocks == sizes
+
+    def test_peak_memory_at_n20000(self):
+        # one restart per block: 3.4 MiB, against 2.7 MiB for a lone
+        # restart and 32 MiB with all 10 restarts in one block
+        data = SeededRng(1).generator().standard_normal((20000, 2))
+        run = lambda: trimmed_kmeans(data, 3, 0.25, max_iters=3, restarts=10, rng=SeededRng(5))
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestClusteringCertificate:

@@ -34,6 +34,7 @@ from weakstat import cli, oracle
 from weakstat.oracle import fk_decompose
 from weakstat.statistics import (
     _BLOCK_VALUES,
+    _squared_distances,
     probe_kernel_lipschitz,
     probe_loss_function,
     probe_weight_function,
@@ -326,6 +327,21 @@ class TestKmeansLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             kmeans_loss([[0.0, 0.0]], [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("m", range(1, 14))
+    def test_distances_equal_the_contiguous_sum(self, m):
+        # below 8 coordinates the planes must add in numpy's order for a
+        # contiguous axis; magnitudes spread over 1e-8..1e8 make any other
+        # order round differently
+        gen = SeededRng(m).generator()
+        scale = 10.0 ** gen.integers(-8, 9, size=m)
+        points = gen.standard_normal((500, m)) * scale
+        for stack in [(), (1,), (7,), (2, 3)]:
+            centers = gen.standard_normal(stack + (3, m)) * scale
+            out = _squared_distances(points, centers)
+            ref = np.sum((points[:, None, :] - centers[..., None, :, :]) ** 2, axis=-1)
+            assert out.shape == stack + (500, 3)
+            assert out.tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 class TestRidge:

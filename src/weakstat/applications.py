@@ -38,6 +38,8 @@ __all__ = [
 
 _CONVERGENCE_TOL = 1e-10
 _DESCENT_TOL = 1e-12
+# half-width of the box [-3, 3]^dim that ranking data are clipped to
+_BOX_SCALE = 3.0
 
 
 class DescentViolationError(RuntimeError):
@@ -277,11 +279,11 @@ def gaussian_mixture_with_noise(n: int, centers: np.ndarray, cluster_std: float,
     return data[gen.permutation(n)]
 
 
-def two_block_ranking_space(dim: int, separation: float, box_scale: float = 3.0,
-                            label: str = "two-block") -> RawSpace:
+def two_block_ranking_space(dim: int, separation: float) -> RawSpace:
     """Raw data for ranking: the first half of each sample is drawn from a
     positive population at +separation/2 along the first axis, the second
-    half from a negative population at -separation/2, clipped to the scale box."""
+    half from a negative population at -separation/2, clipped to the box
+    [-_BOX_SCALE, _BOX_SCALE]^dim."""
 
     def sampler(gen: np.random.Generator, n: int):
         if n % 2 != 0:
@@ -291,9 +293,9 @@ def two_block_ranking_space(dim: int, separation: float, box_scale: float = 3.0,
         shift[0] = separation / 2.0
         pos = gen.standard_normal((half, dim)) + shift
         neg = gen.standard_normal((half, dim)) - shift
-        return np.clip(np.vstack([pos, neg]), -box_scale, box_scale)
+        return np.clip(np.vstack([pos, neg]), -_BOX_SCALE, _BOX_SCALE)
 
-    return RawSpace(sampler, label=label)
+    return RawSpace(sampler, label="two-block")
 
 
 def _clipped_normal_second_moment(mu: float, c: float) -> float:
@@ -308,7 +310,7 @@ def _clipped_normal_second_moment(mu: float, c: float) -> float:
             + c * c * (cdf(a) + 0.5 * math.erfc(b / math.sqrt(2.0))))
 
 
-def two_block_second_moment(dim: int, separation: float, box_scale: float = 3.0) -> np.ndarray:
+def two_block_second_moment(dim: int, separation: float) -> np.ndarray:
     """The k x k matrix (1/n) sum_i E[x_i x_i^T] over the first k = min(dim, 2)
     coordinates of a two_block_ranking_space sample.
 
@@ -318,30 +320,29 @@ def two_block_second_moment(dim: int, separation: float, box_scale: float = 3.0)
     E x_1 E x_2 = 0.
     """
     k = min(dim, 2)
-    diag = [_clipped_normal_second_moment(separation / 2.0, box_scale),
-            _clipped_normal_second_moment(0.0, box_scale)]
+    diag = [_clipped_normal_second_moment(separation / 2.0, _BOX_SCALE),
+            _clipped_normal_second_moment(0.0, _BOX_SCALE)]
     return np.diag(diag[:k])
 
 
-def _ranker_directions(dim: int, count: int, box_scale: float) -> tuple[np.ndarray, float]:
+def _ranker_directions(dim: int, count: int) -> tuple[np.ndarray, float]:
     """The unit directions of linear_ranker_class as a (count, dim) array,
     spread evenly on the circle of the first two coordinates (the first
-    direction is the separating axis), and the score scale box_scale
+    direction is the separating axis), and the score scale _BOX_SCALE
     sqrt(dim), the largest attainable score magnitude."""
     directions = np.zeros((count, dim))
     for j, theta in enumerate(np.arange(count) * 2.0 * math.pi / count):
         directions[j, 0] = math.cos(theta)
         if dim > 1:
             directions[j, 1] = math.sin(theta)
-    return directions, box_scale * math.sqrt(dim)
+    return directions, _BOX_SCALE * math.sqrt(dim)
 
 
-def linear_ranker_class(dim: int, count: int, raw_space: RawSpace,
-                        box_scale: float = 3.0) -> FunctionClass:
+def linear_ranker_class(dim: int, count: int, raw_space: RawSpace) -> FunctionClass:
     """Unit-direction linear scores normalized into [-1, 1]: member j scores
-    x -> <x, w_j> / (box_scale sqrt(dim)), so the score domain is a fixed
+    x -> <x, w_j> / (_BOX_SCALE sqrt(dim)), so the score domain is a fixed
     box (see _ranker_directions)."""
-    directions, scale = _ranker_directions(dim, count, box_scale)
+    directions, scale = _ranker_directions(dim, count)
 
     def make(w: np.ndarray):
         # a dot product per row, as X @ w can round differently in the last bit
@@ -352,17 +353,16 @@ def linear_ranker_class(dim: int, count: int, raw_space: RawSpace,
     return FunctionClass(members, raw_space, domain, label=f"linear-rankers({count})")
 
 
-def linear_ranker_complexity(dim: int, count: int, separation: float, n: int,
-                             box_scale: float = 3.0) -> ComplexityEstimate:
+def linear_ranker_complexity(dim: int, count: int, separation: float, n: int) -> ComplexityEstimate:
     """Closed-form Gaussian complexity of linear_ranker_class on n points of
-    two_block_ranking_space with the same dim, separation and box_scale.
+    two_block_ranking_space with the same dim and separation.
 
     The scores use only the first k = min(dim, 2) coordinates, so the class
     is linear there with the scaled directions as weights, and
     complexity.linear_gaussian_complexity bounds it with no Monte-Carlo
     error.
     """
-    directions, scale = _ranker_directions(dim, count, box_scale)
+    directions, scale = _ranker_directions(dim, count)
     k = min(dim, 2)
     return linear_gaussian_complexity(directions[:, :k] / scale, n,
-                                      two_block_second_moment(dim, separation, box_scale))
+                                      two_block_second_moment(dim, separation))

@@ -235,6 +235,12 @@ def _refuse_step_weight(config: dict) -> None:
 
 def _run_seminorm(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
+    s = config["statistic"]
+    given = [name for name in ("lower", "upper") if name in s]
+    if s["family"] == "ridge" and given:
+        # the document would echo a box that no seminorm was computed on
+        raise ConfigError(f"config.statistic.{given[0]}: ridge fixes its own box "
+                          "[-1, 1]^(d+1), so a statistic box would go unused")
     # before the search, so that a refused closed form or box fails at once;
     # each builds its generators afresh from (seed, stream), so order is moot
     upper = report_fn()
@@ -274,8 +280,11 @@ def _run_bound(config: dict) -> dict:
                           f"got {kind!r}; nothing proves a {kind} average bounds it")
     report = report_fn()
     weights, low, high, _ = _linear_spec(config, domain_hint=f.domain)
-    # E x^2 for x uniform on [low, high]
+    # E x^2 for x uniform on [low, high]; the closed form scales with n E x^2
     second_moment = (low * low + low * high + high * high) / 3.0
+    if not math.isfinite(f.n * second_moment):
+        raise ConfigError(f"config.sampler.low, config.sampler.high: n E x^2 = {f.n} * "
+                          f"{second_moment} for x uniform on [{low}, {high}] overflows")
     g = cpx.linear_gaussian_complexity(weights, f.n, second_moment)
     delta = float(config.get("delta", 0.05))
     cert = bnd.uniform_bound(report, g, f.n, delta)
@@ -287,15 +296,14 @@ def _run_bound(config: dict) -> dict:
 def _run_verify(config: dict) -> dict:
     """The telescoping identity at each size up to verify.max_n; for lstat
     also the two response conditions.  One generator draws the pairs, then
-    per probe its configuration, k, l and rows y, y', z, z'; the probes are
-    checked after, in one oracle.lstat_condition_counts call."""
+    in one pass the probes' configurations, k, l and rows y, y', z, z', each
+    as one array, which one oracle.lstat_condition_counts call checks."""
     f, _ = _build_statistic(config)
     opts = config.get("verify", {})
     max_n = int(opts.get("max_n", min(f.n, 8)))
     pairs = int(opts.get("pairs", 20))
     probes = int(opts.get("probes", 200))
-    rng = SeededRng(config["seed"])
-    gen = rng.generator()
+    gen = SeededRng(config["seed"]).generator()
     records = []
 
     family = _field(config, "statistic.family")
@@ -333,16 +341,11 @@ def _run_verify(config: dict) -> dict:
     if family == "lstat":
         weight = stats.f_zeta_weight(float(config["statistic"].get("zeta", 0.25)))
         n, dom = f.n, f.domain
-        xs = np.empty((probes, n, 1))
-        kl = np.empty((2, probes), dtype=int)
-        rows = np.empty((4, probes))
-        for t in range(probes):
-            xs[t] = dom.uniform(gen, n)
-            k = int(gen.integers(n))
-            l = int(gen.integers(n - 1))
-            kl[:, t] = k, l + (l >= k)
-            rows[:, t] = dom.uniform(gen, 4)[:, 0]
-        fails, worst = orc.lstat_condition_counts(weight, xs, *kl, *rows)
+        xs = dom.uniform(gen, (probes, n))
+        k = gen.integers(n, size=probes)
+        l = gen.integers(n - 1, size=probes)
+        rows = dom.uniform(gen, (4, probes))[..., 0]
+        fails, worst = orc.lstat_condition_counts(weight, xs, k, l + (l >= k), *rows)
         records.append({
             "check": "lstat_conditions",
             "inputs": f"n={n},probes={probes}",

@@ -84,14 +84,17 @@ class Domain:
         """Points drawn uniformly from the box, shape (*shape, d); an int
         shape n gives (n, d).
 
-        lower + widths * gen.random(...) is numpy's gen.uniform(lower,
-        upper) bit for bit (low + (high - low) * next_double per element, in
-        C order, from the same draws) without its per-element broadcasting
-        over array bounds.  This assumes numpy does not fuse that
-        multiply-add; tests/test_properties.py checks it.
+        lower + widths * gen.random(...), scaled and shifted in place, is
+        numpy's gen.uniform(lower, upper) bit for bit (low + (high - low) *
+        next_double per element, in C order, from the same draws) without
+        its broadcasting over array bounds or a second array.  This assumes
+        numpy does not fuse that multiply-add; test_properties checks it.
         """
         shape = (shape,) if isinstance(shape, (int, np.integer)) else tuple(shape)
-        return self.lower + self.widths * gen.random((*shape, self.d))
+        out = gen.random((*shape, self.d))
+        out *= self.widths
+        out += self.lower
+        return out
 
 
 def unit_interval() -> Domain:

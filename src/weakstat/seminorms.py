@@ -267,7 +267,7 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float) -
 
     def evaluate(probe, coords, dist):
         """(count, 2) ratio and range values of separated probes."""
-        pairs = [probe[:, n + j] for j in range(2 * order)]
+        pairs = probe[:, n:].swapaxes(0, 1)
         diff = scale * np.abs(_differences(f, order, probe[:, :n], coords, pairs))
         return np.stack([diff / dist, diff], axis=1)
 
@@ -279,13 +279,12 @@ def _search(f: Statistic, order: int, evals: int, streams: list, floor: float) -
 
     for r, rng in enumerate(streams):
         gen = rng.generator()
-        # draw every probe, then redraw the pairs under the separation
-        # floor in draw order, all in one pass (rare for floors well below
-        # the box widths)
+        # draw every probe (pair row j of all probes before row j + 1), then
+        # redraw the pairs under the separation floor in draw order, all in
+        # one pass (rare for floors well below the box widths)
         probe = np.empty((explore, width, dom.d))
         probe[:, :n] = dom.uniform(gen, (explore, n))
-        for j in range(2 * order):
-            probe[:, n + j] = dom.uniform(gen, explore)
+        probe[:, n:] = dom.uniform(gen, (2 * order, explore)).swapaxes(0, 1)
         if order == 1:
             coords = (np.arange(explore) % n)[:, None]
         else:

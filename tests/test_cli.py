@@ -1,14 +1,18 @@
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import weakstat.cli
 import weakstat.oracle
@@ -820,6 +824,39 @@ class TestMainEntry:
         assert status == EXIT_ERROR
         assert "config.statistic.family" in err
 
+    @pytest.mark.parametrize("bounds", [{"lower": 0.0, "upper": 1e200}, {"upper": 1.0},
+                                        {"lower": -1.0}])
+    def test_ridge_seminorm_box_names_field(self, tmp_path, capsys, bounds):
+        # ridge fixes its own box [-1, 1]^(d+1), so a statistic box is
+        # refused; verify, which reports no seminorm, still accepts one
+        # (as _VERIFY_CONFIGS does)
+        config = {"kind": "seminorm", "seed": 5, "budget": 400,
+                  "statistic": {"family": "ridge", "n": 4, **bounds}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        status = main(["seminorm", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: ridge fixes its own box")
+
+    @pytest.mark.parametrize("n, low, high, count", [(8, 0.0, 1e200, 1),
+                                                     (1000, -1e153, 1e153, 2)])
+    def test_bound_whose_sampler_moment_overflows_names_sampler(self, tmp_path, capsys,
+                                                               n, low, high, count):
+        # E x^2 overflows on [0, 1e200]; on [-1e153, 1e153] E x^2 is finite
+        # but n E x^2, which the closed-form complexity takes, is not
+        config = {"kind": "bound", "seed": 5,
+                  "statistic": {"family": "auc", "n": n, "lower": low, "upper": high},
+                  "function_class": {"kind": "linear", "count": count},
+                  "sampler": {"kind": "uniform", "low": low, "high": high}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with np.errstate(all="ignore"):
+            status = main(["bound", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith("error: config.sampler.low, config.sampler.high: ")
+
     def test_rademacher_bound_names_complexity_kind(self, tmp_path, capsys):
         status, err = self._bad_input(tmp_path, capsys,
                                       dict(_BOUND_CONFIG, complexity_kind="rademacher"))
@@ -922,3 +959,62 @@ class TestMainEntry:
                        str(tmp_path / "o.json")])
         assert status == EXIT_OK
         assert (tmp_path / "t.csv").read_text().startswith("kind,label")
+
+
+# one end of a box: ordinary, near the float limit, or where a square, a
+# diameter or a sum of n squares overflows
+_MAGNITUDE = st.one_of(st.floats(0.0, 1.7e308), st.floats(0.0, 10.0),
+                       st.sampled_from([0.0, 0.5, 1.0, 1e153, 1.3e154, 1e200, 1e307, 1.7e308]))
+_BOX = st.lists(st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1]),
+                min_size=2, max_size=2).map(sorted)
+
+
+def _numbers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        return [v for item in node for v in _numbers(item)]
+    return [node] if isinstance(node, (int, float)) and not isinstance(node, bool) else []
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(kind=st.sampled_from(["seminorm", "verify", "bound"]),
+       family=st.sampled_from(["mean", "ustat", "vstat", "auc", "lstat", "ridge"]),
+       n=st.sampled_from([2, 4, 8, 1000]), bounds=st.none() | _BOX, sampler=_BOX,
+       linear=st.booleans(), count=st.sampled_from([1, 2, 4]))
+@example(kind="bound", family="auc", n=8, bounds=[0.0, 1e200], sampler=[0.0, 1e200],
+         linear=True, count=1)
+@example(kind="bound", family="auc", n=1000, bounds=[-1e153, 1e153],
+         sampler=[-1e153, 1e153], linear=True, count=2)
+@example(kind="seminorm", family="ridge", n=4, bounds=[0.0, 1e200], sampler=[0.0, 1.0],
+         linear=True, count=1)
+def test_boxes_to_the_float_limit_name_a_field_or_print_finite_numbers(
+        kind, family, n, bounds, sampler, linear, count):
+    # every family x subcommand on boxes (and samplers) up to 1.7e308: exit
+    # 1 naming a config field with nothing printed, or a document whose
+    # numbers are all finite.  In process under errstate, because the CLI
+    # process prints numpy's overflow warnings and goes on, where pytest's
+    # error::RuntimeWarning filter would raise them
+    if kind != "bound":
+        n = min(n, 8)  # the search and the swap tables grow with n
+    statistic = {"family": family, "n": n}
+    if bounds is not None:
+        statistic.update(lower=bounds[0], upper=bounds[1])
+    config = {"kind": kind, "seed": 5, "budget": 200, "statistic": statistic,
+              "verify": {"max_n": 3, "pairs": 2, "probes": 10},
+              "function_class": {"kind": "linear" if linear else "linear_symmetric",
+                                 "count": count if linear else 2 * count},
+              "sampler": {"kind": "uniform", "low": sampler[0], "high": sampler[1]}}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with np.errstate(all="ignore"), redirect_stdout(out), redirect_stderr(err):
+            status = main([kind, "--config", cfg_path])
+    if status == EXIT_ERROR:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: config."), (
+            err.getvalue())
+    else:
+        assert status in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert all(math.isfinite(v) for v in _numbers(json.loads(out.getvalue())))

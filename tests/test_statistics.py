@@ -11,6 +11,7 @@ from weakstat import (
     RidgeProblem,
     SeededRng,
     auc_statistic,
+    box,
     empirical_seminorms,
     f_zeta,
     f_zeta_weight,
@@ -34,6 +35,7 @@ from weakstat import cli, oracle
 from weakstat.oracle import fk_decompose
 from weakstat.statistics import (
     _BLOCK_VALUES,
+    _max_quotient,
     _squared_distances,
     probe_kernel_lipschitz,
     probe_loss_function,
@@ -407,3 +409,93 @@ class TestProbes:
         assert excess == 0.0
         assert lip <= 1.0 + 1e-9
         assert below
+
+
+def _looped_weight_probe(F, rng, probes=500):
+    """probe_weight_function as one pair per loop step, the reference."""
+    gen = rng.generator()
+    grid = np.linspace(0.0, 1.0, 101)
+    sup = float(np.max(np.abs(np.asarray(F.evaluator(grid), dtype=float))))
+    worst = 0.0
+    for _ in range(probes):
+        t, s = gen.uniform(0.0, 1.0, size=2)
+        if abs(t - s) < 1e-9:
+            continue
+        quot = abs(float(F.evaluator(t)) - float(F.evaluator(s))) / abs(t - s)
+        worst = max(worst, quot)
+    return sup, worst
+
+
+def _looped_loss_probe(loss, rng, probes=500, span=3.0):
+    """probe_loss_function as one pair per loop step, the reference."""
+    gen = rng.generator()
+    ts = gen.uniform(-span, span, size=probes)
+    vals = np.asarray(loss.evaluator(ts), dtype=float)
+    excess = float(max(np.max(vals - 1.0, initial=0.0), np.max(-vals, initial=0.0)))
+    worst = 0.0
+    for _ in range(probes):
+        t, s = gen.uniform(-span, span, size=2)
+        if abs(t - s) < 1e-9:
+            continue
+        quot = abs(float(loss.evaluator(t)) - float(loss.evaluator(s))) / abs(t - s)
+        worst = max(worst, quot)
+    below = bool(np.all(vals <= (ts > 0).astype(float) + 1e-12))
+    return excess, worst, below
+
+
+class TestProbesInOnePass:
+    """The probes draw every pair in one call and reduce the quotients with
+    _max_quotient; the weight and loss probes equal the one-pair loop bit
+    for bit, and every probe returns Python floats."""
+
+    @pytest.mark.parametrize("seed", [0, 2, 11])
+    @pytest.mark.parametrize("probes", [1, 7, 500])
+    @pytest.mark.parametrize("F", [f_zeta_weight(0.25), f_zeta_weight(0.05), f_zeta_weight(0.0),
+                                   constant_weight(-2.0)], ids=lambda F: F.label)
+    def test_weight_probe_equals_the_loop(self, F, probes, seed):
+        got = probe_weight_function(F, SeededRng(seed), probes)
+        want = _looped_weight_probe(F, SeededRng(seed), probes)
+        assert [type(v) for v in got] == [float, float]
+        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("probes, span", [(1, 3.0), (7, 0.5), (500, 3.0), (500, 40.0)])
+    @pytest.mark.parametrize("loss", [ramp_loss(), ramp_loss(0.25), indicator_loss()],
+                             ids=lambda loss: loss.label)
+    def test_loss_probe_equals_the_loop(self, loss, probes, span, seed):
+        got = probe_loss_function(loss, SeededRng(seed), probes, span)
+        want = _looped_loss_probe(loss, SeededRng(seed), probes, span)
+        assert [type(v) for v in got] == [float, float, bool]
+        assert got[2] == want[2]
+        assert np.array_equal(np.array(got[:2]).view(np.uint64),
+                              np.array(want[:2]).view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_kernel_probe_draws_arguments_then_slots_then_moves(self, d):
+        # the arguments of every probe, then every slot, then every moved
+        # argument, each in one draw; the quotients as a per-probe loop
+        # over those draws computes them
+        kernel, dom, probes = product_kernel(), box([0.0] * d, [1.0] * d), 50
+        gen = SeededRng(4).generator()
+        args = dom.uniform(gen, (2, probes))
+        slot = gen.integers(2, size=probes)
+        alt = dom.uniform(gen, probes)
+        worst = 0.0
+        for t in range(probes):
+            moved = [args[0, t], args[1, t]]
+            moved[slot[t]] = alt[t]
+            dist = float(np.linalg.norm(args[slot[t], t] - alt[t]))
+            change = abs(float(kernel.evaluator(args[0, t], args[1, t]) - kernel.evaluator(*moved)))
+            worst = max(worst, change / dist)
+        got = probe_kernel_lipschitz(kernel, dom, SeededRng(4), probes)
+        assert type(got) is float
+        assert got == pytest.approx(worst, rel=1e-12)
+        # the constant L = 1 holds on [0, 1] only; the products reach
+        # sqrt(d) on the unit cube
+        assert got <= np.sqrt(d) + 1e-9
+
+    def test_max_quotient_skips_close_pairs_and_nan(self):
+        gap = np.array([1e-10, 2.0, 1.0, np.nan, 4.0])
+        assert _max_quotient([5.0, 1.0, np.nan, 9.0, 0.0], [0.0, 0.0, 0.0, 0.0, 8.0], gap) == 2.0
+        assert _max_quotient([1.0], [0.0], np.array([0.0])) == 0.0
+        assert type(_max_quotient([], [], np.array([]))) is float

@@ -180,6 +180,11 @@ def _build_statistic(config: dict):
         f = stats.lstat_statistic(weight, n, dom)
         report = lambda: smn.analytic_seminorms_lstat(weight, _diameter(dom), n)
     elif family == "ridge":
+        given = [name for name in ("lower", "upper") if name in s]
+        if given:
+            # a document would echo a box that nothing was computed on
+            raise ConfigError(f"config.statistic.{given[0]}: ridge fixes its own box "
+                              "[-1, 1]^(d+1), so a statistic box would go unused")
         problem = stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1)))
         f = stats.ridge_error_statistic(problem, n)
         report = lambda: smn.derivative_seminorms(
@@ -235,12 +240,6 @@ def _refuse_step_weight(config: dict) -> None:
 
 def _run_seminorm(config: dict) -> dict:
     f, report_fn = _build_statistic(config)
-    s = config["statistic"]
-    given = [name for name in ("lower", "upper") if name in s]
-    if s["family"] == "ridge" and given:
-        # the document would echo a box that no seminorm was computed on
-        raise ConfigError(f"config.statistic.{given[0]}: ridge fixes its own box "
-                          "[-1, 1]^(d+1), so a statistic box would go unused")
     # before the search, so that a refused closed form or box fails at once;
     # each builds its generators afresh from (seed, stream), so order is moot
     upper = report_fn()

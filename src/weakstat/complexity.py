@@ -11,21 +11,14 @@ of the data (see linear_gaussian_complexity).  In one dimension the hull
 is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
 
 The Monte-Carlo draws fill one coefficient block per call, reused across
-chunks of at most _CHUNK replicates.  Gaussian coefficients are
-``standard_normal(out=...)``.  Rademacher signs come from the raw 64-bit
-Philox words of the stream, made little-endian (no copy on a little-endian
-host) and viewed as int32 halves, low half first: sign 2k comes from bit
-31 of word k and sign 2k + 1 from its bit 63, a set bit meaning +1.  An
-arithmetic shift by 31 maps a half to s = 0 or -1, and -2 s - 1 to the
-sign.  That is exactly ``2 * integers(0, 2) - 1``: Lemire's method on a
-range of 2 takes the top bit of a 32-bit draw and never rejects, and the
-generator splits each word into its low half, then its high half.  The
-generator keeps an unused high half for its next 32-bit draw, while the
-raw words of a new chunk start afresh, so the two agree only because every
-full chunk holds an even number of signs: _CHUNK must stay even.  Only the
-last chunk may hold an odd number, and its unused half is never drawn.
-Each chunk's product is one ``block @ vectors.T``; splitting it into
-smaller row blocks changes the last bits of the BLAS result.
+chunks of at most _CHUNK replicates, which bounds memory.  Gaussian
+coefficients are ``standard_normal(out=...)``.  Each chunk of Rademacher
+signs takes every bit of its own ceil(size / 64) raw 64-bit Philox words of
+the stream: sign 64 k + b of the chunk, in C order, comes from bit b of word
+k, a set bit meaning +1, and the unused high bits of the last word are
+dropped.  The bits are independent fair coins, so the estimator stays
+unbiased.  Each chunk's product is one ``block @ vectors.T``; splitting it
+into smaller row blocks changes the last bits of the BLAS result.
 """
 from __future__ import annotations
 
@@ -56,7 +49,7 @@ RADEMACHER = "rademacher"
 MONTE_CARLO = "monte_carlo"
 CLOSED_FORM = "closed_form"
 
-_CHUNK = 8192  # even: see the module docstring
+_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -137,14 +130,15 @@ def _member_max(prod: np.ndarray, out: np.ndarray) -> None:
 
 
 def _fill_signs(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Fill ``out`` in C order with the signs 2 * integers(0, 2) - 1: each
-    raw 64-bit word gives bit 31, then bit 63 (see the module docstring)."""
+    """Fill ``out`` in C order with the signs 2 * bit - 1 of the raw words'
+    bits, little-endian: sign 64 k + b is bit b of word k."""
     flat = out.reshape(-1)
-    words = gen.bit_generator.random_raw((flat.size + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<i4")[:flat.size]
-    np.right_shift(halves, 31, out=flat, casting="unsafe")  # -1 where the bit is set
-    np.multiply(flat, -2.0, out=flat)
-    np.subtract(flat, 1.0, out=flat)
+    words = gen.bit_generator.random_raw(-(-flat.size // 64))
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), count=flat.size,
+                         bitorder="little")
+    np.multiply(bits, 2, out=bits)
+    np.subtract(bits, 1, out=bits)  # wraps to 255, which is -1 as int8
+    np.copyto(flat, bits.view(np.int8))
 
 
 def gaussian_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate:

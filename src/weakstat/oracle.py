@@ -301,9 +301,10 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
     return DeviationEstimate(mean=float(vals.mean()), std_error=se, replicates=outer_reps)
 
 
-def _lstat_sides(F, xs, k, l, y, yp, z, zp) -> tuple[np.ndarray, np.ndarray]:
+def _lstat_sides(F, xs, k, l, y, yp, z, zp, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(2, P) lhs and rhs of the first- and second-order conditions of P
-    probes (see lstat_condition_counts).
+    probes, and the (P,) tolerance of each probe: ``tol``, or the derived
+    one if it is None (see lstat_condition_counts).
 
     Probe t evaluates six configurations of xs[t]: row k at y and y', then
     the four corners of row k at (y, y') and row l at (z, z').  The
@@ -337,17 +338,50 @@ def _lstat_sides(F, xs, k, l, y, yp, z, zp) -> tuple[np.ndarray, np.ndarray]:
                     np.abs(vals[:, 2] - vals[:, 3] - vals[:, 4] + vals[:, 5])])
     rhs = np.stack([F.sup_norm * np.abs(y - yp) / n,
                     F.lip_norm * np.where(hi > lo, hi - lo, 0.0) / (n * n)])
-    return lhs, rhs
+    if tol is None:
+        # max |x| by two reductions, since np.abs(xs) would copy every probe
+        largest = np.maximum(np.maximum(xs.max(axis=(1, 2)), -xs.min(axis=(1, 2))),
+                             np.abs([y, yp, z, zp]).max(axis=0))
+        # scalar factors first, so that the product cannot overflow
+        tol = INEQUALITY_SLACK + 16 * n * np.finfo(float).eps * F.sup_norm * largest
+    return lhs, rhs, np.broadcast_to(np.asarray(tol, dtype=float), (P,))
 
 
 def lstat_condition_counts(F, xs, k, l, y, yp, z, zp,
-                           tol: float = INEQUALITY_SLACK) -> tuple[int, float]:
+                           tol: float | None = None) -> tuple[int, float]:
     """(failures, worst violation max(0, -slack)) of the two response
     conditions over P probes, as lstat_condition_check per probe would
     count and reduce them: xs is the (P, n, 1) stack of configurations, and
     k, l, y, y', z and z' are the (P,) indices and rows of the probes.
+
+    A condition holds for a probe when lhs <= rhs + tol.  A given ``tol``
+    is that absolute slack for every probe.  By default a probe's tol is
+    INEQUALITY_SLACK + 16 n eps S X, with eps = 2^-52, S the weight's sup
+    norm and X the largest |x| of the probe's configuration and rows, so
+    that rounding alone cannot fail a condition that holds on any box:
+
+    - l_statistic computes each value v as fl(fl(sum_i w_i x_(i)) / n); the
+      sort is exact and |w_i| <= S.  A dot product of n terms, in any order
+      and with or without fused multiply-adds, is off by at most
+      gamma_n sum_i |w_i x_(i)| <= gamma_n n S X, where u = eps / 2 and
+      gamma_n = n u / (1 - n u) (Higham 2002, section 3.1).  The division
+      adds u |v|, so each value is off by at most gamma_(n+1) S X.
+    - The first-order lhs |v0 - v1| is one subtraction of two values, off
+      by at most (2n + 4) u S X to first order in u.  The second-order lhs
+      |v2 - v3 - v4 + v5| makes three subtractions of partial sums of
+      size at most 4 S X from four values, off by at most (4n + 16) u S X.
+    - Each rhs takes three roundings, a relative error of at most 3u.  The
+      first-order rhs S |y - y'| / n is at most 2 S X / n.  A second-order
+      rhs above twice the largest lhs, 8 S X, passes whatever the rounding,
+      so where rounding can matter its error is at most 24 u S X.
+
+    The sum, (4n + 40) u S X = (2n + 20) eps S X, lies below 16 n eps S X
+    for every n >= 2 (each probe needs k != l) with room for the terms of
+    order u^2.  Both sides scale with the box, and so does this term: it is
+    3.8e-14 on the unit box at n = 8 with S = 4/3, and 3.8e186 on
+    [0, 1e200].
     """
-    lhs, rhs = _lstat_sides(F, xs, k, l, y, yp, z, zp)
+    lhs, rhs, tol = _lstat_sides(F, xs, k, l, y, yp, z, zp, tol)
     fails = int(np.count_nonzero(~(lhs <= rhs + tol)))
     # fmax skips NaN, as a running Python max does
     return fails, float(np.fmax.reduce(-(rhs + tol - lhs), axis=None, initial=0.0))
@@ -355,20 +389,22 @@ def lstat_condition_counts(F, xs, k, l, y, yp, z, zp,
 
 def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
                           z: float, zp: float,
-                          tol: float = INEQUALITY_SLACK) -> tuple[CheckResult, CheckResult]:
+                          tol: float | None = None) -> tuple[CheckResult, CheckResult]:
     """Check the two response conditions of the rank-weighted L-statistic on
     scalar data: the first-order difference against sup-norm times the pair
     interval, and the second-order difference against the Lipschitz norm
     times the diameter of the interval intersection.
 
     This is the one-probe case of lstat_condition_counts, with the lhs and
-    rhs of each condition and a digest of the probe in its CheckResult.
+    rhs of each condition, the probe's tolerance (the derived one by
+    default) and a digest of the probe in its CheckResult.
     The tests hold the batched lstat_condition_counts to this reference.
     A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
     second-order condition of this form and raises UnboundedLipschitzError.
     """
     pts = as_points(x)
-    (lhs1, lhs2), (rhs1, rhs2) = _lstat_sides(F, pts[None], [k], [l], [y], [yp], [z], [zp])
+    (lhs1, lhs2), (rhs1, rhs2), (tol,) = _lstat_sides(F, pts[None], [k], [l], [y], [yp],
+                                                      [z], [zp], tol)
     digest = _digest(pts, [k, l], [y, yp, z, zp])
-    return (CheckResult("lstat_first_order", float(lhs1[0]), float(rhs1[0]), tol, digest),
-            CheckResult("lstat_second_order", float(lhs2[0]), float(rhs2[0]), tol, digest))
+    return (CheckResult("lstat_first_order", float(lhs1[0]), float(rhs1[0]), float(tol), digest),
+            CheckResult("lstat_second_order", float(lhs2[0]), float(rhs2[0]), float(tol), digest))

@@ -228,15 +228,19 @@ class TestCertificateGolden:
         assert (res["chosen_index"], res["empirical_auc"]) == (0, 0.32389436144211564)
 
 
+_VERIFY_BOX = {"lower": -1.0, "upper": 3.0}
+
+# ridge fixes its own box [-1, 1]^(d+1) and refuses a statistic box
 _VERIFY_CONFIGS = {
     family: {
         "kind": "verify",
         "seed": 3,
-        "statistic": {"family": family, "n": 8, "lower": -1.0, "upper": 3.0, **extra},
+        "statistic": {"family": family, "n": 8, **extra},
         "verify": {"max_n": 8, "pairs": 4, "probes": 20},
     }
-    for family, extra in (("mean", {}), ("lstat", {"zeta": 0.25}), ("auc", {}), ("ustat", {}),
-                          ("vstat", {}), ("ridge", {}))
+    for family, extra in (("mean", _VERIFY_BOX), ("lstat", {**_VERIFY_BOX, "zeta": 0.25}),
+                          ("auc", _VERIFY_BOX), ("ustat", _VERIFY_BOX), ("vstat", _VERIFY_BOX),
+                          ("ridge", {}))
 }
 
 
@@ -309,6 +313,39 @@ class TestVerifyConditionFailures:
         assert doc["result"]["records"][-1] == {
             "check": "lstat_conditions", "inputs": "n=8,probes=20", "lhs": float(fails),
             "rhs": 0.0, "slack": -max(-c.slack for c in checks), "pass": False}
+
+
+def _lstat_verify_config(seed, upper):
+    return {"kind": "verify", "seed": seed, "verify": {"probes": 200},
+            "statistic": {"family": "lstat", "n": 8, "lower": 0.0, "upper": upper}}
+
+
+class TestVerifyRounding:
+    """The lstat conditions scale with the box, and so does the derived
+    rounding term of their tolerance (oracle.lstat_condition_counts): on a
+    wide box rounding alone does not fail them, and a weight whose stated
+    norms are a tenth of its true ones still does."""
+
+    @pytest.mark.parametrize("seed", [1, 5, 97])
+    @pytest.mark.parametrize("upper", [1e9, 1e12, 1e200])
+    def test_wide_boxes_pass(self, seed, upper):
+        doc, status = run(_lstat_verify_config(seed, upper))
+        assert status == EXIT_OK
+        assert doc["result"]["records"][-1] == {
+            "check": "lstat_conditions", "inputs": "n=8,probes=200", "lhs": 0.0, "rhs": 0.0,
+            "slack": 0.0, "pass": True}
+
+    @pytest.mark.parametrize("upper", [1.0, 1e9])
+    def test_understated_norms_fail(self, monkeypatch, upper):
+        def understated(zeta, true_weight=weakstat.cli.stats.f_zeta_weight):
+            F = true_weight(zeta)
+            return dataclasses.replace(F, sup_norm=0.1 * F.sup_norm, lip_norm=0.1 * F.lip_norm)
+
+        monkeypatch.setattr(weakstat.cli.stats, "f_zeta_weight", understated)
+        doc, status = run(_lstat_verify_config(5, upper))
+        record = doc["result"]["records"][-1]
+        assert status == EXIT_CHECK_FAILED
+        assert record["lhs"] > 0 and record["slack"] < 0 and record["pass"] is False
 
 
 _SEMINORM_NAMES = ("m_lip", "j_lip", "m_plain", "j_plain")
@@ -431,17 +468,17 @@ def _complexity_config(seed, kind, n, function_class, outer, inner):
 class TestComplexityGolden:
     """Exact `weakstat complexity` estimates: the certify benchmark's
     Rademacher shape, a Gaussian run, and runs whose inner replicates span
-    two chunks (complexity._CHUNK = 8192) with n * d = 17 odd, so that the
-    last chunk draws an odd number of coefficients.  A change to the draws,
-    their order or the product over a chunk shows here."""
+    two chunks (complexity._CHUNK = 8192) with n * d = 17, so that the last
+    chunk's 17 signs leave 47 bits of its one raw word unused.  A change to
+    the draws, their bit order or the product over a chunk shows here."""
 
     @pytest.mark.parametrize("config, mean, std_error", [
         (_complexity_config(5, "rademacher", 64, {"kind": "linear", "count": 16}, 32, 2048),
-         1.719850720965278, 0.02409979665137206),
+         1.7054499980633833, 0.02053186281865917),
         (_complexity_config(7, "gaussian", 16, {"kind": "linear_symmetric", "count": 8}, 8, 512),
          1.8621642383743635, 0.04194238702112219),
         (_complexity_config(11, "rademacher", 17, {"kind": "linear", "count": 4}, 2, 8193),
-         0.6918309200809307, 0.044539907022445195),
+         0.6594748752591777, 0.03606163547723956),
         (_complexity_config(12, "gaussian", 17, {"kind": "linear", "count": 4}, 2, 8193),
          0.7153751208696127, 0.0020502425985844397),
     ])
@@ -828,13 +865,26 @@ class TestMainEntry:
                                         {"lower": -1.0}])
     def test_ridge_seminorm_box_names_field(self, tmp_path, capsys, bounds):
         # ridge fixes its own box [-1, 1]^(d+1), so a statistic box is
-        # refused; verify, which reports no seminorm, still accepts one
-        # (as _VERIFY_CONFIGS does)
+        # refused
         config = {"kind": "seminorm", "seed": 5, "budget": 400,
                   "statistic": {"family": "ridge", "n": 4, **bounds}}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         status = main(["seminorm", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: ridge fixes its own box")
+
+    @pytest.mark.parametrize("bounds", [{"lower": -1.0, "upper": 3.0}, {"upper": 1.0},
+                                        {"lower": -1.0}])
+    def test_ridge_verify_box_names_field(self, tmp_path, capsys, bounds):
+        # the same rule as seminorm's: a verify document would echo a box
+        # that the ridge statistic never draws from
+        config = dict(_VERIFY_CONFIGS["ridge"])
+        config["statistic"] = dict(config["statistic"], **bounds)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        status = main(["verify", "--config", str(cfg_path)])
         out, err = capsys.readouterr()
         assert status == EXIT_ERROR and out == ""
         assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: ridge fixes its own box")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import weakstat.cli
 import weakstat.complexity
 from weakstat import (
     FunctionClass,
@@ -11,6 +12,7 @@ from weakstat import (
     class_complexity,
     gaussian_average,
     gaussian_from_rademacher,
+    linear_class,
     rademacher_average,
     symmetric_interval,
     uniform_raw_space,
@@ -42,19 +44,56 @@ class TestGaussianAverage:
 
 
 class TestDrawBlock:
-    def test_chunks_hold_an_even_number_of_replicates(self):
-        # full chunks must draw an even number of signs (module docstring)
-        assert weakstat.complexity._CHUNK % 2 == 0
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 3), (1, 64), (2, 32), (5, 13), (2, 65),
+                                       (64, 3)])
+    def test_sign_64k_plus_b_is_bit_b_of_word_k(self, shape):
+        # a set bit means +1; the next fill starts at the next unused word
+        gen = SeededRng(4).generator()
+        first, second = np.empty(shape), np.empty(shape)
+        weakstat.complexity._fill_signs(gen, first)
+        weakstat.complexity._fill_signs(gen, second)
+        size = first.size
+        used = -(-size // 64)
+        words = SeededRng(4).generator().bit_generator.random_raw(2 * used)
+        for block, offset in ((first, 0), (second, used)):
+            bits = [(words[offset + i // 64] >> np.uint64(i % 64)) & np.uint64(1)
+                    for i in range(size)]
+            assert np.array_equal(block.reshape(-1), np.array(bits) * 2.0 - 1.0)
 
-    def test_rademacher_signs_are_the_integer_draws(self):
-        # sign 2k is bit 31 of raw word k, sign 2k + 1 its bit 63
-        block = np.empty((3, 3))
-        weakstat.complexity._fill_signs(SeededRng(4).generator(), block)
-        reference = SeededRng(4).generator().integers(0, 2, size=(3, 3)) * 2.0 - 1.0
-        assert np.array_equal(block, reference)
-        words = SeededRng(4).generator().bit_generator.random_raw(5)
-        bits = np.stack([(words >> 31) & 1, words >> 63], axis=1).reshape(-1)[:9]
-        assert np.array_equal(block.reshape(-1), bits * 2.0 - 1.0)
+    def test_signs_are_balanced_and_uncorrelated(self):
+        # 10^6 signs, column b from bit b of each of 15625 words; each count
+        # lies within 5 standard deviations of its binomial mean (products of
+        # neighbouring fair signs are fair signs, so agreements are binomial)
+        words = 15625
+        block = np.empty((words, 64))
+        weakstat.complexity._fill_signs(SeededRng(8).generator(), block)
+        signs = block.reshape(-1)
+
+        def within(count, trials):
+            return np.all(np.abs(count - trials / 2) <= 5.0 * math.sqrt(trials / 4))
+
+        assert within(np.count_nonzero(signs > 0), signs.size)
+        assert within(np.count_nonzero(signs[1:] == signs[:-1]), signs.size - 1)
+        assert within(np.count_nonzero(block > 0, axis=0), words)
+
+
+class TestRademacherSandwich:
+    def test_certify_class_stays_below_its_closed_form(self):
+        # For h_j(x) = w_j x, E sup_j w_j <eps, x> = (w_max - w_min) E|<eps, x>| / 2,
+        # at most (w_max - w_min) sqrt(n E x^2) / 2 by Jensen.  On the sampler
+        # [0, 1] signs that are all +1 would give about sum_i x_i = 32, so a
+        # biased sign source fails here, while on [-1, 1] it could pass.
+        config = {"function_class": {"kind": "linear", "count": 16},
+                  "sampler": {"kind": "uniform", "low": 0.0, "high": 1.0}}
+        weights, low, high, dom = weakstat.cli._linear_spec(config)
+        n = 64
+        second_moment = (low * low + low * high + high * high) / 3.0
+        bound = (max(weights) - min(weights)) * math.sqrt(n * second_moment) / 2.0
+        assert bound == pytest.approx(2.165, abs=1e-3)
+        fclass = linear_class(weights, uniform_raw_space(low, high), dom)
+        for seed in range(20):
+            est = class_complexity(fclass, n, "rademacher", 32, 2048, SeededRng(seed))
+            assert est.mean - 3.0 * est.std_error <= bound
 
 
 class TestMemberMax:

@@ -27,7 +27,12 @@ from weakstat import (
     vk_vector,
 )
 from weakstat.bounds import UnboundedLipschitzError
-from weakstat.oracle import _SWAP_BLOCK, NonFiniteStatisticError, lstat_condition_counts
+from weakstat.oracle import (
+    _SWAP_BLOCK,
+    INEQUALITY_SLACK,
+    NonFiniteStatisticError,
+    lstat_condition_counts,
+)
 from weakstat.seminorms import BudgetError
 
 
@@ -275,6 +280,25 @@ class TestLstatConditions:
             y, yp, z, zp = gen.uniform(size=4)
             first, second = lstat_condition_check(F, x, k, l, y, yp, z, zp)
             assert first.passed and second.passed
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9, 1e200])
+    def test_derived_tolerance_scales_with_the_box(self, scale):
+        # the default tolerance adds 16 n eps S X, X the probe's largest |x|
+        # over its configuration and rows; the batched counts use the same
+        F = f_zeta_weight(0.25)
+        gen = SeededRng(11).generator()
+        n, probes = 8, 50
+        xs = gen.uniform(0.0, scale, size=(probes, n, 1))
+        k = gen.integers(n, size=probes)
+        l = gen.integers(n - 1, size=probes)
+        l += l >= k
+        rows = gen.uniform(0.0, scale, size=(4, probes))
+        for probe in zip(xs, k, l, *rows):
+            largest = max(np.abs(probe[0]).max(), *map(abs, probe[3:]))
+            tol = INEQUALITY_SLACK + 16 * n * np.finfo(float).eps * F.sup_norm * largest
+            for check in lstat_condition_check(F, *probe):
+                assert check.tol == tol and check.passed
+        assert lstat_condition_counts(F, xs, k, l, *rows) == (0, 0.0)
 
     def test_non_finite_value_is_refused(self):
         F = WeightFunction(lambda t: np.full_like(t, math.inf), 1.0, 1.0, label="inf")

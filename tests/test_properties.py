@@ -571,8 +571,8 @@ def test_closed_form_bounds_class_complexity(weights, sampler, n, seed):
 
 def _fresh_draw_average(Y, replicates, rng, kind, chunk):
     """(mean, std_error) of the Monte-Carlo average with a freshly allocated
-    coefficient array per chunk: standard_normal((r, N)) or
-    integers(0, 2, size=(r, N)) * 2 - 1."""
+    coefficient array per chunk: standard_normal((r, N)), or 2 * bit - 1 of
+    the little-endian bits of the chunk's own ceil(r N / 64) raw words."""
     vectors = np.atleast_2d(np.asarray(Y, dtype=float))
     gen = rng.generator()
     N = vectors.shape[1]
@@ -583,7 +583,10 @@ def _fresh_draw_average(Y, replicates, rng, kind, chunk):
         if kind == "gaussian":
             coeff = gen.standard_normal((take, N))
         else:
-            coeff = gen.integers(0, 2, size=(take, N)).astype(float) * 2.0 - 1.0
+            words = gen.bit_generator.random_raw(-(-take * N // 64))
+            bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                                 count=take * N, bitorder="little")
+            coeff = (2.0 * bits - 1.0).reshape(take, N)
         sups[done:done + take] = (coeff @ vectors.T).max(axis=1)
         done += take
     return float(sups.mean()), float(sups.std(ddof=1) / math.sqrt(replicates))
@@ -592,10 +595,10 @@ def _fresh_draw_average(Y, replicates, rng, kind, chunk):
 @_SETTINGS
 @given(kind=st.sampled_from(["gaussian", "rademacher"]), count=st.integers(1, 4),
        N=st.integers(1, 9), replicates=st.integers(2, 23),
-       chunk=st.sampled_from([2, 4, 6, complexity._CHUNK]), seed=st.integers(0, 2**32 - 1))
+       chunk=st.sampled_from([1, 2, 3, 4, 5, 6, complexity._CHUNK]),
+       seed=st.integers(0, 2**32 - 1))
 def test_monte_carlo_averages_equal_fresh_draws(kind, count, N, replicates, chunk, seed):
-    # odd N with odd replicates % chunk leaves an odd last chunk; a full
-    # chunk holds chunk * N coefficients, an even count because chunk is even;
+    # each chunk draws its own words, whatever the parity of chunk * N;
     # every chunk after the first overwrites the previous chunk's draws
     Y = SeededRng(seed, 1).generator().uniform(-1.0, 1.0, size=(count, N))
     average = gaussian_average if kind == "gaussian" else rademacher_average

@@ -14,6 +14,7 @@ failed check (so CI can tell bound violations from bugs).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -21,6 +22,7 @@ import json
 import math
 import sys
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -93,17 +95,6 @@ def validate_certificate(doc: dict) -> None:
         raise error
 
 
-def _field(config: dict, path: str, default=None):
-    node = config
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            if default is not None:
-                return default
-            raise ConfigError(f"config.{path}: required field is missing")
-        node = node[part]
-    return node
-
-
 def _interval(low_field: str, low: float, high_field: str, high: float):
     """The box [low, high], or a ConfigError naming the field at fault: a
     bound that is not finite, low above high, or a width high - low that
@@ -113,87 +104,140 @@ def _interval(low_field: str, low: float, high_field: str, high: float):
             raise ConfigError(f"config.{name}: must be a finite number, got {v}")
     if low > high:
         raise ConfigError(f"config.{low_field}: {low} exceeds {high_field} {high}")
-    if not math.isfinite(high - low):
-        raise ConfigError(f"config.{high_field}: the interval [{low}, {high}] is wider than the "
-                          f"largest float, so {high_field} - {low_field} overflows")
+    _finite(f"config.{high_field}", high - low,
+            f"the width {high_field} - {low_field} of [{low}, {high}]")
     return box([low], [high])
 
 
+def _finite(fields: str, value: float, what: str) -> float:
+    """value, or a ConfigError naming the fields that make it overflow."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{fields}: {what} overflows to {value}")
+    return value
+
+
 def _diameter(dom) -> float:
-    """The box diameter, which the mean and lstat closed forms and the search
-    scale with; a ConfigError if it overflows (from widths near 1.3e154)."""
-    diameter = dom.diameter
-    if not math.isfinite(diameter):
-        raise ConfigError("config.statistic.lower, config.statistic.upper: the box diameter "
-                          f"overflows to {diameter}, and the seminorms scale with it")
-    return diameter
+    """The box diameter, which the mean and lstat closed forms and the search scale with."""
+    return _finite("config.statistic.lower, config.statistic.upper", dom.diameter,
+                   "the box diameter, which the seminorms scale with,")
 
 
-def _build_statistic(config: dict):
-    """Resolve the statistic family into (Statistic, upper-bound report fn).
+def _mean(s: dict, n: int, dom):
+    return stats.mean_statistic(n, dom), lambda seed: smn.analytic_seminorms_lstat(
+        stats.constant_weight(1.0), _diameter(dom), n)
 
-    The second element computes the family's upper-bound seminorms: closed
-    forms, except for ridge, whose finite-difference route is an estimate
-    (tag ``derivative_estimate``) that certificates refuse.
-    """
-    family = _field(config, "statistic.family")
-    n = int(_field(config, "statistic.n"))
-    s = config["statistic"]
-    lower = float(s.get("lower", 0.0))
-    upper = float(s.get("upper", 1.0))
-    dom = _interval("statistic.lower", lower, "statistic.upper", upper)
 
-    if family == "mean":
-        f = stats.mean_statistic(n, dom)
-        report = lambda: smn.analytic_seminorms_lstat(stats.constant_weight(1.0), _diameter(dom), n)
-    elif family in ("ustat", "vstat"):
-        kernel = stats.product_kernel()
-        if n < kernel.m:
-            raise ConfigError(
-                f"config.statistic.n: the {family} family needs n >= {kernel.m} "
-                f"(the kernel arity), got {n}"
-            )
-        build = stats.u_stat_statistic if family == "ustat" else stats.v_stat_statistic
-        f = build(kernel, n, dom)
+def _kernel(s: dict, n: int, dom, kind: str):
+    kernel = stats.product_kernel()
+    build = stats.u_stat_statistic if kind == "U" else stats.v_stat_statistic
+    return build(kernel, n, dom), lambda seed: smn.analytic_seminorms_ustat(
+        kernel.lipschitz_L, kernel.range_B, kernel.m, n, kind=kind)
 
-        def report():
-            # the kernel's constants L = B = 1 hold on the unit box, and so
-            # on any box inside it, since a seminorm is a supremum over it
-            if lower < 0.0 or upper > 1.0:
-                field = "lower" if lower < 0.0 else "upper"
-                raise ConfigError(
-                    f"config.statistic.{field}: the {family} closed form holds on boxes inside "
-                    f"the unit box [0, 1], got [{lower}, {upper}]"
-                )
-            return smn.analytic_seminorms_ustat(
-                kernel.lipschitz_L, kernel.range_B, kernel.m, n,
-                kind="U" if family == "ustat" else "V",
-            )
-    elif family == "auc":
-        if n % 2 != 0:
-            raise ConfigError(f"config.statistic.n: the auc family needs even n, got {n}")
-        loss = stats.ramp_loss(float(s.get("ramp_width", 1.0)))
-        f = stats.auc_statistic(loss, n, dom)
-        report = lambda: smn.analytic_seminorms_auc(loss.lipschitz_L, n)
-    elif family == "lstat":
-        weight = stats.f_zeta_weight(float(s.get("zeta", 0.25)))
-        f = stats.lstat_statistic(weight, n, dom)
-        report = lambda: smn.analytic_seminorms_lstat(weight, _diameter(dom), n)
-    elif family == "ridge":
-        given = [name for name in ("lower", "upper") if name in s]
-        if given:
-            # a document would echo a box that nothing was computed on
-            raise ConfigError(f"config.statistic.{given[0]}: ridge fixes its own box "
-                              "[-1, 1]^(d+1), so a statistic box would go unused")
-        problem = stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1)))
-        f = stats.ridge_error_statistic(problem, n)
-        report = lambda: smn.derivative_seminorms(
-            f, f.domain.diameter, probes=4,
-            rng=SeededRng(config["seed"]).split(_RIDGE_PROBE_STREAM)
-        )
-    else:
-        raise ConfigError(f"config.statistic.family: unknown family {family!r}")
-    return f, report
+
+def _auc(s: dict, n: int, dom):
+    loss = stats.ramp_loss(float(s.get("ramp_width", 1.0)))
+    return (stats.auc_statistic(loss, n, dom),
+            lambda seed: smn.analytic_seminorms_auc(loss.lipschitz_L, n))
+
+
+def _lstat(s: dict, n: int, dom):
+    weight = stats.f_zeta_weight(float(s.get("zeta", 0.25)))
+    return (stats.lstat_statistic(weight, n, dom),
+            lambda seed: smn.analytic_seminorms_lstat(weight, _diameter(dom), n))
+
+
+def _ridge(s: dict, n: int, dom):
+    f = stats.ridge_error_statistic(
+        stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1))), n)
+    return f, lambda seed: smn.derivative_seminorms(
+        f, f.domain.diameter, probes=4, rng=SeededRng(seed).split(_RIDGE_PROBE_STREAM))
+
+
+def _lstat_probe(s: dict, f, gen, probes: int) -> dict:
+    """lstat's two response conditions, each of the probes' configurations,
+    k, l and rows y, y', z, z' drawn as one array and checked in one call."""
+    n, dom = f.n, f.domain
+    if n < 2:
+        raise ConfigError(f"config.statistic.n: the lstat condition probe needs two distinct "
+                          f"indices, so n >= 2, got {n}")
+    xs = dom.uniform(gen, (probes, n))
+    k = gen.integers(n, size=probes)
+    l = gen.integers(n - 1, size=probes)
+    rows = dom.uniform(gen, (4, probes))[..., 0]
+    fails, worst = orc.lstat_condition_counts(stats.f_zeta_weight(float(s.get("zeta", 0.25))),
+                                              xs, k, l + (l >= k), *rows)
+    return {
+        "check": "lstat_conditions",
+        "inputs": f"n={n},probes={probes}",
+        "lhs": float(fails),
+        "rhs": 0.0,
+        "slack": -worst if fails else 0.0,
+        "pass": fails == 0,
+    }
+
+
+class _Family(NamedTuple):
+    """A statistic family's rules: the fields it reads besides family and n
+    (with no lower/upper it fixes its own box and is built with None), its
+    smallest n and step, whether its closed form holds only inside [0, 1],
+    its builder (block, n, box) -> (Statistic, seed -> upper-bound
+    seminorms), the field that sets its Lipschitz norm, verify's probe."""
+    fields: tuple[str, ...]
+    build: Callable
+    min_n: int = 1
+    step: int = 1
+    unit_box: bool = False
+    lipschitz: str | None = None
+    probe: Callable | None = None
+
+
+# ustat and vstat need n >= 2, the product kernel's arity.  Its L = B = 1
+# hold on [0, 1], so on any box inside it, as a seminorm is a supremum
+_FAMILIES = {
+    "mean": _Family(("lower", "upper"), _mean),
+    "ustat": _Family(("lower", "upper"), functools.partial(_kernel, kind="U"), 2, unit_box=True),
+    "vstat": _Family(("lower", "upper"), functools.partial(_kernel, kind="V"), 2, unit_box=True),
+    "auc": _Family(("lower", "upper", "ramp_width"), _auc, 2, 2, lipschitz="ramp_width"),
+    "lstat": _Family(("lower", "upper", "zeta"), _lstat, lipschitz="zeta", probe=_lstat_probe),
+    "ridge": _Family(("lam", "d"), _ridge),
+}
+
+
+def _family(config: dict, closed_form: bool):
+    """(record, Statistic at statistic.n, its upper-bound seminorms if the run
+    takes the closed form) of the config's family after the record's
+    refusals, the unit box among them where the closed form needs it."""
+    if "statistic" not in config:
+        raise ConfigError("config.statistic.family: required field is missing")
+    s, dom = config["statistic"], None
+    fam = _FAMILIES[s["family"]]
+    unread = [name for name in s if name not in ("family", "n") + fam.fields]
+    if unread:
+        raise ConfigError(f"config.statistic.{unread[0]}: the {s['family']} family does not read "
+                          f"it; it reads {', '.join(fam.fields)} besides family and n")
+    if s["n"] < fam.min_n or s["n"] % fam.step:
+        raise ConfigError(f"config.statistic.n: the {s['family']} family needs n >= {fam.min_n}"
+                          f"{' and even' if fam.step == 2 else ''}, got {s['n']}")
+    if "lower" in fam.fields:
+        lower, upper = float(s.get("lower", 0.0)), float(s.get("upper", 1.0))
+        dom = _interval("statistic.lower", lower, "statistic.upper", upper)
+        if closed_form and fam.unit_box and (lower < 0.0 or upper > 1.0):
+            raise ConfigError(f"config.statistic.{'lower' if lower < 0.0 else 'upper'}: the "
+                              f"{s['family']} closed form holds on boxes inside the unit box "
+                              f"[0, 1], got [{lower}, {upper}]")
+    f, report = fam.build(s, s["n"], dom)
+    return fam, f, report(config["seed"]) if closed_form else None
+
+
+@contextlib.contextmanager
+def _certifiable(lipschitz: str):
+    """Name the field behind the library's refusal to certify a run."""
+    try:
+        yield
+    except bnd.UnboundedLipschitzError as exc:
+        raise ConfigError(f"config.{lipschitz}: {exc}") from exc
+    except bnd.CertifiedBoundError as exc:  # ridge's seminorms are an estimate
+        raise ConfigError(f"config.statistic.family: {exc}") from exc
 
 
 def _linear_spec(config: dict, domain_hint=None):
@@ -216,14 +260,11 @@ def _linear_spec(config: dict, domain_hint=None):
         half = count // 2
         weights = [(j + 1) / half for j in range(half)]
         weights = weights + [-w for w in weights]
-    else:
-        raise ConfigError(f"config.function_class.kind: unknown kind {cls['kind']!r}")
     ends = [w * e for w in weights for e in (low, high)]
     lo, hi = min(ends), max(ends)
-    if domain_hint is None and not math.isfinite(hi - lo):
-        field = "low" if abs(low) > abs(high) else "high"
-        raise ConfigError(f"config.sampler.{field}: the class maps [{low}, {high}] onto "
-                          f"[{lo}, {hi}], which is wider than the largest float")
+    if domain_hint is None:
+        _finite(f"config.sampler.{'low' if abs(low) > abs(high) else 'high'}", hi - lo,
+                f"the width of [{lo}, {hi}], which the class maps [{low}, {high}] onto,")
     dom = domain_hint if domain_hint is not None else box([lo], [hi])
     if lo < dom.lower[0] or hi > dom.upper[0]:
         raise ConfigError(f"config.sampler: the class maps [{low}, {high}] onto [{lo}, {hi}], "
@@ -231,18 +272,10 @@ def _linear_spec(config: dict, domain_hint=None):
     return weights, low, high, dom
 
 
-def _refuse_step_weight(config: dict) -> None:
-    s = config["statistic"]
-    if s["family"] == "lstat" and float(s.get("zeta", 0.25)) == 0.0:
-        raise ConfigError(f"config.statistic.zeta: {config['kind']} needs a finite Lipschitz "
-                          "norm, which the step weight zeta = 0 does not have")
-
-
 def _run_seminorm(config: dict) -> dict:
-    f, report_fn = _build_statistic(config)
     # before the search, so that a refused closed form or box fails at once;
     # each builds its generators afresh from (seed, stream), so order is moot
-    upper = report_fn()
+    _, f, upper = _family(config, closed_form=True)
     _diameter(f.domain)
     budget = int(config.get("budget", 20000))
     emp = smn.empirical_seminorms(f, budget, SeededRng(config["seed"]))
@@ -257,7 +290,7 @@ def _run_seminorm(config: dict) -> dict:
 def _run_complexity(config: dict) -> dict:
     weights, low, high, dom = _linear_spec(config)
     fclass = linear_class(weights, uniform_raw_space(low, high), dom)
-    n = int(_field(config, "statistic.n", 16))
+    n = int(config.get("statistic", {}).get("n", 16))
     reps = config.get("replicates", {})
     est = cpx.class_complexity(fclass, n, config.get("complexity_kind", "gaussian"),
                                int(reps.get("outer", 64)), int(reps.get("inner", 2048)),
@@ -268,92 +301,52 @@ def _run_complexity(config: dict) -> dict:
 def _run_bound(config: dict) -> dict:
     """Certificate over the config's linear class, whose Gaussian complexity
     has a closed-form upper bound; ``replicates`` is accepted and unused."""
-    f, report_fn = _build_statistic(config)
-    _refuse_step_weight(config)
-    if f.domain.d != 1:
-        raise ConfigError(f"config.statistic.family: {f.label} has {f.domain.d}-dimensional "
-                          "points, but bound certifies a scalar linear class")
+    fam, f, report = _family(config, closed_form=True)
     kind = config.get("complexity_kind", cpx.GAUSSIAN)
     if kind != cpx.GAUSSIAN:
         raise ConfigError(f"config.complexity_kind: bound needs the Gaussian complexity, "
                           f"got {kind!r}; nothing proves a {kind} average bounds it")
-    report = report_fn()
     weights, low, high, _ = _linear_spec(config, domain_hint=f.domain)
     # E x^2 for x uniform on [low, high]; the closed form scales with n E x^2
     second_moment = (low * low + low * high + high * high) / 3.0
-    if not math.isfinite(f.n * second_moment):
-        raise ConfigError(f"config.sampler.low, config.sampler.high: n E x^2 = {f.n} * "
-                          f"{second_moment} for x uniform on [{low}, {high}] overflows")
+    _finite("config.sampler.low, config.sampler.high", f.n * second_moment,
+            f"n E x^2 = {f.n} * {second_moment} for x uniform on [{low}, {high}]")
     g = cpx.linear_gaussian_complexity(weights, f.n, second_moment)
     delta = float(config.get("delta", 0.05))
-    cert = bnd.uniform_bound(report, g, f.n, delta)
+    with _certifiable(f"statistic.{fam.lipschitz}"):
+        cert = bnd.uniform_bound(report, g, f.n, delta)
     doc = cert.to_dict()
     validate_certificate(doc)
     return {"statistic": f.label, "n": f.n, "certificate": doc}
 
 
 def _run_verify(config: dict) -> dict:
-    """The telescoping identity at each size up to verify.max_n; for lstat
-    also the two response conditions.  One generator draws the pairs, then
-    in one pass the probes' configurations, k, l and rows y, y', z, z', each
-    as one array, which one oracle.lstat_condition_counts call checks."""
-    f, _ = _build_statistic(config)
+    """The telescoping identity at each size in 1..verify.max_n that the
+    family admits, then its probe; one generator draws the pairs, then it."""
+    fam, f, _ = _family(config, closed_form=False)
+    s = config["statistic"]
     opts = config.get("verify", {})
     max_n = int(opts.get("max_n", min(f.n, 8)))
     pairs = int(opts.get("pairs", 20))
-    probes = int(opts.get("probes", 200))
     gen = SeededRng(config["seed"]).generator()
-    records = []
-
-    family = _field(config, "statistic.family")
-    if family == "lstat" and f.n < 2:
-        raise ConfigError(
-            f"config.statistic.n: the lstat condition probe needs two distinct indices, "
-            f"so n >= 2, got {f.n}"
-        )
-    _refuse_step_weight(config)
-    sizes = [n for n in range(1, max_n + 1)]
-    if family == "auc":
-        sizes = [n for n in sizes if n % 2 == 0]
-    if family in ("ustat", "vstat"):
-        sizes = [n for n in sizes if n >= 2]
+    sizes = range(fam.min_n, max_n + 1, fam.step)
     if not sizes:
-        raise ConfigError(
-            f"config.verify.max_n: no sample size in 1..{max_n} suits the {family} family, "
-            "so nothing would be checked"
-        )
-
+        raise ConfigError(f"config.verify.max_n: no sample size in 1..{max_n} suits the "
+                          f"{s['family']} family, so nothing would be checked")
+    records = []
     for n in sizes:
-        sized = dict(config)
-        sized["statistic"] = dict(config["statistic"], n=n)
-        fn, _ = _build_statistic(sized)
-        dom = fn.domain
+        fn, _ = fam.build(s, n, f.domain)
         worst = 0.0
         for _ in range(pairs):
-            x = dom.uniform(gen, n)
-            xp = dom.uniform(gen, n)
+            x = fn.domain.uniform(gen, n)
+            xp = fn.domain.uniform(gen, n)
             dec = orc.fk_decompose(fn, x, xp)
             worst = max(worst, dec.residual / max(1.0, abs(dec.lhs)))
         records.append(orc.CheckResult("telescoping_identity", worst, orc.IDENTITY_RTOL, 0.0,
                                        f"{fn.label},n={n},pairs={pairs}").to_record())
-
-    if family == "lstat":
-        weight = stats.f_zeta_weight(float(config["statistic"].get("zeta", 0.25)))
-        n, dom = f.n, f.domain
-        xs = dom.uniform(gen, (probes, n))
-        k = gen.integers(n, size=probes)
-        l = gen.integers(n - 1, size=probes)
-        rows = dom.uniform(gen, (4, probes))[..., 0]
-        fails, worst = orc.lstat_condition_counts(weight, xs, k, l + (l >= k), *rows)
-        records.append({
-            "check": "lstat_conditions",
-            "inputs": f"n={n},probes={probes}",
-            "lhs": float(fails),
-            "rhs": 0.0,
-            "slack": -worst if fails else 0.0,
-            "pass": fails == 0,
-        })
-
+    if fam.probe is not None:
+        with _certifiable(f"statistic.{fam.lipschitz}"):
+            records.append(fam.probe(s, f, gen, int(opts.get("probes", 200))))
     return {"statistic": f.label, "records": records, "all_passed": all(r["pass"] for r in records)}
 
 
@@ -390,6 +383,8 @@ def _run_cluster(config: dict) -> dict:
     restarts = int(opts.get("restarts", 10))
     max_iters = int(opts.get("max_iters", 100))
     rng = SeededRng(config["seed"])
+    _finite("config.cluster.ball_radius", 16.0 / 3.0 * n * radius * radius, "16/3 n r^2, a "
+            "bound on the trimmed objectives' sums of n weighted squared distances,")
 
     angles = np.arange(K) * 2.0 * math.pi / K
     true_centers = 0.55 * radius * np.stack(
@@ -416,8 +411,9 @@ def _run_cluster(config: dict) -> dict:
     }
     if zeta > 0:
         one_member = cpx.ComplexityEstimate(0.0, 0.0, 0, cpx.GAUSSIAN, cpx.CLOSED_FORM)
-        cert = apps.clustering_certificate(radius, zeta, m, one_member,
-                                           float(config.get("delta", 0.05)))
+        with _certifiable("cluster.zeta"):
+            cert = apps.clustering_certificate(radius, zeta, m, one_member,
+                                               float(config.get("delta", 0.05)))
         cert_doc = cert.to_dict()
         validate_certificate(cert_doc)
         doc["certificate"] = cert_doc
@@ -432,13 +428,16 @@ def _run_rank(config: dict) -> dict:
     count = int(opts.get("candidates", 8))
     dim = int(opts.get("dim", 2))
     sep = float(opts.get("separation", 1.5))
-    width = float(opts.get("ramp_width", 1.0))
     delta = float(config.get("delta", 0.1))
     rng = SeededRng(config["seed"])
+    loss = stats.ramp_loss(float(opts.get("ramp_width", 1.0)))
+    _finite("config.rank.ramp_width", loss.lipschitz_L,
+            "the Lipschitz constant 1 / ramp_width, which the certificate scales with,")
+    _finite("config.rank.separation", (sep / 2.0) * (sep / 2.0),
+            "(separation / 2)^2, which the closed-form complexity takes,")
 
     space = apps.two_block_ranking_space(dim, sep)
     candidates = apps.linear_ranker_class(dim, count, space)
-    loss = stats.ramp_loss(width)
     g = apps.linear_ranker_complexity(dim, count, sep, n)
     data = space.sampler(rng.split(1).generator(), n)
     sel = apps.select_ranker(candidates, data, loss, g, delta)

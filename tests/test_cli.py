@@ -864,8 +864,8 @@ class TestMainEntry:
     @pytest.mark.parametrize("bounds", [{"lower": 0.0, "upper": 1e200}, {"upper": 1.0},
                                         {"lower": -1.0}])
     def test_ridge_seminorm_box_names_field(self, tmp_path, capsys, bounds):
-        # ridge fixes its own box [-1, 1]^(d+1), so a statistic box is
-        # refused
+        # ridge fixes its own box [-1, 1]^(d+1) and reads no statistic box,
+        # so one is refused
         config = {"kind": "seminorm", "seed": 5, "budget": 400,
                   "statistic": {"family": "ridge", "n": 4, **bounds}}
         cfg_path = tmp_path / "cfg.json"
@@ -873,7 +873,8 @@ class TestMainEntry:
         status = main(["seminorm", "--config", str(cfg_path)])
         out, err = capsys.readouterr()
         assert status == EXIT_ERROR and out == ""
-        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: ridge fixes its own box")
+        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: the ridge family "
+                              "does not read it; it reads lam, d besides family and n")
 
     @pytest.mark.parametrize("bounds", [{"lower": -1.0, "upper": 3.0}, {"upper": 1.0},
                                         {"lower": -1.0}])
@@ -887,7 +888,8 @@ class TestMainEntry:
         status = main(["verify", "--config", str(cfg_path)])
         out, err = capsys.readouterr()
         assert status == EXIT_ERROR and out == ""
-        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: ridge fixes its own box")
+        assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: the ridge family "
+                              "does not read it; it reads lam, d besides family and n")
 
     @pytest.mark.parametrize("n, low, high, count", [(8, 0.0, 1e200, 1),
                                                      (1000, -1e153, 1e153, 2)])
@@ -939,21 +941,52 @@ class TestMainEntry:
         assert status == EXIT_ERROR
         assert "config.verify.max_n" in err
 
-    def test_step_weight_bound_names_zeta(self, tmp_path, capsys):
+    # the step weight zeta = 0 has an infinite Lipschitz norm, and so has
+    # zeta = 1e-320, where 2 / (3 zeta) overflows
+    @pytest.mark.parametrize("zeta", [0, 1e-320])
+    def test_step_weight_bound_names_zeta(self, tmp_path, capsys, zeta):
         status, err = self._bad_input(tmp_path, capsys, {
             "kind": "bound", "seed": 0,
-            "statistic": {"family": "lstat", "n": 8, "zeta": 0, "lower": -1.0, "upper": 1.0},
+            "statistic": {"family": "lstat", "n": 8, "zeta": zeta, "lower": -1.0, "upper": 1.0},
             "replicates": {"outer": 2, "inner": 8},
         })
         assert status == EXIT_ERROR
-        assert "config.statistic.zeta" in err
+        assert err.startswith("error: config.statistic.zeta: ")
 
-    def test_step_weight_verify_names_zeta(self, tmp_path, capsys):
+    @pytest.mark.parametrize("zeta", [0, 1e-320])
+    def test_step_weight_verify_names_zeta(self, tmp_path, capsys, zeta):
         status, err = self._bad_input(tmp_path, capsys, {
-            "kind": "verify", "seed": 0, "statistic": {"family": "lstat", "n": 4, "zeta": 0},
+            "kind": "verify", "seed": 0, "statistic": {"family": "lstat", "n": 4, "zeta": zeta},
         })
         assert status == EXIT_ERROR
-        assert "config.statistic.zeta" in err
+        assert err.startswith("error: config.statistic.zeta: ")
+
+    def test_subnormal_cluster_zeta_names_field(self, tmp_path, capsys):
+        # zeta = 0 fits without a certificate; 1e-320 asks for one that has
+        # no finite Lipschitz norm
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(
+            _CLUSTER_CONFIG, cluster=dict(_CLUSTER_CONFIG["cluster"], zeta=1e-320))))
+        status = main(["cluster", "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith("error: config.cluster.zeta: ")
+
+    @pytest.mark.parametrize("kind, block, field", [
+        ("rank", {"n": 40, "ramp_width": 1e-320}, "ramp_width"),
+        ("rank", {"n": 40, "separation": 1e300}, "separation"),
+        ("cluster", {"n": 80, "ball_radius": 1e200}, "ball_radius"),
+    ])
+    def test_overflowing_application_input_names_field(self, tmp_path, capsys, kind, block,
+                                                       field):
+        # 1 / ramp_width, (separation / 2)^2 and the squared distances in a
+        # ball of that radius overflow
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind, "seed": 0, kind: block}))
+        status = main([kind, "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith(f"error: config.{kind}.{field}: ")
 
     def test_class_leaving_statistic_box_names_sampler(self, tmp_path, capsys):
         # the default sampler [-1, 1] under the default box [0, 1]
@@ -1011,6 +1044,75 @@ class TestMainEntry:
         assert (tmp_path / "t.csv").read_text().startswith("kind,label")
 
 
+# The family table of the README, restated: the statistic fields each
+# family reads besides family and n, and its smallest n (auc's n is even).
+_READS = {"mean": ("lower", "upper"), "ustat": ("lower", "upper"), "vstat": ("lower", "upper"),
+          "auc": ("lower", "upper", "ramp_width"), "lstat": ("lower", "upper", "zeta"),
+          "ridge": ("lam", "d")}
+_MIN_N = {"mean": 1, "ustat": 2, "vstat": 2, "auc": 2, "lstat": 1, "ridge": 1}
+# each field at a value every reading family accepts, and the box ends also
+# off the unit box (bound's class maps its sampler [0, 1] onto [0, 1])
+_FIELD_CASES = [("lower", 0.0), ("lower", -1.0), ("upper", 1.0), ("upper", 2.0),
+                ("zeta", 0.125), ("ramp_width", 0.5), ("lam", 0.25), ("d", 2),
+                ("n", 4), ("n", 3), ("n", 1)]
+
+
+def _table_refusal(kind, family, field, value):
+    """The start of the error the table prescribes, or None for a run that
+    exits 0: an unread field, an n the family does not admit, a closed form
+    off the unit box (only where the run takes the closed form), the lstat
+    probe of verify at one point, and ridge's estimated seminorms under
+    bound."""
+    if field != "n" and field not in _READS[family]:
+        return f"error: config.statistic.{field}: the {family} family does not read it; "
+    if field == "n" and (value < _MIN_N[family] or (family == "auc" and value % 2)):
+        return f"error: config.statistic.n: the {family} family needs n >= {_MIN_N[family]}"
+    if (kind != "verify" and family in ("ustat", "vstat") and field in ("lower", "upper")
+            and not 0.0 <= value <= 1.0):
+        return f"error: config.statistic.{field}: the {family} closed form holds on boxes inside"
+    if kind == "verify" and family == "lstat" and field == "n" and value < 2:
+        return "error: config.statistic.n: the lstat condition probe needs two distinct indices"
+    if kind == "bound" and family == "ridge":
+        return "error: config.statistic.family: certificates require closed-form upper-bound"
+    return None
+
+
+def _subcommand_run(tmp_path, capsys, kind, **config):
+    """(exit status, stdout, stderr) of a small run of the subcommand."""
+    config = {"kind": kind, "seed": 5, "budget": 200,
+              "verify": {"max_n": 4, "pairs": 2, "probes": 10},
+              "function_class": {"kind": "linear", "count": 4},
+              "sampler": {"kind": "uniform", "low": 0.0, "high": 1.0}, **config}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    status = main([kind, "--config", str(cfg_path)])
+    return (status, *capsys.readouterr())
+
+
+class TestFamilyTable:
+    """seminorm, verify and bound read one table of the families: each
+    accepts or refuses a statistic field, or an n, for the same reason."""
+
+    @pytest.mark.parametrize("field, value", _FIELD_CASES)
+    @pytest.mark.parametrize("family", list(_READS))
+    @pytest.mark.parametrize("kind", ["seminorm", "verify", "bound"])
+    def test_fields_are_accepted_or_refused_alike(self, tmp_path, capsys, kind, family, field,
+                                                  value):
+        status, out, err = _subcommand_run(tmp_path, capsys, kind,
+                                           statistic={"family": family, "n": 4, field: value})
+        refusal = _table_refusal(kind, family, field, value)
+        if refusal is None:
+            assert status == EXIT_OK, err
+        else:
+            assert (status, out) == (EXIT_ERROR, "") and err.startswith(refusal), err
+
+    @pytest.mark.parametrize("kind", ["seminorm", "verify", "bound"])
+    def test_missing_statistic_block_names_family(self, tmp_path, capsys, kind):
+        status, out, err = _subcommand_run(tmp_path, capsys, kind)
+        assert (status, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: config.statistic.family: required field is missing")
+
+
 # one end of a box: ordinary, near the float limit, or where a square, a
 # diameter or a sum of n squares overflows
 _MAGNITUDE = st.one_of(st.floats(0.0, 1.7e308), st.floats(0.0, 10.0),
@@ -1041,8 +1143,8 @@ def _numbers(node):
 def test_boxes_to_the_float_limit_name_a_field_or_print_finite_numbers(
         kind, family, n, bounds, sampler, linear, count):
     # every family x subcommand on boxes (and samplers) up to 1.7e308: exit
-    # 1 naming a config field with nothing printed, or a document whose
-    # numbers are all finite.  In process under errstate, because the CLI
+    # 1 naming a config field with nothing printed, or exit 0 and a document
+    # whose numbers are all finite.  In process under errstate, because the CLI
     # process prints numpy's overflow warnings and goes on, where pytest's
     # error::RuntimeWarning filter would raise them
     if kind != "bound":
@@ -1066,5 +1168,5 @@ def test_boxes_to_the_float_limit_name_a_field_or_print_finite_numbers(
         assert out.getvalue() == "" and err.getvalue().startswith("error: config."), (
             err.getvalue())
     else:
-        assert status in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert status == EXIT_OK
         assert all(math.isfinite(v) for v in _numbers(json.loads(out.getvalue())))

@@ -10,7 +10,6 @@ from .applications import (
     clustering_certificate,
     gaussian_mixture_with_noise,
     linear_ranker_class,
-    linear_ranker_complexity,
     select_ranker,
     trimmed_kmeans,
     two_block_ranking_space,
@@ -28,6 +27,7 @@ from .bounds import (
 )
 from .complexity import (
     ComplexityEstimate,
+    LinearClass,
     class_complexity,
     gaussian_average,
     gaussian_from_rademacher,
@@ -43,7 +43,6 @@ from .core import (
     Statistic,
     box,
     evaluate_class,
-    linear_class,
     symmetric_interval,
     uniform_raw_space,
     unit_interval,

@@ -11,7 +11,7 @@ from itertools import permutations
 import numpy as np
 
 from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, uniform_bound
-from .complexity import ComplexityEstimate, linear_gaussian_complexity
+from .complexity import ComplexityEstimate, LinearClass
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
 from .seminorms import analytic_seminorms_lstat
 from .statistics import (_BLOCK_VALUES, LossFunction, WeightFunction, _order_average,
@@ -33,7 +33,6 @@ __all__ = [
     "two_block_ranking_space",
     "two_block_second_moment",
     "linear_ranker_class",
-    "linear_ranker_complexity",
 ]
 
 _CONVERGENCE_TOL = 1e-10
@@ -210,7 +209,7 @@ def clustering_certificate(ball_radius: float, zeta: float, n: int, g: Complexit
     return uniform_bound(report, g, n, delta)
 
 
-def select_ranker(candidates: FunctionClass, data, loss: LossFunction,
+def select_ranker(candidates: FunctionClass | LinearClass, data, loss: LossFunction,
                   g: ComplexityEstimate, delta: float) -> RankingSelection:
     """Pick the candidate maximizing the smoothed two-sample surrogate on a
     two-block sample (first half positives, second half negatives) and
@@ -295,13 +294,15 @@ def two_block_ranking_space(dim: int, separation: float) -> RawSpace:
         neg = gen.standard_normal((half, dim)) - shift
         return np.clip(np.vstack([pos, neg]), -_BOX_SCALE, _BOX_SCALE)
 
-    return RawSpace(sampler, label="two-block")
+    return RawSpace(sampler, "two-block", two_block_second_moment(dim, separation))
 
 
 def _clipped_normal_second_moment(mu: float, c: float) -> float:
     """E x^2 for x = clip(mu + Z, -c, c) with Z standard normal: the part of
     the normal inside (a, b) = (-c - mu, c - mu) plus c^2 times the mass
-    outside it."""
+    outside it; c^2 once mu^2 overflows, as every draw is then clipped."""
+    if math.isinf(mu * mu):
+        return c * c
     a, b = -c - mu, c - mu
     cdf = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
     pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
@@ -325,44 +326,15 @@ def two_block_second_moment(dim: int, separation: float) -> np.ndarray:
     return np.diag(diag[:k])
 
 
-def _ranker_directions(dim: int, count: int) -> tuple[np.ndarray, float]:
-    """The unit directions of linear_ranker_class as a (count, dim) array,
-    spread evenly on the circle of the first two coordinates (the first
-    direction is the separating axis), and the score scale _BOX_SCALE
-    sqrt(dim), the largest attainable score magnitude."""
+def linear_ranker_class(dim: int, count: int, raw_space: RawSpace) -> LinearClass:
+    """Unit-direction linear scores normalized into the box [-1, 1]: member
+    j scores x -> <x, w_j> / (_BOX_SCALE sqrt(dim)), the largest attainable
+    score magnitude, for directions w_j spread evenly on the circle of the
+    first two coordinates (w_0 is the separating axis)."""
     directions = np.zeros((count, dim))
     for j, theta in enumerate(np.arange(count) * 2.0 * math.pi / count):
         directions[j, 0] = math.cos(theta)
         if dim > 1:
             directions[j, 1] = math.sin(theta)
-    return directions, _BOX_SCALE * math.sqrt(dim)
-
-
-def linear_ranker_class(dim: int, count: int, raw_space: RawSpace) -> FunctionClass:
-    """Unit-direction linear scores normalized into [-1, 1]: member j scores
-    x -> <x, w_j> / (_BOX_SCALE sqrt(dim)), so the score domain is a fixed
-    box (see _ranker_directions)."""
-    directions, scale = _ranker_directions(dim, count)
-
-    def make(w: np.ndarray):
-        # a dot product per row, as X @ w can round differently in the last bit
-        return lambda X: (np.asarray(X, dtype=float)[:, None, :] @ w)[:, 0] / scale
-
-    members = tuple(make(w) for w in directions)
-    domain = box([-1.0], [1.0])
-    return FunctionClass(members, raw_space, domain, label=f"linear-rankers({count})")
-
-
-def linear_ranker_complexity(dim: int, count: int, separation: float, n: int) -> ComplexityEstimate:
-    """Closed-form Gaussian complexity of linear_ranker_class on n points of
-    two_block_ranking_space with the same dim and separation.
-
-    The scores use only the first k = min(dim, 2) coordinates, so the class
-    is linear there with the scaled directions as weights, and
-    complexity.linear_gaussian_complexity bounds it with no Monte-Carlo
-    error.
-    """
-    directions, scale = _ranker_directions(dim, count)
-    k = min(dim, 2)
-    return linear_gaussian_complexity(directions[:, :k] / scale, n,
-                                      two_block_second_moment(dim, separation))
+    return LinearClass(directions, raw_space, box([-1.0], [1.0]), _BOX_SCALE * math.sqrt(dim),
+                       label=f"linear-rankers({count})")

@@ -33,7 +33,7 @@ from . import complexity as cpx
 from . import oracle as orc
 from . import seminorms as smn
 from . import statistics as stats
-from .core import SeededRng, box, linear_class, uniform_raw_space
+from .core import SeededRng, box, uniform_raw_space
 
 __all__ = ["main", "run", "emit_table", "load_schema", "AggregationError", "ConfigError"]
 
@@ -147,8 +147,13 @@ def _lstat(s: dict, n: int, dom):
 
 
 def _ridge(s: dict, n: int, dom):
-    f = stats.ridge_error_statistic(
-        stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=int(s.get("d", 1))), n)
+    # seminorm's mixed differences stack a d x d Gram matrix for each of 4
+    # _HESSIAN_PAIRS (d + 1)^2 configurations, the largest array that n does
+    # not scale; it may hold 2^24 float64 values (128 MiB), so d <= 31
+    d = int(s.get("d", 1))
+    if 4 * smn._HESSIAN_PAIRS * (d + 1) ** 2 * d * d > 2**24:
+        raise ConfigError(f"config.statistic.d: the Gram matrices at d = {d} exceed 2^24 values")
+    f = stats.ridge_error_statistic(stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=d), n)
     return f, lambda seed: smn.derivative_seminorms(
         f, f.domain.diameter, probes=4, rng=SeededRng(seed).split(_RIDGE_PROBE_STREAM))
 
@@ -240,9 +245,8 @@ def _certifiable(lipschitz: str):
         raise ConfigError(f"config.statistic.family: {exc}") from exc
 
 
-def _linear_spec(config: dict, domain_hint=None):
-    """The config's linear class as (weights, sampler low, sampler high,
-    domain box), checked against the box."""
+def _linear_spec(config: dict, domain_hint=None) -> cpx.LinearClass:
+    """The config's linear class on its uniform sampler, checked against the box."""
     cls = config.get("function_class", {"kind": "linear_symmetric", "count": 16})
     sampler_cfg = config.get("sampler", {"kind": "uniform", "low": -1.0, "high": 1.0})
     low = float(sampler_cfg.get("low", -1.0))
@@ -269,7 +273,7 @@ def _linear_spec(config: dict, domain_hint=None):
     if lo < dom.lower[0] or hi > dom.upper[0]:
         raise ConfigError(f"config.sampler: the class maps [{low}, {high}] onto [{lo}, {hi}], "
                           f"outside the statistic box [{dom.lower[0]}, {dom.upper[0]}]")
-    return weights, low, high, dom
+    return cpx.LinearClass(weights, uniform_raw_space(low, high), dom)
 
 
 def _run_seminorm(config: dict) -> dict:
@@ -288,8 +292,7 @@ def _run_seminorm(config: dict) -> dict:
 
 
 def _run_complexity(config: dict) -> dict:
-    weights, low, high, dom = _linear_spec(config)
-    fclass = linear_class(weights, uniform_raw_space(low, high), dom)
+    fclass = _linear_spec(config)
     n = int(config.get("statistic", {}).get("n", 16))
     reps = config.get("replicates", {})
     est = cpx.class_complexity(fclass, n, config.get("complexity_kind", "gaussian"),
@@ -306,15 +309,15 @@ def _run_bound(config: dict) -> dict:
     if kind != cpx.GAUSSIAN:
         raise ConfigError(f"config.complexity_kind: bound needs the Gaussian complexity, "
                           f"got {kind!r}; nothing proves a {kind} average bounds it")
-    weights, low, high, _ = _linear_spec(config, domain_hint=f.domain)
-    # E x^2 for x uniform on [low, high]; the closed form scales with n E x^2
-    second_moment = (low * low + low * high + high * high) / 3.0
+    with _certifiable(f"statistic.{fam.lipschitz}"):
+        bnd._require_upper_bound(report)  # refuses ridge before the class meets its box
+    fclass = _linear_spec(config, domain_hint=f.domain)
+    second_moment = float(fclass.raw_space.second_moment[0, 0])
     _finite("config.sampler.low, config.sampler.high", f.n * second_moment,
-            f"n E x^2 = {f.n} * {second_moment} for x uniform on [{low}, {high}]")
-    g = cpx.linear_gaussian_complexity(weights, f.n, second_moment)
+            f"n E x^2 = {f.n} * {second_moment} for x {fclass.raw_space.label}")
     delta = float(config.get("delta", 0.05))
     with _certifiable(f"statistic.{fam.lipschitz}"):
-        cert = bnd.uniform_bound(report, g, f.n, delta)
+        cert = bnd.uniform_bound(report, fclass.gaussian_upper(f.n), f.n, delta)
     doc = cert.to_dict()
     validate_certificate(doc)
     return {"statistic": f.label, "n": f.n, "certificate": doc}
@@ -433,13 +436,10 @@ def _run_rank(config: dict) -> dict:
     loss = stats.ramp_loss(float(opts.get("ramp_width", 1.0)))
     _finite("config.rank.ramp_width", loss.lipschitz_L,
             "the Lipschitz constant 1 / ramp_width, which the certificate scales with,")
-    _finite("config.rank.separation", (sep / 2.0) * (sep / 2.0),
-            "(separation / 2)^2, which the closed-form complexity takes,")
 
-    space = apps.two_block_ranking_space(dim, sep)
-    candidates = apps.linear_ranker_class(dim, count, space)
-    g = apps.linear_ranker_complexity(dim, count, sep, n)
-    data = space.sampler(rng.split(1).generator(), n)
+    candidates = apps.linear_ranker_class(dim, count, apps.two_block_ranking_space(dim, sep))
+    g = candidates.gaussian_upper(n)
+    data = candidates.raw_space.sampler(rng.split(1).generator(), n)
     sel = apps.select_ranker(candidates, data, loss, g, delta)
     return {
         "n": n,

@@ -1,14 +1,7 @@
 """Monte-Carlo estimation of Gaussian and Rademacher averages of finite
-point sets, the closed-form Gaussian complexity of linear classes, and the
+point sets, linear classes (LinearClass) with their closed-form Gaussian
+complexity (linear_gaussian_complexity, which holds the proof), and the
 standard conversion factor between the two averages.
-
-The closed form covers classes x -> <w_j, x> on one or two coordinates.
-Conditionally on the sample, the Gaussian supremum of such a class is
-exactly the perimeter of the convex hull of the images of the w_j, over
-2 sqrt(2 pi) (Cauchy's perimeter formula); Jensen's inequality then bounds
-its mean over the sample, edge by edge, through the second-moment matrix
-of the data (see linear_gaussian_complexity).  In one dimension the hull
-is a segment and the value is (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi).
 
 The Monte-Carlo draws fill one coefficient block per call, reused across
 chunks of at most _CHUNK replicates, which bounds memory.  Gaussian
@@ -28,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import FunctionClass, SeededRng, evaluate_class
+from .core import Domain, FunctionClass, RawSpace, SeededRng, as_points, evaluate_class
 
 __all__ = [
     "GAUSSIAN",
@@ -36,6 +29,7 @@ __all__ = [
     "MONTE_CARLO",
     "CLOSED_FORM",
     "ComplexityEstimate",
+    "LinearClass",
     "gaussian_average",
     "rademacher_average",
     "class_complexity",
@@ -152,7 +146,7 @@ def rademacher_average(Y, replicates: int, rng: SeededRng) -> ComplexityEstimate
     return _average(Y, replicates, rng, RADEMACHER, _fill_signs)
 
 
-def class_complexity(fclass: FunctionClass, n: int, kind: str,
+def class_complexity(fclass: FunctionClass | LinearClass, n: int, kind: str,
                      outer_reps: int = 64, inner_reps: int = 2048,
                      rng: SeededRng = SeededRng(0)) -> ComplexityEstimate:
     """Expected complexity of the evaluated class: outer replicates draw a
@@ -236,9 +230,8 @@ def linear_gaussian_complexity(weights, n: int, second_moment) -> ComplexityEsti
     gives the exact conditional complexity of one sample.  In one dimension
     the hull is [w_min, w_max] traversed there and back, so the value is
     (w_max - w_min) sqrt(n E x^2) / sqrt(2 pi), bit for bit, since
-    (2 x) / (2 y) = x / y in floating point.  For x uniform on
-    [low, high], E x^2 = (low^2 + low high + high^2) / 3.  A single member
-    (or equal weights) gives 0.
+    (2 x) / (2 y) = x / y in floating point.  A single member (or equal
+    weights) gives 0.
     """
     w = np.asarray(weights, dtype=float)
     M = np.asarray(second_moment, dtype=float)
@@ -270,6 +263,46 @@ def linear_gaussian_complexity(weights, n: int, second_moment) -> ComplexityEsti
     mean = float(lengths.sum()) / (2.0 * math.sqrt(2.0 * math.pi))
     return ComplexityEstimate(mean=mean, std_error=0.0, replicates=0, kind=GAUSSIAN,
                               method=CLOSED_FORM)
+
+
+@dataclass(frozen=True, eq=False)
+class LinearClass:
+    """The maps h_j(x) = <w_j, x> / scale, one per row of the (count, k)
+    ``weights`` (scalar weights make one column), from raw data in R^k into
+    a one-coordinate box.  ``images`` is one stacked product of per-row
+    dots, which ``X @ W.T`` and einsum can round differently."""
+
+    weights: np.ndarray
+    raw_space: RawSpace
+    domain: Domain
+    scale: float = 1.0
+    label: str = "linear"
+
+    def __post_init__(self):
+        if self.domain.d != 1:
+            raise ValueError(f"linear scores need a one-coordinate box, got {self.domain.d}")
+        w = np.array(self.weights, dtype=float)
+        w.setflags(write=False)
+        object.__setattr__(self, "weights", w[:, None] if w.ndim == 1 else w)
+
+    @property
+    def size(self) -> int:
+        return len(self.weights)
+
+    def images(self, raw_sample) -> np.ndarray:
+        X = as_points(raw_sample)
+        return (X[None, :, None, :] @ self.weights[:, None, :, None])[..., 0] / self.scale
+
+    def gaussian_upper(self, n: int) -> ComplexityEstimate:
+        """linear_gaussian_complexity of the weights over scale on n data of
+        the raw space, whose k x k second moment must cover every weight."""
+        M = self.raw_space.second_moment
+        if M is None:
+            raise ValueError(f"the raw space {self.raw_space.label!r} has no second moment")
+        if np.any(self.weights[:, len(M):]):
+            raise ValueError(f"a weight uses a coordinate beyond the {len(M)} that the second "
+                             f"moment of {self.raw_space.label!r} covers")
+        return linear_gaussian_complexity(self.weights[:, :len(M)] / self.scale, n, M)
 
 
 def gaussian_from_rademacher(r_value: float, n: int) -> float:

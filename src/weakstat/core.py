@@ -19,7 +19,6 @@ __all__ = [
     "SeededRng",
     "DomainViolationError",
     "evaluate_class",
-    "linear_class",
     "uniform_raw_space",
     "unit_interval",
     "symmetric_interval",
@@ -165,10 +164,13 @@ class RawSpace:
 
     ``sampler(gen, n)`` returns a raw sample of n data that class members
     map whole, such as an (n,) array of scalars or an (n, p) array of rows.
+    ``second_moment``, if known, is the k x k matrix (1/n) sum_i E[x_i x_i^T]
+    over the first k coordinates, which a LinearClass's closed form takes.
     """
 
     sampler: Callable[[np.random.Generator, int], Sequence]
     label: str = ""
+    second_moment: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -193,27 +195,29 @@ class FunctionClass:
     def size(self) -> int:
         return len(self.members)
 
+    def images(self, raw_sample: Sequence) -> np.ndarray:
+        """The (size, n, d) images of the raw sample, each member's checked for shape."""
+        n, d = len(raw_sample), self.domain.d
+        out = np.empty((self.size, n, d))
+        for j, h in enumerate(self.members):
+            rows = as_points(h(raw_sample))
+            if rows.shape != (n, d):
+                raise ValueError(f"member {j} returned points of shape {rows.shape}, "
+                                 f"expected {(n, d)}")
+            out[j] = rows
+        return out
+
 
 def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
-    """Apply every member to the raw sample and return the (size, n, d) array
-    whose entry j is the configuration (h_j(x_1), ..., h_j(x_n)).
-
-    Shapes are checked member by member, then the domain box once over the
-    whole array, so a wrong shape is reported first; a DomainViolationError
-    names the first (member, datum, coordinate) whose value leaves the box.
-    """
-    n = len(raw_sample)
-    if n < 1:
+    """The (size, n, d) array whose entry j is the configuration
+    (h_j(x_1), ..., h_j(x_n)), from ``fclass.images`` (of a FunctionClass or
+    a LinearClass), checked once against the domain box: a
+    DomainViolationError names the first (member, datum, coordinate) whose
+    value leaves it."""
+    if len(raw_sample) < 1:
         raise ValueError("the raw sample must hold at least one datum")
     dom = fclass.domain
-    out = np.empty((fclass.size, n, dom.d))
-    for j, h in enumerate(fclass.members):
-        rows = as_points(h(raw_sample))
-        if rows.shape != (n, dom.d):
-            raise ValueError(
-                f"member {j} returned points of shape {rows.shape}, expected {(n, dom.d)}"
-            )
-        out[j] = rows
+    out = fclass.images(raw_sample)
     bad = (out < dom.lower - 1e-12) | (out > dom.upper + 1e-12)
     if bad.any():
         j, i, c = np.argwhere(bad)[0]
@@ -226,23 +230,14 @@ def evaluate_class(fclass: FunctionClass, raw_sample: Sequence) -> np.ndarray:
 
 
 def uniform_raw_space(low: float = 0.0, high: float = 1.0) -> RawSpace:
-    """Scalar raw data drawn iid uniform on [low, high]."""
+    """Scalar raw data drawn iid uniform on [low, high], whose second moment
+    is E x^2 = (low^2 + low high + high^2) / 3."""
 
     def sampler(gen: np.random.Generator, n: int):
         return gen.uniform(low, high, size=n)
 
-    return RawSpace(sampler, label=f"uniform[{low},{high}]")
-
-
-def linear_class(weights: Sequence[float], raw_space: RawSpace, domain: Domain,
-                 label: str = "linear") -> FunctionClass:
-    """Scalar linear members h_w(x) = w * x, one per weight."""
-
-    def make(w: float):
-        return lambda x: w * np.asarray(x, dtype=float)
-
-    members = tuple(make(float(w)) for w in weights)
-    return FunctionClass(members, raw_space, domain, label=label)
+    return RawSpace(sampler, label=f"uniform[{low},{high}]",
+                    second_moment=np.array([[(low * low + low * high + high * high) / 3.0]]))
 
 
 def _splitmix64(x: int) -> int:

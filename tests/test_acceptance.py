@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from weakstat import (
+    LinearClass,
     SeededRng,
     analytic_seminorms_auc,
     analytic_seminorms_lstat,
@@ -29,10 +30,8 @@ from weakstat import (
     gaussian_average,
     gaussian_mixture_with_noise,
     indicator_loss,
-    linear_class,
     linear_gaussian_complexity,
     linear_ranker_class,
-    linear_ranker_complexity,
     l_statistic,
     lstat_condition_check,
     lstat_statistic,
@@ -73,8 +72,8 @@ def _sign_weights(n_members: int, scale: float = 1.0):
 
 
 def _sign_class(n_members: int, scale: float = 1.0):
-    return linear_class(_sign_weights(n_members, scale),
-                        uniform_raw_space(-1.0, 1.0), symmetric_interval(1.0))
+    return LinearClass(_sign_weights(n_members, scale),
+                       uniform_raw_space(-1.0, 1.0), symmetric_interval(1.0))
 
 
 def test_criterion_1_mean_recovery():
@@ -286,7 +285,7 @@ def test_criterion_10_ranking_certificate():
     loss = ramp_loss(1.0)
     hold_loss = indicator_loss()
     # the closed form that `weakstat rank` ships
-    g = linear_ranker_complexity(2, count, 1.5, n)
+    g = candidates.gaussian_upper(n)
     covered = 0
     for seed in range(trials):
         rng = SeededRng(seed, 99)

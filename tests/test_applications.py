@@ -24,7 +24,6 @@ from weakstat import (
     evaluate_class,
     indicator_loss,
     linear_ranker_class,
-    linear_ranker_complexity,
     ramp_loss,
     select_ranker,
     smoothed_auc,
@@ -359,7 +358,7 @@ class TestSelectRanker:
 
         shift = 0.35
         shifted_members = tuple(
-            (lambda x, h=h: h(x) + shift) for h in cands.members
+            (lambda x, j=j: cands.images(x)[j] + shift) for j in range(cands.size)
         )
         shifted = FunctionClass(shifted_members, space, box([-2.0], [2.0]))
         after = select_ranker(shifted, data, ramp_loss(), _g(1.0), 0.1)
@@ -425,7 +424,8 @@ class TestRankerComplexity:
         # n = 200, 8 directions, separation 1.5, box 3: E A = diag(306.85, 199.00)
         assert np.allclose(200 * two_block_second_moment(2, 1.5), np.diag([306.85, 199.00]),
                            atol=0.01)
-        assert linear_ranker_complexity(2, 8, 1.5, 200).mean == pytest.approx(4.5652, abs=1e-4)
+        g = linear_ranker_class(2, 8, two_block_ranking_space(2, 1.5)).gaussian_upper(200)
+        assert g.mean == pytest.approx(4.5652, abs=1e-4)
 
     @pytest.mark.parametrize("n", [40, 200])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -433,9 +433,10 @@ class TestRankerComplexity:
     @pytest.mark.parametrize("separation", [0.0, 1.5])
     def test_closed_form_bounds_class_complexity(self, n, dim, count, separation):
         space = two_block_ranking_space(dim, separation)
-        est = class_complexity(linear_ranker_class(dim, count, space), n, "gaussian",
+        candidates = linear_ranker_class(dim, count, space)
+        est = class_complexity(candidates, n, "gaussian",
                                outer_reps=16, inner_reps=256, rng=SeededRng(n, dim * count))
-        closed = linear_ranker_complexity(dim, count, separation, n)
+        closed = candidates.gaussian_upper(n)
         assert closed.method == "closed_form"
         assert closed.mean >= est.mean - 4.0 * est.std_error
 
@@ -444,7 +445,7 @@ class TestRankerComplexity:
         n, count, delta, trials = 200, 8, 0.1, 200
         space = two_block_ranking_space(2, 1.5)
         candidates = linear_ranker_class(2, count, space)
-        g = linear_ranker_complexity(2, count, 1.5, n)
+        g = candidates.gaussian_upper(n)
         covered = 0
         for seed in range(trials):
             rng = SeededRng(seed, 99)

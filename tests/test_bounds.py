@@ -10,11 +10,11 @@ from weakstat import (
     BoundCertificate,
     CertifiedBoundError,
     InapplicableCertificateError,
+    LinearClass,
     SeededRng,
     Statistic,
     auc_certificate,
     derivative_seminorms,
-    linear_class,
     mcdiarmid_tail,
     mean_statistic,
     sample_mean,
@@ -251,8 +251,8 @@ class TestCoverageSmoke:
         n, delta = 32, 0.1
         dom = symmetric_interval(1.0)
         weights = [(j + 1) / 8 for j in range(8)]
-        fclass = linear_class(weights + [-w for w in weights],
-                              uniform_raw_space(-1.0, 1.0), dom)
+        fclass = LinearClass(weights + [-w for w in weights],
+                             uniform_raw_space(-1.0, 1.0), dom)
         from weakstat import analytic_seminorms_lstat, constant_weight
 
         report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)
@@ -273,7 +273,7 @@ class TestCoverageSmoke:
         dom = symmetric_interval(1.0)
         weights = [(j + 1) / 8 for j in range(8)]
         weights = weights + [-w for w in weights]
-        fclass = linear_class(weights, uniform_raw_space(-1.0, 1.0), dom)
+        fclass = LinearClass(weights, uniform_raw_space(-1.0, 1.0), dom)
         from weakstat import analytic_seminorms_lstat, constant_weight
 
         report = analytic_seminorms_lstat(constant_weight(1.0), dom.diameter, n)

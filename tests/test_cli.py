@@ -876,6 +876,18 @@ class TestMainEntry:
         assert err.startswith(f"error: config.statistic.{next(iter(bounds))}: the ridge family "
                               "does not read it; it reads lam, d besides family and n")
 
+    @pytest.mark.parametrize("kind", ["seminorm", "verify", "bound"])
+    def test_ridge_dimension_beyond_memory_names_field(self, tmp_path, capsys, kind):
+        # the (d + 1)-coordinate points and d x d Gram matrices of d = 10^8
+        # would not fit in memory; the refusal comes before any is built
+        config = {"kind": kind, "seed": 5, "statistic": {"family": "ridge", "n": 4, "d": 10**8}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        status = main([kind, "--config", str(cfg_path)])
+        out, err = capsys.readouterr()
+        assert status == EXIT_ERROR and out == ""
+        assert err.startswith("error: config.statistic.d: ")
+
     @pytest.mark.parametrize("bounds", [{"lower": -1.0, "upper": 3.0}, {"upper": 1.0},
                                         {"lower": -1.0}])
     def test_ridge_verify_box_names_field(self, tmp_path, capsys, bounds):
@@ -974,19 +986,31 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("kind, block, field", [
         ("rank", {"n": 40, "ramp_width": 1e-320}, "ramp_width"),
-        ("rank", {"n": 40, "separation": 1e300}, "separation"),
         ("cluster", {"n": 80, "ball_radius": 1e200}, "ball_radius"),
     ])
     def test_overflowing_application_input_names_field(self, tmp_path, capsys, kind, block,
                                                        field):
-        # 1 / ramp_width, (separation / 2)^2 and the squared distances in a
-        # ball of that radius overflow
+        # 1 / ramp_width and the squared distances in a ball of that radius
+        # overflow
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"kind": kind, "seed": 0, kind: block}))
         status = main([kind, "--config", str(cfg_path)])
         out, err = capsys.readouterr()
         assert status == EXIT_ERROR and out == ""
         assert err.startswith(f"error: config.{kind}.{field}: ")
+
+    def test_huge_separation_is_certified(self, tmp_path, capsys):
+        # (separation / 2)^2 overflows, but every draw of the first
+        # coordinate is clipped to the box, whose E x^2 is 9
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": "rank", "seed": 0,
+                                        "rank": {"n": 200, "separation": 1e300}}))
+        status = main(["rank", "--config", str(cfg_path)])
+        out, _ = capsys.readouterr()
+        assert status == EXIT_OK
+        result = json.loads(out)["result"]
+        assert result["empirical_auc"] == 1.0
+        assert result["g"]["mean"] == pytest.approx(8.69, abs=0.01)
 
     def test_class_leaving_statistic_box_names_sampler(self, tmp_path, capsys):
         # the default sampler [-1, 1] under the default box [0, 1]

@@ -6,13 +6,16 @@ import pytest
 import weakstat.cli
 import weakstat.complexity
 from weakstat import (
+    DomainViolationError,
     FunctionClass,
+    LinearClass,
     RawSpace,
     SeededRng,
+    box,
     class_complexity,
+    evaluate_class,
     gaussian_average,
     gaussian_from_rademacher,
-    linear_class,
     rademacher_average,
     symmetric_interval,
     uniform_raw_space,
@@ -85,12 +88,12 @@ class TestRademacherSandwich:
         # biased sign source fails here, while on [-1, 1] it could pass.
         config = {"function_class": {"kind": "linear", "count": 16},
                   "sampler": {"kind": "uniform", "low": 0.0, "high": 1.0}}
-        weights, low, high, dom = weakstat.cli._linear_spec(config)
+        fclass = weakstat.cli._linear_spec(config)
+        weights = fclass.weights[:, 0]
         n = 64
-        second_moment = (low * low + low * high + high * high) / 3.0
+        second_moment = fclass.raw_space.second_moment[0, 0]
         bound = (max(weights) - min(weights)) * math.sqrt(n * second_moment) / 2.0
         assert bound == pytest.approx(2.165, abs=1e-3)
-        fclass = linear_class(weights, uniform_raw_space(low, high), dom)
         for seed in range(20):
             est = class_complexity(fclass, n, "rademacher", 32, 2048, SeededRng(seed))
             assert est.mean - 3.0 * est.std_error <= bound
@@ -290,6 +293,29 @@ class TestPlanarGaussianComplexity:
     def test_bad_planar_inputs_rejected(self, weights, second_moment):
         with pytest.raises(ValueError):
             linear_gaussian_complexity(weights, 4, second_moment)
+
+
+class TestLinearClass:
+    def test_raw_space_without_moment_is_refused(self):
+        fclass = LinearClass([1.0, -1.0], _point_mass_space(0.5), symmetric_interval(1.0))
+        with pytest.raises(ValueError, match=r"'delta\(0.5\)' has no second moment"):
+            fclass.gaussian_upper(8)
+
+    def test_weight_beyond_the_moment_is_refused(self):
+        space = RawSpace(lambda gen, n: np.zeros((n, 3)), "zeros", second_moment=np.eye(2))
+        fclass = LinearClass([[1.0, 0.0, 0.0], [0.0, 0.0, 0.5]], space, box([-1.0], [1.0]))
+        with pytest.raises(ValueError, match="beyond the 2 that"):
+            fclass.gaussian_upper(8)
+        # zero weights on the third coordinate are covered
+        zeros = LinearClass([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], space, box([-1.0], [1.0]))
+        assert zeros.gaussian_upper(8) == linear_gaussian_complexity(np.eye(2), 8, np.eye(2))
+
+    def test_image_outside_the_box_names_member_and_datum(self):
+        fclass = LinearClass([0.5, 2.0], uniform_raw_space(), box([0.0], [1.0]))
+        with pytest.raises(DomainViolationError) as exc:
+            evaluate_class(fclass, np.array([0.25, 0.75]))
+        assert str(exc.value) == ("member 1 maps datum 1 outside the domain box at coordinate "
+                                  "0: value 1.5 not in [0.0, 1.0]")
 
 
 class TestConversion:

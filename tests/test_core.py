@@ -4,11 +4,11 @@ import pytest
 from weakstat import (
     DomainViolationError,
     FunctionClass,
+    LinearClass,
     SeededRng,
     box,
     evaluate_class,
     empirical_seminorms,
-    linear_class,
     mean_statistic,
     uniform_raw_space,
     unit_interval,
@@ -137,7 +137,7 @@ class TestSeededRng:
 
 
 def test_linear_class_builds_ordered_members():
-    fc = linear_class([0.5, 1.0], uniform_raw_space(), unit_interval())
+    fc = LinearClass([0.5, 1.0], uniform_raw_space(), unit_interval())
     a, b = evaluate_class(fc, [0.8])
     assert a[0, 0] == pytest.approx(0.4)
     assert b[0, 0] == pytest.approx(0.8)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weakstat import (
+    LinearClass,
     SeededRng,
     Statistic,
     WeightFunction,
@@ -14,7 +15,6 @@ from weakstat import (
     fk_difference_check,
     fk_term,
     jlip_lemma_check,
-    linear_class,
     lstat_condition_check,
     lstat_statistic,
     mean_statistic,
@@ -211,7 +211,7 @@ class TestSupDeviation:
     def test_singleton_class_is_centered(self):
         n = 16
         dom = symmetric_interval(1.0)
-        fclass = linear_class([1.0], uniform_raw_space(-1, 1), dom)
+        fclass = LinearClass([1.0], uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
         est = sup_deviation_estimate(f, fclass, outer_reps=64, pop_reps=8,
                                      rng=SeededRng(0))
@@ -220,7 +220,7 @@ class TestSupDeviation:
     def test_sign_pair_matches_direct_simulation(self):
         n = 16
         dom = symmetric_interval(1.0)
-        fclass = linear_class([1.0, -1.0], uniform_raw_space(-1, 1), dom)
+        fclass = LinearClass([1.0, -1.0], uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
         est = sup_deviation_estimate(f, fclass, outer_reps=300, pop_reps=4,
                                      rng=SeededRng(1))
@@ -240,8 +240,8 @@ class TestSupDeviation:
         n = 16
         dom = symmetric_interval(1.0)
         weights = [(j + 1) / 4 for j in range(4)]
-        fclass = linear_class(weights + [-w for w in weights],
-                              uniform_raw_space(-1, 1), dom)
+        fclass = LinearClass(weights + [-w for w in weights],
+                             uniform_raw_space(-1, 1), dom)
         f = mean_statistic(n, dom)
         r_hat = class_complexity(fclass, n, "rademacher", outer_reps=16,
                                  inner_reps=1024, rng=SeededRng(3))

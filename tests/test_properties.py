@@ -27,6 +27,7 @@ from hypothesis.extra.numpy import arrays
 from weakstat import (
     FunctionClass,
     Kernel,
+    LinearClass,
     RidgeProblem,
     SeededRng,
     Statistic,
@@ -41,7 +42,6 @@ from weakstat import (
     gaussian_average,
     kmeans_loss,
     l_statistic,
-    linear_class,
     linear_ranker_class,
     lstat_statistic,
     mean_statistic,
@@ -59,6 +59,7 @@ from weakstat import (
     v_statistic,
 )
 from weakstat import complexity, oracle, seminorms
+from weakstat.applications import _clipped_normal_second_moment
 from weakstat.complexity import linear_gaussian_complexity
 from weakstat.oracle import _SWAP_BLOCK
 from weakstat.seminorms import _differences
@@ -76,7 +77,7 @@ def _samples(low, high, dim=None, rows=st.integers(1, 24)):
 @given(weights=st.lists(st.floats(-2.0, 2.0, width=64), min_size=1, max_size=9),
        raw=_samples(-1.0, 1.0))
 def test_linear_class_matches_per_datum_loop(weights, raw):
-    out = evaluate_class(linear_class(weights, uniform_raw_space(-1, 1), box([-2.0], [2.0])), raw)
+    out = evaluate_class(LinearClass(weights, uniform_raw_space(-1, 1), box([-2.0], [2.0])), raw)
     ref = np.array([[[w * float(x)] for x in raw] for w in weights])
     assert out.shape == (len(weights), len(raw), 1)
     assert (out == ref).all()
@@ -111,7 +112,7 @@ def test_cluster_loss_member_matches_kmeans_loss(data, dim, k):
 
 
 def test_empty_sample_is_rejected():
-    fclass = linear_class([1.0], uniform_raw_space(), box([0.0], [1.0]))
+    fclass = LinearClass([1.0], uniform_raw_space(), box([0.0], [1.0]))
     with pytest.raises(ValueError, match="at least one datum"):
         evaluate_class(fclass, np.array([]))
 
@@ -545,7 +546,7 @@ _SAMPLER = st.one_of(
 
 def _linear_on(weights, low, high):
     ends = [w * e for w in weights for e in (low, high)]
-    return linear_class(weights, uniform_raw_space(low, high), box([min(ends)], [max(ends)]))
+    return LinearClass(weights, uniform_raw_space(low, high), box([min(ends)], [max(ends)]))
 
 
 @_MC_SETTINGS
@@ -567,6 +568,66 @@ def test_closed_form_bounds_class_complexity(weights, sampler, n, seed):
     est = class_complexity(_linear_on(weights, low, high), n, "gaussian", outer_reps=16,
                            inner_reps=256, rng=SeededRng(seed))
     assert closed.mean >= est.mean - 3.0 * est.std_error
+
+
+# sampler intervals from the unit interval out to where E x^2 nears the float limit
+_INTERVAL = st.lists(st.one_of(st.floats(-2.0, 2.0), st.floats(-1e150, 1e150)),
+                     min_size=2, max_size=2).map(sorted)
+
+
+def _clipped_normal_moment_unguarded(mu, c):
+    """_clipped_normal_second_moment without its guard for an overflowing mu^2."""
+    a, b = -c - mu, c - mu
+    cdf = lambda t: 0.5 * math.erfc(-t / math.sqrt(2.0))
+    pdf = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    inside = cdf(b) - cdf(a)
+    return ((1.0 + mu * mu) * inside + a * pdf(a) - b * pdf(b) + 2.0 * mu * (pdf(a) - pdf(b))
+            + c * c * (cdf(a) + 0.5 * math.erfc(b / math.sqrt(2.0))))
+
+
+@_SETTINGS
+@given(interval=_INTERVAL, count=st.integers(1, 16), symmetric=st.booleans(),
+       n=st.integers(1, 1000))
+def test_uniform_class_closed_form_is_bounds_expression(interval, count, symmetric, n):
+    # `bound` took linear_gaussian_complexity of the weight list and
+    # (low^2 + low high + high^2) / 3
+    low, high = interval
+    weights = [(j + 1) / count for j in range(count)]
+    weights = weights + [-w for w in weights] if symmetric else weights
+    fclass = LinearClass(weights, uniform_raw_space(low, high), box([-1.0], [1.0]))
+    second_moment = (low * low + low * high + high * high) / 3.0
+    assert fclass.gaussian_upper(n) == linear_gaussian_complexity(weights, n, second_moment)
+
+
+@_SETTINGS
+@given(dim=st.integers(1, 4), count=st.integers(1, 9), n=st.integers(1, 1000),
+       separation=st.one_of(st.floats(0.0, 20.0), st.floats(0.0, 2.6e154)))
+def test_ranker_closed_form_is_rank_expression(dim, count, n, separation):
+    # `rank` took linear_gaussian_complexity of the unit directions over
+    # 3 sqrt(dim) on their first min(dim, 2) coordinates
+    directions = np.zeros((count, dim))
+    for j, theta in enumerate(np.arange(count) * 2.0 * math.pi / count):
+        directions[j, 0] = math.cos(theta)
+        if dim > 1:
+            directions[j, 1] = math.sin(theta)
+    mu = separation / 2.0
+    moments = [_clipped_normal_moment_unguarded(mu, 3.0), _clipped_normal_moment_unguarded(0.0, 3.0)]
+    expected = linear_gaussian_complexity(directions[:, :min(dim, 2)] / (3.0 * math.sqrt(dim)),
+                                          n, np.diag(moments[:min(dim, 2)]))
+    fclass = linear_ranker_class(dim, count, two_block_ranking_space(dim, separation))
+    assert fclass.gaussian_upper(n) == expected
+
+
+@_SETTINGS
+@given(mu=st.one_of(st.floats(-60.0, 60.0), st.floats(-1e160, 1e160)),
+       c=st.floats(1e-3, 40.0))
+def test_clipped_normal_moment_guard_changes_no_finite_value(mu, c):
+    # the guard answers c^2 only where the unguarded formula gives NaN
+    unguarded = _clipped_normal_moment_unguarded(mu, c)
+    if math.isfinite(unguarded):
+        assert _clipped_normal_second_moment(mu, c) == unguarded
+    else:
+        assert _clipped_normal_second_moment(mu, c) == c * c
 
 
 def _fresh_draw_average(Y, replicates, rng, kind, chunk):

@@ -20,7 +20,6 @@ from .bounds import (
     BoundCertificate,
     CertifiedBoundError,
     InapplicableCertificateError,
-    auc_certificate,
     mcdiarmid_tail,
     symmetrization_bound,
     uniform_bound,

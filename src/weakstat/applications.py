@@ -1,7 +1,7 @@
 """End-to-end applications of the bound machinery: rank-weighted trimmed
-K-means clustering with a deviation certificate, and certificate-backed
-selection of a ranking function, plus the synthetic benchmark generators
-both experiments run on."""
+K-means clustering and the selection of a ranking function, each certified
+by bounds.uniform_bound at its statistic's closed-form seminorms, plus the
+synthetic benchmark generators both experiments run on."""
 from __future__ import annotations
 
 import math
@@ -10,10 +10,11 @@ from itertools import permutations
 
 import numpy as np
 
-from .bounds import BoundCertificate, UnboundedLipschitzError, auc_certificate, uniform_bound
+from .bounds import (BoundCertificate, InapplicableCertificateError, UnboundedLipschitzError,
+                     uniform_bound)
 from .complexity import ComplexityEstimate, LinearClass
 from .core import FunctionClass, RawSpace, SeededRng, box, evaluate_class
-from .seminorms import analytic_seminorms_lstat
+from .seminorms import analytic_seminorms_auc, analytic_seminorms_lstat
 from .statistics import (_BLOCK_VALUES, LossFunction, WeightFunction, _order_average,
                          _order_weights, _squared_distances, f_zeta_weight,
                          nearest_center_losses, smoothed_auc)
@@ -69,12 +70,20 @@ class ClusteringResult:
 
 @dataclass(frozen=True)
 class RankingSelection:
-    """Outcome of surrogate maximization over a candidate class."""
+    """Outcome of surrogate maximization over a candidate class; its
+    population-AUC lower bound is the surrogate minus the certificate."""
 
     chosen_index: int
     empirical_auc: float
-    certificate_lower_bound: float
-    delta: float
+    certificate: BoundCertificate
+
+    @property
+    def certificate_lower_bound(self) -> float:
+        return self.empirical_auc - self.certificate.total
+
+    @property
+    def delta(self) -> float:
+        return self.certificate.delta
 
 
 def _lockstep(data: np.ndarray, K: int, order_weights: np.ndarray, max_iters: int,
@@ -212,21 +221,19 @@ def clustering_certificate(ball_radius: float, zeta: float, n: int, g: Complexit
 def select_ranker(candidates: FunctionClass | LinearClass, data, loss: LossFunction,
                   g: ComplexityEstimate, delta: float) -> RankingSelection:
     """Pick the candidate maximizing the smoothed two-sample surrogate on a
-    two-block sample (first half positives, second half negatives) and
-    attach the population-AUC lower bound.  Ties go to the lowest index."""
+    two-block sample (first half positives, second half negatives), ties to
+    the lowest index, and certify it by the uniform bound at
+    analytic_seminorms_auc and g, for a loss below the indicator of (0, inf)."""
+    if not loss.below_indicator:
+        raise InapplicableCertificateError(
+            "the AUC certificate needs a surrogate loss below the indicator of (0, inf)"
+        )
     configs = evaluate_class(candidates, data)
     n = configs.shape[1]
-    if n % 2 != 0:
-        raise ValueError(f"the two-block sample must have even size, got n={n}")
+    cert = uniform_bound(analytic_seminorms_auc(loss.lipschitz_L, n), g, n, delta)
     values = smoothed_auc(loss, configs)
     chosen = int(np.argmax(values))
-    emp = float(values[chosen])
-    lower = auc_certificate(emp, loss.lipschitz_L, n, g, delta,
-                            below_indicator=loss.below_indicator)
-    return RankingSelection(
-        chosen_index=chosen, empirical_auc=emp,
-        certificate_lower_bound=lower, delta=delta,
-    )
+    return RankingSelection(chosen, float(values[chosen]), cert)
 
 
 def center_matching_error(estimated: np.ndarray, reference: np.ndarray) -> float:

@@ -1,11 +1,7 @@
 """Assembly of bound certificates: the symmetrization inequality for weakly
-interactive statistics, the high-probability uniform bound, the ranking
-surrogate certificate, and the bounded-difference tail.
-
-A BoundCertificate takes only its inputs and computes its terms from them;
-it refuses search lower bounds, finite-difference estimates, infinite
-seminorms (such as those of the step weight zeta = 0) and complexity terms
-that are not closed-form Gaussian upper bounds."""
+interactive statistics, the high-probability uniform bound, and the
+bounded-difference tail.  BoundCertificate is the one certificate formula,
+which the clustering and ranking certificates instantiate."""
 from __future__ import annotations
 
 import math
@@ -25,15 +21,12 @@ __all__ = [
     "UnboundedLipschitzError",
     "symmetrization_bound",
     "uniform_bound",
-    "auc_certificate",
     "mcdiarmid_tail",
 ]
 
 POP_MINUS_EMP = "pop_minus_emp"
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-_UPPER_BOUND_METHODS = (ANALYTIC_BOUND,)
 
 
 class CertifiedBoundError(ValueError):
@@ -66,7 +59,17 @@ class BoundCertificate:
 
     def __post_init__(self):
         _require_upper_bound(self.seminorms)
-        _require_closed_form_gaussian(self.complexity)
+        g = self.complexity
+        if g.kind != GAUSSIAN:
+            raise ValueError(
+                f"certificates need the Gaussian complexity, got a {g.kind!r} average; "
+                "complexity.gaussian_from_rademacher converts a Rademacher average soundly"
+            )
+        if g.method != CLOSED_FORM:
+            raise ValueError(
+                f"certificates need a closed-form complexity, got a {g.method!r} value; "
+                "the stated delta does not cover the error of an estimate"
+            )
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         rep = self.seminorms
@@ -102,23 +105,10 @@ class BoundCertificate:
 
 
 def _require_upper_bound(report: SeminormReport) -> None:
-    if report.method not in _UPPER_BOUND_METHODS:
+    if report.method != ANALYTIC_BOUND:
         raise CertifiedBoundError(
             f"certificates require closed-form upper-bound seminorms, got {report.method!r}; "
             "search results are lower bounds and finite differences are estimates"
-        )
-
-
-def _require_closed_form_gaussian(g: ComplexityEstimate) -> None:
-    if g.kind != GAUSSIAN:
-        raise ValueError(
-            f"certificates need the Gaussian complexity, got a {g.kind!r} average; "
-            "complexity.gaussian_from_rademacher converts a Rademacher average soundly"
-        )
-    if g.method != CLOSED_FORM:
-        raise ValueError(
-            f"certificates need a closed-form complexity, got a {g.method!r} value; "
-            "the stated delta does not cover the error of an estimate"
         )
 
 
@@ -138,31 +128,10 @@ def uniform_bound(report: SeminormReport, g: ComplexityEstimate, n: int,
     return BoundCertificate(report, g, n, delta)
 
 
-def auc_certificate(auc_emp: float, L: float, n: int, g: ComplexityEstimate,
-                    delta: float, *, below_indicator: bool) -> float:
-    """High-probability lower bound on the population AUC of a ranker chosen
-    by maximizing the smoothed surrogate.
-
-    Requires a surrogate loss dominated by the indicator of the positive
-    reals; the penalty combines the surrogate's symmetrization term with
-    the two-sample tail.  The complexity must be a closed-form Gaussian
-    bound.
-    """
-    if not below_indicator:
-        raise InapplicableCertificateError(
-            "the AUC certificate needs a surrogate loss below the indicator of (0, inf)"
-        )
-    _require_closed_form_gaussian(g)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if L < 0:
-        raise ValueError("Lipschitz constant must be nonnegative")
-    return auc_emp - 12.0 * SQRT_2PI * L * g.mean / n - 2.0 * math.sqrt(math.log(1.0 / delta) / n)
-
-
 def mcdiarmid_tail(coordinate_ranges, t: float) -> float:
     """Bounded-difference tail exp(-2 t^2 / sum_k c_k^2) for a statistic whose
-    k-th coordinate response is bounded by c_k."""
+    k-th coordinate response is bounded by c_k: McDiarmid's inequality,
+    which gives BoundCertificate's tail term its form."""
     c = np.asarray(coordinate_ranges, dtype=float)
     if np.any(c < 0):
         raise ValueError("coordinate ranges must be nonnegative")

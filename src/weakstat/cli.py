@@ -130,8 +130,19 @@ def _mean(s: dict, n: int, dom):
 def _kernel(s: dict, n: int, dom, kind: str):
     kernel = stats.product_kernel()
     build = stats.u_stat_statistic if kind == "U" else stats.v_stat_statistic
-    return build(kernel, n, dom), lambda seed: smn.analytic_seminorms_ustat(
-        kernel.lipschitz_L, kernel.range_B, kernel.m, n, kind=kind)
+
+    def closed_form(seed):
+        # the product kernel's L = B = 1 hold on [0, 1], so on any box
+        # inside it, as a seminorm is a supremum
+        lower, upper = float(s.get("lower", 0.0)), float(s.get("upper", 1.0))
+        if lower < 0.0 or upper > 1.0:
+            raise ConfigError(f"config.statistic.{'lower' if lower < 0.0 else 'upper'}: the "
+                              f"{s['family']} closed form holds on boxes inside the unit box "
+                              f"[0, 1], got [{lower}, {upper}]")
+        return smn.analytic_seminorms_ustat(kernel.lipschitz_L, kernel.range_B, kernel.m, n,
+                                            kind=kind)
+
+    return build(kernel, n, dom), closed_form
 
 
 def _auc(s: dict, n: int, dom):
@@ -154,8 +165,16 @@ def _ridge(s: dict, n: int, dom):
     if 4 * smn._HESSIAN_PAIRS * (d + 1) ** 2 * d * d > 2**24:
         raise ConfigError(f"config.statistic.d: the Gram matrices at d = {d} exceed 2^24 values")
     f = stats.ridge_error_statistic(stats.RidgeProblem(lam=float(s.get("lam", 0.5)), d=d), n)
-    return f, lambda seed: smn.derivative_seminorms(
-        f, f.domain.diameter, probes=4, rng=SeededRng(seed).split(_RIDGE_PROBE_STREAM))
+
+    def estimate(seed):
+        # 2 n^2 (d + 1)^2 first-order difference values, under 2^24 for n <= 1448 at d = 1
+        if 2 * (n * (d + 1)) ** 2 > 2**24:
+            raise ConfigError(f"config.statistic.n: the first-order differences at n = {n}, "
+                              f"d = {d} exceed 2^24 values")
+        return smn.derivative_seminorms(f, f.domain.diameter, probes=4,
+                                        rng=SeededRng(seed).split(_RIDGE_PROBE_STREAM))
+
+    return f, estimate
 
 
 def _lstat_probe(s: dict, f, gen, probes: int) -> dict:
@@ -184,34 +203,32 @@ def _lstat_probe(s: dict, f, gen, probes: int) -> dict:
 class _Family(NamedTuple):
     """A statistic family's rules: the fields it reads besides family and n
     (with no lower/upper it fixes its own box and is built with None), its
-    smallest n and step, whether its closed form holds only inside [0, 1],
-    its builder (block, n, box) -> (Statistic, seed -> upper-bound
-    seminorms), the field that sets its Lipschitz norm, verify's probe."""
+    smallest n and step, its builder (block, n, box) -> (Statistic, seed ->
+    upper-bound seminorms, which refuses what its seminorms do not cover),
+    the field that sets its Lipschitz norm, verify's probe."""
     fields: tuple[str, ...]
     build: Callable
     min_n: int = 1
     step: int = 1
-    unit_box: bool = False
     lipschitz: str | None = None
     probe: Callable | None = None
 
 
-# ustat and vstat need n >= 2, the product kernel's arity.  Its L = B = 1
-# hold on [0, 1], so on any box inside it, as a seminorm is a supremum
+# ustat and vstat need n >= 2, the product kernel's arity
 _FAMILIES = {
     "mean": _Family(("lower", "upper"), _mean),
-    "ustat": _Family(("lower", "upper"), functools.partial(_kernel, kind="U"), 2, unit_box=True),
-    "vstat": _Family(("lower", "upper"), functools.partial(_kernel, kind="V"), 2, unit_box=True),
+    "ustat": _Family(("lower", "upper"), functools.partial(_kernel, kind="U"), 2),
+    "vstat": _Family(("lower", "upper"), functools.partial(_kernel, kind="V"), 2),
     "auc": _Family(("lower", "upper", "ramp_width"), _auc, 2, 2, lipschitz="ramp_width"),
     "lstat": _Family(("lower", "upper", "zeta"), _lstat, lipschitz="zeta", probe=_lstat_probe),
     "ridge": _Family(("lam", "d"), _ridge),
 }
 
 
-def _family(config: dict, closed_form: bool):
-    """(record, Statistic at statistic.n, its upper-bound seminorms if the run
-    takes the closed form) of the config's family after the record's
-    refusals, the unit box among them where the closed form needs it."""
+def _family(config: dict):
+    """(record, Statistic at statistic.n, seed -> its upper-bound seminorms)
+    of the config's family after the record's refusals; a run that takes
+    the seminorms calls for them, and meets their own refusals, then."""
     if "statistic" not in config:
         raise ConfigError("config.statistic.family: required field is missing")
     s, dom = config["statistic"], None
@@ -224,25 +241,18 @@ def _family(config: dict, closed_form: bool):
         raise ConfigError(f"config.statistic.n: the {s['family']} family needs n >= {fam.min_n}"
                           f"{' and even' if fam.step == 2 else ''}, got {s['n']}")
     if "lower" in fam.fields:
-        lower, upper = float(s.get("lower", 0.0)), float(s.get("upper", 1.0))
-        dom = _interval("statistic.lower", lower, "statistic.upper", upper)
-        if closed_form and fam.unit_box and (lower < 0.0 or upper > 1.0):
-            raise ConfigError(f"config.statistic.{'lower' if lower < 0.0 else 'upper'}: the "
-                              f"{s['family']} closed form holds on boxes inside the unit box "
-                              f"[0, 1], got [{lower}, {upper}]")
-    f, report = fam.build(s, s["n"], dom)
-    return fam, f, report(config["seed"]) if closed_form else None
+        dom = _interval("statistic.lower", float(s.get("lower", 0.0)),
+                        "statistic.upper", float(s.get("upper", 1.0)))
+    return (fam, *fam.build(s, s["n"], dom))
 
 
 @contextlib.contextmanager
 def _certifiable(lipschitz: str):
-    """Name the field behind the library's refusal to certify a run."""
+    """Name the field behind an infinite Lipschitz norm, which no certificate takes."""
     try:
         yield
     except bnd.UnboundedLipschitzError as exc:
         raise ConfigError(f"config.{lipschitz}: {exc}") from exc
-    except bnd.CertifiedBoundError as exc:  # ridge's seminorms are an estimate
-        raise ConfigError(f"config.statistic.family: {exc}") from exc
 
 
 def _linear_spec(config: dict, domain_hint=None) -> cpx.LinearClass:
@@ -279,7 +289,8 @@ def _linear_spec(config: dict, domain_hint=None) -> cpx.LinearClass:
 def _run_seminorm(config: dict) -> dict:
     # before the search, so that a refused closed form or box fails at once;
     # each builds its generators afresh from (seed, stream), so order is moot
-    _, f, upper = _family(config, closed_form=True)
+    _, f, report = _family(config)
+    upper = report(config["seed"])
     _diameter(f.domain)
     budget = int(config.get("budget", 20000))
     emp = smn.empirical_seminorms(f, budget, SeededRng(config["seed"]))
@@ -304,20 +315,23 @@ def _run_complexity(config: dict) -> dict:
 def _run_bound(config: dict) -> dict:
     """Certificate over the config's linear class, whose Gaussian complexity
     has a closed-form upper bound; ``replicates`` is accepted and unused."""
-    fam, f, report = _family(config, closed_form=True)
+    fam, f, report = _family(config)
+    if f.domain.d > 1:  # ridge
+        raise ConfigError(f"config.statistic.family: certificates require closed-form upper-bound "
+                          f"seminorms and a one-coordinate box, and {f.label} has estimated "
+                          f"seminorms and {f.domain.d}-coordinate rows")
+    upper = report(config["seed"])
     kind = config.get("complexity_kind", cpx.GAUSSIAN)
     if kind != cpx.GAUSSIAN:
         raise ConfigError(f"config.complexity_kind: bound needs the Gaussian complexity, "
                           f"got {kind!r}; nothing proves a {kind} average bounds it")
-    with _certifiable(f"statistic.{fam.lipschitz}"):
-        bnd._require_upper_bound(report)  # refuses ridge before the class meets its box
     fclass = _linear_spec(config, domain_hint=f.domain)
     second_moment = float(fclass.raw_space.second_moment[0, 0])
     _finite("config.sampler.low, config.sampler.high", f.n * second_moment,
             f"n E x^2 = {f.n} * {second_moment} for x {fclass.raw_space.label}")
     delta = float(config.get("delta", 0.05))
     with _certifiable(f"statistic.{fam.lipschitz}"):
-        cert = bnd.uniform_bound(report, fclass.gaussian_upper(f.n), f.n, delta)
+        cert = bnd.uniform_bound(upper, fclass.gaussian_upper(f.n), f.n, delta)
     doc = cert.to_dict()
     validate_certificate(doc)
     return {"statistic": f.label, "n": f.n, "certificate": doc}
@@ -326,7 +340,7 @@ def _run_bound(config: dict) -> dict:
 def _run_verify(config: dict) -> dict:
     """The telescoping identity at each size in 1..verify.max_n that the
     family admits, then its probe; one generator draws the pairs, then it."""
-    fam, f, _ = _family(config, closed_form=False)
+    fam, f, _ = _family(config)
     s = config["statistic"]
     opts = config.get("verify", {})
     max_n = int(opts.get("max_n", min(f.n, 8)))
@@ -344,7 +358,7 @@ def _run_verify(config: dict) -> dict:
             x = fn.domain.uniform(gen, n)
             xp = fn.domain.uniform(gen, n)
             dec = orc.fk_decompose(fn, x, xp)
-            worst = max(worst, dec.residual / max(1.0, abs(dec.lhs)))
+            worst = max(worst, dec.relative_residual)
         records.append(orc.CheckResult("telescoping_identity", worst, orc.IDENTITY_RTOL, 0.0,
                                        f"{fn.label},n={n},pairs={pairs}").to_record())
     if fam.probe is not None:
@@ -434,13 +448,12 @@ def _run_rank(config: dict) -> dict:
     delta = float(config.get("delta", 0.1))
     rng = SeededRng(config["seed"])
     loss = stats.ramp_loss(float(opts.get("ramp_width", 1.0)))
-    _finite("config.rank.ramp_width", loss.lipschitz_L,
-            "the Lipschitz constant 1 / ramp_width, which the certificate scales with,")
 
     candidates = apps.linear_ranker_class(dim, count, apps.two_block_ranking_space(dim, sep))
     g = candidates.gaussian_upper(n)
     data = candidates.raw_space.sampler(rng.split(1).generator(), n)
-    sel = apps.select_ranker(candidates, data, loss, g, delta)
+    with _certifiable("rank.ramp_width"):  # an infinite 1 / ramp_width
+        sel = apps.select_ranker(candidates, data, loss, g, delta)
     return {
         "n": n,
         "candidates": count,

@@ -101,6 +101,7 @@ def unit_interval() -> Domain:
 
 
 def symmetric_interval(radius: float = 1.0) -> Domain:
+    """The box [-radius, radius], which criteria 4 and 5 draw their class into."""
     return Domain(np.array([-radius]), np.array([radius]))
 
 

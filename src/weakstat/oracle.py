@@ -13,7 +13,7 @@ of configurations exists at a time, never the whole 2^n table; all n
 terms' differences then come from one gather.
 
 Result records derive their numbers: a CheckResult's pass and slack follow
-from lhs, rhs and tol, and an FkDecomposition's residual from its terms.
+from lhs, rhs and tol, and an FkDecomposition's residuals from its terms.
 """
 from __future__ import annotations
 
@@ -76,8 +76,12 @@ class FkDecomposition:
     def residual(self) -> float:
         return abs(self.lhs - math.fsum(self.terms))
 
+    @property
+    def relative_residual(self) -> float:
+        return self.residual / max(1.0, abs(self.lhs))
+
     def ok(self, rtol: float = IDENTITY_RTOL) -> bool:
-        return self.residual <= rtol * max(1.0, abs(self.lhs))
+        return self.relative_residual <= rtol
 
 
 @dataclass(frozen=True)
@@ -262,7 +266,8 @@ def jlip_lemma_check(f: Statistic, x, xp, k: int, a, b, j_lip_bound: float,
 def fk_difference_check(f: Statistic, x, xp, y, yp, k: int, m_lip: float,
                         j_lip: float, tol: float = INEQUALITY_SLACK) -> CheckResult:
     """Check F_k(x, x') - F_k(y, y') <= |v^k(x, x') - v^k(y, y')| using the
-    closed form of the expected absolute Gaussian inner product."""
+    closed form of the expected absolute Gaussian inner product: the
+    comparison lemma behind the symmetrization bound."""
     lhs = fk_term(f, x, xp, k) - fk_term(f, y, yp, k)
     diff = vk_vector(x, xp, k, m_lip, j_lip).values - vk_vector(y, yp, k, m_lip, j_lip).values
     rhs = float(np.linalg.norm(diff))
@@ -279,6 +284,7 @@ def sup_deviation_estimate(f: Statistic, fclass: FunctionClass,
     per member from ``pop_reps`` fresh samples (shared across members), and
     records the supremum gap.  With outer_reps=1 the estimate is a single
     draw of the supremum deviation and the standard error is reported as 0.
+    Criterion 4 holds it to the symmetrization bound.
     """
     if outer_reps < 1 or pop_reps < 1:
         raise ValueError("replicate counts must be positive")
@@ -398,7 +404,7 @@ def lstat_condition_check(F, x, k: int, l: int, y: float, yp: float,
     This is the one-probe case of lstat_condition_counts, with the lhs and
     rhs of each condition, the probe's tolerance (the derived one by
     default) and a digest of the probe in its CheckResult.
-    The tests hold the batched lstat_condition_counts to this reference.
+    Criterion 8 runs it; the tests hold lstat_condition_counts to it.
     A weight of infinite Lipschitz norm (the step weight, zeta=0) meets no
     second-order condition of this form and raises UnboundedLipschitzError.
     """

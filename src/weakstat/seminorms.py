@@ -117,7 +117,8 @@ def _row(point) -> np.ndarray:
 
 
 def partial_difference(f: Statistic, x, k: int, y, y_prime) -> float:
-    """f with row k set to y, minus f with row k set to y_prime."""
+    """f with row k set to y, minus f with row k set to y_prime: the paper's
+    first-order operator D^k_{y,y'}, whose quotient defines M_Lip."""
     pts = as_points(x)
     n = pts.shape[0]
     if not 0 <= k < n:
@@ -128,7 +129,8 @@ def partial_difference(f: Statistic, x, k: int, y, y_prime) -> float:
 
 def double_difference(f: Statistic, x, k: int, l: int, y, y_prime, z, z_prime) -> float:
     """Second-order difference: swap row l between z and z_prime inside the
-    k-th partial difference.  Expands to the symmetric four-term sum."""
+    k-th partial difference.  Expands to the symmetric four-term sum, the
+    paper's D^l D^k, whose n-scaled quotient defines J_Lip."""
     pts = as_points(x)
     n = pts.shape[0]
     if k == l:

@@ -324,7 +324,7 @@ def nearest_center_losses(points: np.ndarray, centers: np.ndarray) -> np.ndarray
 
 
 def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:
-    """Squared Euclidean distance to the nearest center."""
+    """Squared distance to the nearest center; nearest_center_losses's one-point reference."""
     c = np.atleast_2d(np.asarray(centers, dtype=float))
     p = np.asarray(point, dtype=float)
     if p.shape != (c.shape[1],):
@@ -351,7 +351,7 @@ def _ridge_weights(Z: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
 
 
 def ridge_solution(x, problem: RidgeProblem) -> np.ndarray:
-    """Closed-form regularized least-squares weights, (d,) per configuration.
+    """The ridge fit of the paper's third application, (d,) per configuration.
 
     Solves ((1/n) sum z_i z_i^T + lam I) w = (1/n) sum y_i z_i; the matrix
     is positive definite for lam > 0, so the solve cannot fail.
@@ -420,7 +420,7 @@ def ramp_loss(width: float = 1.0) -> LossFunction:
 
 
 def indicator_loss() -> LossFunction:
-    """Exact indicator of the positive reals (not Lipschitz)."""
+    """Exact indicator of the positive reals (not Lipschitz), criterion 10's held-out AUC."""
     return LossFunction(
         evaluator=lambda t: (np.asarray(t, dtype=float) > 0).astype(float),
         lipschitz_L=math.inf,
@@ -490,9 +490,9 @@ def _max_quotient(before, after, gap: np.ndarray) -> float:
 
 
 def probe_kernel_lipschitz(kernel: Kernel, domain: Domain, rng, probes: int = 200) -> float:
-    """Largest observed one-argument difference quotient; should stay at or
-    below kernel.lipschitz_L up to float noise.  Draws all m arguments of
-    every probe, then the slots, then the moved arguments."""
+    """Largest one-argument difference quotient, which the tests hold to the
+    kernel.lipschitz_L of analytic_seminorms_ustat up to float noise.  Draws
+    all m arguments of every probe, then the slots, then the moved ones."""
     gen = rng.generator()
     args = domain.uniform(gen, (kernel.m, probes))
     slot = gen.integers(kernel.m, size=probes)
@@ -504,7 +504,8 @@ def probe_kernel_lipschitz(kernel: Kernel, domain: Domain, rng, probes: int = 20
 
 
 def probe_weight_function(F: WeightFunction, rng, probes: int = 500) -> tuple[float, float]:
-    """(max |F|, max difference quotient) over a grid plus random pairs."""
+    """(max |F|, max difference quotient) over a grid plus random pairs: the
+    tests' spot check of the norms that analytic_seminorms_lstat takes."""
     gen = rng.generator()
     sup = float(np.max(np.abs(np.asarray(F.evaluator(np.linspace(0.0, 1.0, 101)), dtype=float))))
     t, s = gen.uniform(0.0, 1.0, size=(probes, 2)).T
@@ -513,7 +514,8 @@ def probe_weight_function(F: WeightFunction, rng, probes: int = 500) -> tuple[fl
 
 def probe_loss_function(loss: LossFunction, rng, probes: int = 500,
                         span: float = 3.0) -> tuple[float, float, bool]:
-    """(range excess beyond [0,1], max difference quotient, below-indicator ok)."""
+    """(range excess beyond [0,1], max difference quotient, below-indicator ok):
+    the tests' spot check of what the ranking certificate takes of a loss."""
     gen = rng.generator()
     ts = gen.uniform(-span, span, size=probes)
     vals = np.asarray(loss.evaluator(ts), dtype=float)

@@ -13,6 +13,7 @@ from weakstat import (
     InapplicableCertificateError,
     LossFunction,
     SeededRng,
+    analytic_seminorms_auc,
     box,
     center_matching_error,
     clustering_certificate,
@@ -30,6 +31,7 @@ from weakstat import (
     trimmed_kmeans,
     two_block_ranking_space,
     two_block_second_moment,
+    uniform_bound,
     uniform_raw_space,
     weighted_rank_kmeans,
 )
@@ -38,6 +40,7 @@ from weakstat.applications import (DescentViolationError, UnboundedLipschitzErro
                                    _clipped_normal_second_moment)
 from weakstat.statistics import _BLOCK_VALUES, _order_average, _order_weights
 
+SQRT_2PI = math.sqrt(2.0 * math.pi)
 TRUE_CENTERS = np.array([[3.0, 0.0], [-1.5, 2.6], [-1.5, -2.6]])
 
 
@@ -321,7 +324,40 @@ def _identity_class():
     )
 
 
+def _hand_lower_bound(auc_emp, L, n, g, delta):
+    """The population-AUC lower bound written out by hand, as the removed
+    bounds.auc_certificate computed it: (2 m_lip + j_lip) = 12 L / n and
+    m_plain = 2 / n put into the uniform bound."""
+    return auc_emp - 12.0 * SQRT_2PI * L * g / n - 2.0 * math.sqrt(math.log(1.0 / delta) / n)
+
+
 class TestSelectRanker:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(half=st.integers(1, 200), width=st.floats(1e-3, 1e3), g=st.floats(0.0, 1e3),
+           delta=st.floats(1e-300, 1.0, exclude_max=True), seed=st.integers(0, 2**16))
+    def test_lower_bound_is_the_uniform_bound(self, half, width, g, delta, seed):
+        n, loss = 2 * half, ramp_loss(width)
+        data = SeededRng(seed).generator().uniform(size=n)
+        sel = select_ranker(_identity_class(), data, loss, _g(g), delta)
+        cert = uniform_bound(analytic_seminorms_auc(loss.lipschitz_L, n), _g(g), n, delta)
+        assert sel.certificate == cert and sel.delta == delta
+        assert sel.certificate_lower_bound == sel.empirical_auc - cert.total
+        hand = _hand_lower_bound(sel.empirical_auc, loss.lipschitz_L, n, g, delta)
+        scale = max(abs(hand), sel.empirical_auc - hand)
+        assert abs(sel.certificate_lower_bound - hand) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("g", [0.0, 1.0])
+    def test_infinite_slope_is_refused(self, g):
+        # the hand formula returned NaN at L = inf and g = 0
+        with pytest.raises(UnboundedLipschitzError):
+            select_ranker(_identity_class(), _two_block_data(8), indicator_loss(), _g(g), 0.1)
+
+    @pytest.mark.parametrize("n", [1, 7, 101])
+    def test_odd_sample_is_refused(self, n):
+        with pytest.raises(ValueError, match="even"):
+            select_ranker(_identity_class(), np.linspace(0.0, 1.0, n), ramp_loss(), _g(1.0),
+                          0.1)
+
     def test_single_candidate_is_chosen(self):
         from weakstat import ramp_loss
 

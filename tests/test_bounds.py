@@ -9,15 +9,20 @@ from weakstat import applications
 from weakstat import (
     BoundCertificate,
     CertifiedBoundError,
+    FunctionClass,
     InapplicableCertificateError,
     LinearClass,
+    LossFunction,
     SeededRng,
     Statistic,
-    auc_certificate,
+    analytic_seminorms_auc,
+    box,
     derivative_seminorms,
     mcdiarmid_tail,
     mean_statistic,
+    ramp_loss,
     sample_mean,
+    select_ranker,
     symmetric_interval,
     symmetrization_bound,
     uniform_bound,
@@ -93,7 +98,7 @@ class TestUniformBound:
         with pytest.raises(ValueError, match="'monte_carlo'"):
             uniform_bound(_report(m_lip=0.1), est, 16, 0.5)
         with pytest.raises(ValueError, match="'monte_carlo'"):
-            auc_certificate(0.8, 1.0, 100, est, 0.1, below_indicator=True)
+            _select(100, est, 0.1)
         cert = uniform_bound(_report(m_lip=0.1), _estimate(1.3), 16, 0.5)
         assert cert.symmetrization_term == SQRT_2PI * 0.2 * 1.3
 
@@ -129,33 +134,46 @@ class TestUniformBound:
             symmetrization_bound(rep, _estimate(1.0))
 
 
+def _select(n, g, delta, loss=None):
+    """select_ranker's choice of the one identity ranker on a two-block
+    sample of n values, 1.0 above 0.0."""
+    ranker = FunctionClass((lambda x: np.asarray(x, dtype=float),),
+                           uniform_raw_space(0.0, 1.0), box([-10.0], [10.0]))
+    data = np.repeat([1.0, 0.0], n // 2)
+    return select_ranker(ranker, data, loss or ramp_loss(), g, delta)
+
+
 class TestAucCertificate:
+    """The ranking certificate: the uniform bound at the two-sample
+    statistic's closed-form seminorms, subtracted from the chosen surrogate."""
+
     def test_vanishing_penalties_return_empirical_value(self):
-        val = auc_certificate(0.9, 1.0, 100, _estimate(0.0), 1 - 1e-12, below_indicator=True)
-        assert val == pytest.approx(0.9, abs=1e-5)
+        sel = _select(100, _estimate(0.0), 1 - 1e-12)
+        assert sel.certificate_lower_bound == pytest.approx(sel.empirical_auc, abs=1e-5)
 
     def test_plugin_value(self):
-        val = auc_certificate(0.8, 1.0, 100, _estimate(1.0), math.exp(-1.0),
-                              below_indicator=True)
+        sel = _select(100, _estimate(1.0), math.exp(-1.0))
         penalty = 12.0 * SQRT_2PI / 100.0 + 0.2
-        assert val == pytest.approx(0.8 - penalty)
+        assert sel.certificate.total == pytest.approx(penalty)
+        assert sel.certificate_lower_bound == pytest.approx(sel.empirical_auc - penalty)
         assert penalty == pytest.approx(0.5008, abs=1e-4)
 
     def test_flag_required(self):
+        bad = LossFunction(lambda t: np.clip(t, 0.0, 1.0), 1.0, below_indicator=False)
         with pytest.raises(InapplicableCertificateError):
-            auc_certificate(0.8, 1.0, 100, _estimate(1.0), 0.1, below_indicator=False)
+            _select(100, _estimate(1.0), 0.1, bad)
 
     def test_penalty_decreases_with_n(self):
-        vals = [
-            auc_certificate(0.8, 1.0, n, _estimate(1.0), 0.1, below_indicator=True)
+        totals = [
+            uniform_bound(analytic_seminorms_auc(1.0, n), _estimate(1.0), n, 0.1).total
             for n in (50, 100, 400, 1600)
         ]
-        assert vals == sorted(vals)
+        assert totals == sorted(totals, reverse=True)
 
     def test_rademacher_average_refused(self):
         r = ComplexityEstimate(mean=1.0, std_error=0.0, replicates=4, kind="rademacher")
         with pytest.raises(ValueError, match="gaussian_from_rademacher"):
-            auc_certificate(0.8, 1.0, 100, r, 0.1, below_indicator=True)
+            _select(100, r, 0.1)
 
 
 class TestMcdiarmidTail:

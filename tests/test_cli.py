@@ -227,6 +227,19 @@ class TestCertificateGolden:
         assert res["g"]["method"] == "closed_form"
         assert (res["chosen_index"], res["empirical_auc"]) == (0, 0.32389436144211564)
 
+    def test_benchmark_ranking_certificate(self):
+        # the certify benchmark's rank job at workload seed 97; the uniform
+        # bound's float order moved its last bit from -0.5459347929755182,
+        # the value of the hand-expanded formula it replaced
+        res = run({"kind": "rank", "seed": 218808233})[0]["result"]
+        assert res == {
+            "n": 200, "candidates": 8, "chosen_index": 0,
+            "empirical_auc": 0.3552518860349357,
+            "certificate_lower_bound": -0.5459347929755183, "delta": 0.1,
+            "g": {"mean": 4.565163512877286, "std_error": 0.0, "replicates": 0,
+                  "kind": "gaussian", "method": "closed_form"},
+        }
+
 
 _VERIFY_BOX = {"lower": -1.0, "upper": 3.0}
 
@@ -860,6 +873,32 @@ class TestMainEntry:
         })
         assert status == EXIT_ERROR
         assert "config.statistic.family" in err
+
+    @pytest.mark.parametrize("n", [4, 10**5])
+    def test_ridge_bound_computes_no_seminorms(self, tmp_path, capsys, monkeypatch, n):
+        # the refusal reads the statistic's box, before any seminorm report
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("the seminorms were estimated")
+        monkeypatch.setattr(weakstat.seminorms, "derivative_seminorms", no_estimate)
+        status, out, err = _subcommand_run(tmp_path, capsys, "bound",
+                                           statistic={"family": "ridge", "n": n})
+        assert (status, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: config.statistic.family: "), err
+
+    @pytest.mark.parametrize("n", [1449, 10**5])
+    def test_ridge_seminorm_beyond_memory_names_n(self, tmp_path, capsys, n):
+        # the first-order differences would stack 2 n^2 (d + 1)^2 values,
+        # above 2^24 from n = 1449 at d = 1
+        status, out, err = _subcommand_run(tmp_path, capsys, "seminorm",
+                                           statistic={"family": "ridge", "n": n})
+        assert (status, out) == (EXIT_ERROR, "")
+        assert err.startswith("error: config.statistic.n: "), err
+
+    def test_ridge_verify_never_takes_the_estimate(self, tmp_path, capsys):
+        # verify checks the identity at small sizes, whatever statistic.n is
+        status, out, err = _subcommand_run(tmp_path, capsys, "verify",
+                                           statistic={"family": "ridge", "n": 10**5})
+        assert status == EXIT_OK and json.loads(out)["result"]["all_passed"], err
 
     @pytest.mark.parametrize("bounds", [{"lower": 0.0, "upper": 1e200}, {"upper": 1.0},
                                         {"lower": -1.0}])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from weakstat import (
+    FkDecomposition,
     LinearClass,
     SeededRng,
     Statistic,
@@ -98,6 +99,16 @@ class TestFkDecompose:
         assert batched.terms == scalar.terms
         assert batched.lhs == scalar.lhs
         assert batched.residual == scalar.residual
+
+    @pytest.mark.parametrize("terms, lhs", [((0.25, 0.5), 0.75), ((3.0, 2.0), 5.5),
+                                            ((-40.0, 1e-3), -39.0), ((), 0.5)])
+    def test_ok_reads_the_relative_residual(self, terms, lhs):
+        # the residual is scaled by |lhs| once |lhs| exceeds 1, and ok holds
+        # exactly that ratio to rtol
+        dec = FkDecomposition(terms, lhs)
+        assert dec.relative_residual == dec.residual / max(1.0, abs(lhs))
+        for rtol in (0.0, 1e-9, dec.relative_residual, 0.02, 1.0):
+            assert dec.ok(rtol) == (dec.relative_residual <= rtol)
 
     def test_size_budget(self):
         f = mean_statistic(15)

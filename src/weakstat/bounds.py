@@ -49,8 +49,8 @@ class BoundCertificate:
     inputs: ``symmetrization_term`` is the symmetrization bound at the
     complexity, ``tail_term`` m_plain * sqrt(n ln(1/delta)), and ``total``
     their sum.  Search lower bounds, finite-difference estimates, a
-    complexity that is not a closed-form Gaussian bound, delta outside
-    (0, 1) and infinite seminorms are refused."""
+    complexity that is not a closed-form Gaussian bound, a sample size n
+    below 1, delta outside (0, 1) and infinite seminorms are refused."""
 
     seminorms: SeminormReport
     complexity: ComplexityEstimate
@@ -70,6 +70,8 @@ class BoundCertificate:
                 f"certificates need a closed-form complexity, got a {g.method!r} value; "
                 "the stated delta does not cover the error of an estimate"
             )
+        if not self.n >= 1:
+            raise ValueError(f"the sample size n must be at least 1, got n={self.n}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         rep = self.seminorms

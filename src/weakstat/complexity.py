@@ -270,7 +270,10 @@ class LinearClass:
     """The maps h_j(x) = <w_j, x> / scale, one per row of the (count, k)
     ``weights`` (scalar weights make one column), from raw data in R^k into
     a one-coordinate box.  ``images`` is one stacked product of per-row
-    dots, which ``X @ W.T`` and einsum can round differently."""
+    dots, which ``X @ W.T`` and einsum can round differently.  With one
+    coordinate each dot is one product, and the broadcast product plus 0.0
+    has its bits (the matmul sums from 0.0, so a -0.0 product comes out
+    +0.0) at about half the cost; k >= 2 keeps the stacked matmul."""
 
     weights: np.ndarray
     raw_space: RawSpace
@@ -291,7 +294,14 @@ class LinearClass:
 
     def images(self, raw_sample) -> np.ndarray:
         X = as_points(raw_sample)
-        return (X[None, :, None, :] @ self.weights[:, None, :, None])[..., 0] / self.scale
+        W = self.weights
+        if W.shape[1] == X.shape[-1] == 1:
+            out = W[:, None, :] * X[None]
+            out += 0.0
+        else:
+            out = (X[None, :, None, :] @ W[:, None, :, None])[..., 0]
+        out /= self.scale
+        return out
 
     def gaussian_upper(self, n: int) -> ComplexityEstimate:
         """linear_gaussian_complexity of the weights over scale on n data of

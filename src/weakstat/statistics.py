@@ -342,12 +342,18 @@ def _ridge_split(x, problem: RidgeProblem):
 
 
 def _ridge_weights(Z: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """(..., d, 1) ridge weights of (..., n, d) features and (..., n) targets."""
+    """(..., d, 1) ridge weights of (..., n, d) features and (..., n) targets.
+
+    At d = 1 the system is 1 x 1 and the weight is b / A: LAPACK's solve
+    of a 1 x 1 system (an LU with one pivot, then one division) is that
+    division, signed zeros included, so the fast path is bit-identical and
+    skips one LAPACK call per stack.  d >= 2 keeps np.linalg.solve.
+    """
     n, d = Z.shape[-2:]
     Zt = np.swapaxes(Z, -1, -2)
     A = Zt @ Z / n + lam * np.eye(d)
     b = Zt @ y[..., None] / n
-    return np.linalg.solve(A, b)
+    return b / A if d == 1 else np.linalg.solve(A, b)
 
 
 def ridge_solution(x, problem: RidgeProblem) -> np.ndarray:
@@ -362,12 +368,28 @@ def ridge_solution(x, problem: RidgeProblem) -> np.ndarray:
 def ridge_error(x, problem: RidgeProblem) -> float:
     """Mean squared residual of the closed-form ridge fit on its own sample."""
     Z, y = _ridge_split(x, problem)
-    r = (Z @ _ridge_weights(Z, y, problem.lam))[..., 0] - y
+    w = _ridge_weights(Z, y, problem.lam)
+    # at d = 1 each fitted value is one product, as in the (n x 1) @ (1 x 1)
+    # matmul; that can differ from it only in the sign of a zero, which r * r drops
+    fit = Z[..., 0] * w[..., 0] if problem.d == 1 else (Z @ w)[..., 0]
+    r = fit - y
     return _result(_mean(r * r))
 
 
 # ---------------------------------------------------------------------------
 # Ready-made kernels, weights and losses
+
+def _inner_product(a, b) -> np.ndarray:
+    """<a, b> over the last axis.  At d = 1 it is the product plus 0.0: the
+    sum of one term is 0.0 + term in numpy, so adding 0.0 in place gives
+    its bits (a -0.0 product becomes +0.0) without a reduction over a
+    length-1 axis.  d >= 2 keeps np.sum."""
+    prod = np.asarray(a) * np.asarray(b)
+    if prod.shape[-1] != 1:
+        return np.sum(prod, axis=-1)
+    prod += 0.0
+    return prod[..., 0]
+
 
 def product_kernel() -> Kernel:
     """kappa(a, b) = <a, b>; L = B = 1 hold on [0, 1] only (d = 1).  On
@@ -376,7 +398,7 @@ def product_kernel() -> Kernel:
     observes 1.27 at SeededRng(1); ROADMAP item 2 owns the fix."""
     return Kernel(
         m=2,
-        evaluator=lambda a, b: np.sum(np.asarray(a) * np.asarray(b), axis=-1),
+        evaluator=_inner_product,
         lipschitz_L=1.0,
         range_B=1.0,
         label="product",

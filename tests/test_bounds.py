@@ -107,6 +107,13 @@ class TestUniformBound:
             with pytest.raises(ValueError):
                 uniform_bound(_report(), _estimate(1.0), 10, bad)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_sample_size_below_one_is_refused(self, n):
+        # n = 0 once gave a total of 7.52 with a zero tail, and n = -4 a bare
+        # "math domain error" from the tail's square root
+        with pytest.raises(ValueError, match=rf"sample size n must be at least 1, got n={n}"):
+            uniform_bound(analytic_seminorms_auc(1.0, 4), _estimate(1.0), n, 0.1)
+
     def test_monotone_in_every_input(self):
         base = uniform_bound(_report(0.1, 0.05, 0.2, 0.3), _estimate(1.0), 25, 0.1).total
         assert uniform_bound(_report(0.2, 0.05, 0.2, 0.3), _estimate(1.0), 25, 0.1).total > base

@@ -3,7 +3,8 @@ bit, a reference loop that maps one datum at a time; Statistic.batch on a
 stack equals, bit for bit, Statistic.value on each configuration; and the
 batched difference operator equals, bit for bit, its corner sums written
 out from Statistic.value; the telescoping decomposition equals, bit for
-bit, a loop over blocks and terms; V- and U-statistics equal the kernel
+bit, a loop over blocks and terms that sums lists, also on a statistic
+whose differences cancel across 300 orders of magnitude; V- and U-statistics equal the kernel
 average over their gathered index tuples; the seminorm search gives the
 same report at every refinement block size, and each of its lockstep
 restarts the result of that restart searched alone; the one-pass redraw
@@ -12,9 +13,13 @@ the generator, a loop that draws one pair at a time; a box draw equals
 numpy's uniform over the box bit for bit and leaves the generator where
 uniform does; the L-statistic conditions checked in blocks of probes
 equal a per-probe scalar loop; the closed-form Gaussian complexity of a
-linear class agrees with its Monte-Carlo estimates; and the Monte-Carlo
+linear class agrees with its Monte-Carlo estimates; the Monte-Carlo
 averages, drawing each chunk into one reused block, give the bits of
-fresh standard_normal and integers(0, 2) arrays."""
+fresh standard_normal and integers(0, 2) arrays; each scalar-row (d = 1)
+fast path (the 1 x 1 ridge solve, the product kernel and the linear
+class images) gives the bits of the general path it replaces, signed
+zeros included; and verify's one draw of all pairs of a size equals a
+loop that draws x, then x', pair after pair."""
 import math
 from itertools import combinations
 from unittest import mock
@@ -50,7 +55,9 @@ from weakstat import (
     product_kernel,
     rademacher_average,
     ramp_loss,
+    ridge_error,
     ridge_error_statistic,
+    ridge_solution,
     two_block_ranking_space,
     u_stat_statistic,
     u_statistic,
@@ -298,19 +305,35 @@ def _reference_fk(f, x, xp):
     return tuple(terms), float(vals[0] - vals[full])
 
 
+def _wide_statistic(n):
+    """A sum of the rows at scales from 1e-150 to 1e150, whose differences
+    cancel across 300 orders of magnitude, so that any change in the order
+    or the values that fsum sees would show in the terms."""
+    scales = 10.0 ** np.linspace(-150.0, 150.0, n)
+    return Statistic(lambda pts: np.sum(np.asarray(pts)[..., 0] * scales, axis=-1),
+                     _cube(1), n, label="wide", batched=True)
+
+
 @_SETTINGS
-@given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES)), seed=st.integers(0, 2**32 - 1),
-       coarse=st.booleans())
+@given(data=st.data(), family=st.sampled_from(sorted(_FAMILIES) + ["wide"]),
+       seed=st.integers(0, 2**32 - 1), coarse=st.booleans())
 def test_fk_decompose_equals_the_block_loop(data, family, seed, coarse):
-    _, low, step, free_d = _FAMILIES[family]
-    n = step * data.draw(st.integers(-(-low // step), 10 // step))
-    f = _family_statistic(family, n, data.draw(st.integers(1, 2)) if free_d else 1)
+    if family == "wide":
+        n = data.draw(st.integers(1, 10))
+        f = _wide_statistic(n)
+    else:
+        _, low, step, free_d = _FAMILIES[family]
+        n = step * data.draw(st.integers(-(-low // step), 10 // step))
+        f = _family_statistic(family, n, data.draw(st.integers(1, 2)) if free_d else 1)
     gen = np.random.default_rng(seed)
     x, xp = (gen.uniform(f.domain.lower, f.domain.upper, size=(n, f.domain.d)) for _ in "xy")
-    if coarse:
-        x, xp = np.round(4 * x) / 4, np.round(4 * xp) / 4
+    if coarse:  # ties, and rows at -0.0
+        x = np.round(4 * x) / 4 * np.sign(gen.uniform(-1.0, 1.0, x.shape))
+        xp = np.round(4 * xp) / 4
     dec = oracle.fk_decompose(f, x, xp)
-    assert (dec.terms, dec.lhs) == _reference_fk(f, x, xp)
+    terms, lhs = _reference_fk(f, x, xp)
+    # fsum over memoryview slices sees the floats of the reference's lists
+    assert np.array(dec.terms).tobytes() == np.array(terms).tobytes() and dec.lhs == lhs
 
 
 # n = 10 crosses several blocks; ridge, the V/U-statistics and the
@@ -472,6 +495,21 @@ def test_box_draw_equals_numpy_uniform(coords, shape, seed):
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(one.random(3).view(np.uint64), ref.random(3).view(np.uint64))
+
+
+@_SETTINGS
+@given(coords=st.lists(_COORDINATE, min_size=1, max_size=3), pairs=st.integers(0, 4),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_one_draw_of_all_pairs_equals_the_pair_loop(coords, pairs, n, seed):
+    # weakstat verify draws the (pairs, 2, n) configurations of one size at
+    # once; a loop drew x, then x', pair after pair
+    dom = box(*(np.array(v) for v in zip(*coords)))
+    one, loop = SeededRng(seed).generator(), SeededRng(seed).generator()
+    got = dom.uniform(one, (pairs, 2, n))
+    want = np.array([[dom.uniform(loop, n) for _ in "xy"] for _ in range(pairs)])
+    assert got.shape == (pairs, 2, n, len(coords))
+    assert got.tobytes() == want.tobytes()
+    assert one.random(3).tobytes() == loop.random(3).tobytes()
 
 
 def _scalar_conditions(F, x, k, l, y, yp, z, zp, tol):
@@ -668,3 +706,58 @@ def test_monte_carlo_averages_equal_fresh_draws(kind, count, N, replicates, chun
         expected = _fresh_draw_average(Y, replicates, SeededRng(seed), kind, chunk)
         est = average(Y, replicates, SeededRng(seed))
     assert (est.mean, est.std_error) == expected
+
+
+# the scalar-row (d = 1) fast paths against the general paths they replace,
+# bit for bit: signed zeros are drawn on purpose, as == cannot tell them apart
+_SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1.0, 1.0, width=64))
+
+
+@_SETTINGS
+@given(data=st.data(), lam=st.floats(1e-9, 0.999), size=st.integers(1, 40))
+def test_one_by_one_solve_is_division(data, lam, size):
+    A = data.draw(arrays(np.float64, (size, 1, 1), elements=st.floats(lam, 1.0 + lam)))
+    b = data.draw(arrays(np.float64, (size, 1, 1), elements=_SIGNED))
+    assert (b / A).tobytes() == np.linalg.solve(A, b).tobytes()
+
+
+def _general_ridge(Z, y, lam):
+    """(weights, error) of a ridge stack through np.linalg.solve and matmuls,
+    the d >= 2 path."""
+    n, d = Z.shape[-2:]
+    Zt = np.swapaxes(Z, -1, -2)
+    w = np.linalg.solve(Zt @ Z / n + lam * np.eye(d), Zt @ y[..., None] / n)
+    r = (Z @ w)[..., 0] - y
+    return w, np.add.reduce(r * r, axis=-1) / n
+
+
+@_SETTINGS
+@given(data=st.data(), d=st.integers(1, 3), n=st.integers(1, 12), size=st.integers(1, 6),
+       lam=st.floats(1e-6, 0.999))
+def test_ridge_fast_path_equals_the_solve(data, d, n, size, lam):
+    pts = data.draw(arrays(np.float64, (size, n, d + 1), elements=_SIGNED))
+    problem = RidgeProblem(lam, d)
+    w, err = _general_ridge(pts[..., :d], pts[..., d], lam)
+    assert ridge_solution(pts, problem).tobytes() == w[..., 0].tobytes()
+    assert ridge_error(pts, problem).tobytes() == err.tobytes()
+
+
+@_SETTINGS
+@given(data=st.data(), d=st.integers(1, 3), lead=st.lists(st.integers(1, 4), max_size=3))
+def test_product_kernel_equals_the_sum(data, d, lead):
+    shape = (*lead, d)
+    a, b = (data.draw(arrays(np.float64, shape, elements=st.one_of(
+        _SIGNED, st.sampled_from([1e-200, -1e-200, 1e150])))) for _ in "ab")
+    assert product_kernel().evaluator(a, b).tobytes() == np.sum(a * b, axis=-1).tobytes()
+
+
+@_SETTINGS
+@given(weights=st.lists(st.one_of(_SIGNED, st.floats(-2.0, 2.0)), min_size=1, max_size=16),
+       raw=arrays(np.float64, st.integers(1, 24), elements=st.one_of(
+           _SIGNED, st.sampled_from([1e-200, -1e-200]))),
+       scale=st.sampled_from([1.0, 0.5, 3.0]))
+def test_linear_images_equal_the_stacked_matmul(weights, raw, scale):
+    fclass = LinearClass(weights, uniform_raw_space(-1, 1), box([-4.0], [4.0]), scale=scale)
+    W, X = np.array(weights)[:, None], raw[:, None]
+    want = (X[None, :, None, :] @ W[:, None, :, None])[..., 0] / scale
+    assert fclass.images(raw).tobytes() == want.tobytes()

@@ -78,7 +78,6 @@ from .statistics import (
     f_zeta,
     f_zeta_weight,
     indicator_loss,
-    kmeans_loss,
     l_statistic,
     lstat_statistic,
     mean_statistic,

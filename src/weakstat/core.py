@@ -121,42 +121,41 @@ def as_points(x) -> np.ndarray:
 class Statistic:
     """An evaluable map f: U^n -> R with its domain metadata.
 
-    ``evaluator`` receives the raw (n, d) points array and must be
-    deterministic: the same array always yields the bit-identical float.
-    With ``batched`` set, it also accepts a (B, n, d) stack and returns the
-    (B,) values, each bit-identical to its value on that configuration
-    alone; the family builders of ``weakstat.statistics`` all set it.
+    ``evaluator`` receives either one raw (n, d) configuration, returning
+    its float, or a (B, n, d) stack, returning the (B,) values, each
+    bit-identical to the value of that configuration alone; the family
+    builders of ``weakstat.statistics`` all do.  It must be deterministic:
+    the same array always yields the bit-identical result.
     """
 
-    evaluator: Callable[[np.ndarray], float]
+    evaluator: Callable[[np.ndarray], float | np.ndarray]
     domain: Domain
     n: int
     label: str = ""
-    batched: bool = False
 
     def value(self, points: np.ndarray) -> float:
         return float(self.evaluator(points))
 
     def batch(self, stack) -> np.ndarray:
         """Values at each configuration of a (B, n, d) stack, as a (B,)
-        float array equal to ``[self.value(p) for p in stack]``.
-
-        A batched evaluator is called once with the whole stack (families
-        whose temporaries outgrow a configuration block it themselves);
-        otherwise ``value`` is called per configuration.
+        float array equal to ``[self.value(p) for p in stack]``, from one
+        evaluator call with the whole stack (families whose temporaries
+        outgrow a configuration block it themselves).  A result of any
+        other shape, such as one float from an evaluator written for a
+        single configuration, is refused rather than broadcast.
         """
         stack = np.ascontiguousarray(stack, dtype=float)
         if stack.ndim != 3:
             raise ValueError(f"batch expects a (B, n, d) stack, got shape {stack.shape}")
-        if not self.batched:
-            return np.array([self.value(p) for p in stack], dtype=float)
         out = np.empty(stack.shape[0])
         if len(out):
-            out[:] = self.evaluator(stack)
+            vals = np.asarray(self.evaluator(stack))
+            if vals.shape != out.shape:
+                raise ValueError(f"statistic {self.label or self.evaluator!r} returned shape "
+                                 f"{vals.shape} for a stack of shape {stack.shape}, "
+                                 f"not {out.shape}")
+            out[:] = vals
         return out
-
-    def __call__(self, x) -> float:
-        return self.value(as_points(x))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "MAX_EXHAUSTIVE_N",
     "NonFiniteStatisticError",
     "FkDecomposition",
-    "VkVector",
     "CheckResult",
     "DeviationEstimate",
     "fk_decompose",
@@ -79,18 +78,6 @@ class FkDecomposition:
     @property
     def relative_residual(self) -> float:
         return self.residual / max(1.0, abs(self.lhs))
-
-    def ok(self, rtol: float = IDENTITY_RTOL) -> bool:
-        return self.relative_residual <= rtol
-
-
-@dataclass(frozen=True)
-class VkVector:
-    """Comparison vector in R^{2n}: two entries scaled by 2M at the active
-    coordinate, the rest by J/sqrt(n)."""
-
-    k: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -230,9 +217,10 @@ def fk_term(f: Statistic, x, xp, k: int) -> float:
     return terms[k]
 
 
-def vk_vector(x, xp, k: int, m_lip: float, j_lip: float) -> VkVector:
-    """Comparison vector whose Gaussian inner products dominate differences
-    of the telescoping terms (scalar configurations only)."""
+def vk_vector(x, xp, k: int, m_lip: float, j_lip: float) -> np.ndarray:
+    """Comparison vector in R^{2n} whose Gaussian inner products dominate
+    differences of the telescoping terms (scalar configurations only): two
+    entries scaled by 2M at the active coordinate k, the rest by J/sqrt(n)."""
     a, b = as_points(x), as_points(xp)
     if a.shape[1] != 1 or b.shape[1] != 1:
         raise ValueError("the comparison vector is defined for d=1 configurations")
@@ -245,7 +233,7 @@ def vk_vector(x, xp, k: int, m_lip: float, j_lip: float) -> VkVector:
     v[n:] = scale * b[:, 0]
     v[k] = 2.0 * m_lip * a[k, 0]
     v[n + k] = 2.0 * m_lip * b[k, 0]
-    return VkVector(k=k, values=v)
+    return v
 
 
 def jlip_lemma_check(f: Statistic, x, xp, k: int, a, b, j_lip_bound: float,
@@ -274,7 +262,7 @@ def fk_difference_check(f: Statistic, x, xp, y, yp, k: int, m_lip: float,
     closed form of the expected absolute Gaussian inner product: the
     comparison lemma behind the symmetrization bound."""
     lhs = fk_term(f, x, xp, k) - fk_term(f, y, yp, k)
-    diff = vk_vector(x, xp, k, m_lip, j_lip).values - vk_vector(y, yp, k, m_lip, j_lip).values
+    diff = vk_vector(x, xp, k, m_lip, j_lip) - vk_vector(y, yp, k, m_lip, j_lip)
     rhs = float(np.linalg.norm(diff))
     return CheckResult("fk_difference", lhs, rhs, tol,
                        _digest(as_points(x), as_points(xp), as_points(y), as_points(yp), [k]))

@@ -6,8 +6,8 @@ Every operation is a pure function of its arguments.  Functions accept an
 (n, d) array or a plain sequence (treated as d=1).  The statistic families
 (the mean, the V/U-statistics, the smoothed AUC, the L-statistic and the
 ridge error) also accept a (B, n, d) stack and return its (B,) values,
-each bit-identical to the value of that configuration alone; the
-builders at the end mark their statistics ``batched``.
+each bit-identical to the value of that configuration alone, which is
+the evaluator contract of the Statistic builders at the end.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ __all__ = [
     "smoothed_auc",
     "l_statistic",
     "f_zeta",
-    "kmeans_loss",
     "nearest_center_losses",
     "ridge_solution",
     "ridge_error",
@@ -47,9 +46,6 @@ __all__ = [
     "auc_statistic",
     "lstat_statistic",
     "ridge_error_statistic",
-    "probe_kernel_lipschitz",
-    "probe_weight_function",
-    "probe_loss_function",
 ]
 
 
@@ -92,9 +88,6 @@ class WeightFunction:
     lip_norm: float
     label: str = ""
 
-    def __call__(self, t):
-        return self.evaluator(t)
-
 
 @dataclass(frozen=True)
 class LossFunction:
@@ -104,9 +97,6 @@ class LossFunction:
     lipschitz_L: float
     below_indicator: bool = False
     label: str = ""
-
-    def __call__(self, t):
-        return self.evaluator(t)
 
 
 @dataclass(frozen=True)
@@ -323,15 +313,6 @@ def nearest_center_losses(points: np.ndarray, centers: np.ndarray) -> np.ndarray
     return np.min(_squared_distances(points, centers), axis=-1)
 
 
-def kmeans_loss(centers: np.ndarray, point: np.ndarray) -> float:
-    """Squared distance to the nearest center; nearest_center_losses's one-point reference."""
-    c = np.atleast_2d(np.asarray(centers, dtype=float))
-    p = np.asarray(point, dtype=float)
-    if p.shape != (c.shape[1],):
-        raise ValueError(f"point shape {p.shape} does not match centers of dimension {c.shape[1]}")
-    return float(nearest_center_losses(p[None], c)[0])
-
-
 def _ridge_split(x, problem: RidgeProblem):
     pts = as_points(x)
     if pts.shape[-1] != problem.d + 1:
@@ -394,8 +375,9 @@ def _inner_product(a, b) -> np.ndarray:
 def product_kernel() -> Kernel:
     """kappa(a, b) = <a, b>; L = B = 1 hold on [0, 1] only (d = 1).  On
     [0, 1]^d moving one argument changes <a, b> by up to sqrt(d) per unit
-    distance, so L = sqrt(2) on [0, 1]^2, where probe_kernel_lipschitz
-    observes 1.27 at SeededRng(1); ROADMAP item 2 owns the fix."""
+    distance, so L = sqrt(2) on [0, 1]^2, where the spot check of
+    tests/test_statistics.py observes up to sqrt(d) on [0, 1]^d; ROADMAP
+    item 2 owns the fix."""
     return Kernel(
         m=2,
         evaluator=_inner_product,
@@ -458,13 +440,13 @@ def mean_statistic(n: int, domain: Domain | None = None) -> Statistic:
     dom = domain if domain is not None else unit_interval()
     if dom.d != 1:
         raise ValueError("mean_statistic requires a d=1 domain")
-    return Statistic(sample_mean, dom, n, label="mean", batched=True)
+    return Statistic(sample_mean, dom, n, label="mean")
 
 
 def _kernel_stat_statistic(kernel: Kernel, n: int, domain: Domain, value, name: str) -> Statistic:
     _check_arity(kernel.m, n)
     return Statistic(lambda pts: value(kernel, pts), domain, n,
-                     label=f"{name}[{kernel.label},m={kernel.m}]", batched=True)
+                     label=f"{name}[{kernel.label},m={kernel.m}]")
 
 
 def v_stat_statistic(kernel: Kernel, n: int, domain: Domain) -> Statistic:
@@ -480,7 +462,7 @@ def auc_statistic(loss: LossFunction, n: int, domain: Domain | None = None) -> S
         raise ValueError(f"smoothed ranking statistic requires even n, got {n}")
     dom = domain if domain is not None else unit_interval()
     return Statistic(
-        lambda pts: smoothed_auc(loss, pts), dom, n, label=f"auc[{loss.label}]", batched=True
+        lambda pts: smoothed_auc(loss, pts), dom, n, label=f"auc[{loss.label}]"
     )
 
 
@@ -488,60 +470,12 @@ def lstat_statistic(F: WeightFunction, n: int, domain: Domain | None = None) -> 
     dom = domain if domain is not None else unit_interval()
     if dom.d != 1:
         raise ValueError("lstat_statistic requires a d=1 domain")
-    return Statistic(lambda pts: l_statistic(F, pts), dom, n, label=f"lstat[{F.label}]",
-                     batched=True)
+    return Statistic(lambda pts: l_statistic(F, pts), dom, n, label=f"lstat[{F.label}]")
 
 
 def ridge_error_statistic(problem: RidgeProblem, n: int) -> Statistic:
     dom = box([-1.0] * (problem.d + 1), [1.0] * (problem.d + 1))
     return Statistic(
         lambda pts: ridge_error(pts, problem), dom, n,
-        label=f"ridge_error[lam={problem.lam},d={problem.d}]", batched=True,
+        label=f"ridge_error[lam={problem.lam},d={problem.d}]",
     )
-
-
-# ---------------------------------------------------------------------------
-# Random spot checks of the certified constants
-
-def _max_quotient(before, after, gap: np.ndarray) -> float:
-    """Largest |before - after| / gap over the probes whose gap is at least
-    1e-9 (0.0 if none), skipping NaN as a running Python max does."""
-    keep = gap >= 1e-9
-    change = np.asarray(before, dtype=float)[keep] - np.asarray(after, dtype=float)[keep]
-    return float(np.fmax.reduce(np.abs(change) / gap[keep], initial=0.0))
-
-
-def probe_kernel_lipschitz(kernel: Kernel, domain: Domain, rng, probes: int = 200) -> float:
-    """Largest one-argument difference quotient, which the tests hold to the
-    kernel.lipschitz_L of analytic_seminorms_ustat up to float noise.  Draws
-    all m arguments of every probe, then the slots, then the moved ones."""
-    gen = rng.generator()
-    args = domain.uniform(gen, (kernel.m, probes))
-    slot = gen.integers(kernel.m, size=probes)
-    alt = domain.uniform(gen, probes)
-    moved, each = args.copy(), np.arange(probes)
-    moved[slot, each] = alt
-    return _max_quotient(kernel.evaluator(*args), kernel.evaluator(*moved),
-                         np.linalg.norm(args[slot, each] - alt, axis=-1))
-
-
-def probe_weight_function(F: WeightFunction, rng, probes: int = 500) -> tuple[float, float]:
-    """(max |F|, max difference quotient) over a grid plus random pairs: the
-    tests' spot check of the norms that analytic_seminorms_lstat takes."""
-    gen = rng.generator()
-    sup = float(np.max(np.abs(np.asarray(F.evaluator(np.linspace(0.0, 1.0, 101)), dtype=float))))
-    t, s = gen.uniform(0.0, 1.0, size=(probes, 2)).T
-    return sup, _max_quotient(F.evaluator(t), F.evaluator(s), np.abs(t - s))
-
-
-def probe_loss_function(loss: LossFunction, rng, probes: int = 500,
-                        span: float = 3.0) -> tuple[float, float, bool]:
-    """(range excess beyond [0,1], max difference quotient, below-indicator ok):
-    the tests' spot check of what the ranking certificate takes of a loss."""
-    gen = rng.generator()
-    ts = gen.uniform(-span, span, size=probes)
-    vals = np.asarray(loss.evaluator(ts), dtype=float)
-    excess = float(max(np.max(vals - 1.0, initial=0.0), np.max(-vals, initial=0.0)))
-    below = bool(np.all(vals <= (ts > 0).astype(float) + 1e-12))
-    t, s = gen.uniform(-span, span, size=(probes, 2)).T
-    return excess, _max_quotient(loss.evaluator(t), loss.evaluator(s), np.abs(t - s)), below

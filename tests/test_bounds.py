@@ -124,7 +124,7 @@ class TestUniformBound:
 
     def test_sign_change_gives_identical_symmetrization_term(self):
         f = mean_statistic(6)
-        neg = Statistic(lambda pts: -float(np.mean(pts[:, 0])), f.domain, f.n, "-mean")
+        neg = Statistic(lambda pts: -np.mean(pts[..., 0], axis=-1), f.domain, f.n, "-mean")
         rep_f = derivative_seminorms(f, f.domain.diameter, probes=3, rng=SeededRng(1))
         rep_n = derivative_seminorms(neg, f.domain.diameter, probes=3, rng=SeededRng(1))
         # the term reads only these values; the estimates themselves are

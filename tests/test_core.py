@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from weakstat import (
     FunctionClass,
     LinearClass,
     SeededRng,
+    Statistic,
     box,
     evaluate_class,
     empirical_seminorms,
@@ -110,6 +113,23 @@ class TestEvaluateClass:
             raw = fc.raw_space.sampler(gen, 50)
             (cfg,) = evaluate_class(fc, raw)
             assert np.all((cfg >= dom.lower) & (cfg <= dom.upper))
+
+
+class TestStatistic:
+    @pytest.mark.parametrize("evaluator, count, shape", [
+        (lambda p: float(p[:, 0].max()), 1, "()"),  # written for one configuration
+        (lambda p: float(p[:, 0].max()), 3, "()"),
+        (lambda p: p[..., 0], 3, "(3, 4)"),  # one value per row
+        (lambda p: p[:1, 0, 0], 3, "(1,)"),  # one value for the whole stack
+    ], ids=["float-1", "float-3", "rows", "first"])
+    def test_batch_refuses_a_result_not_one_per_configuration(self, evaluator, count, shape):
+        # batch would otherwise broadcast a float over the whole stack
+        f = Statistic(evaluator, unit_interval(), 4, "peak")
+        stack = SeededRng(1).generator().uniform(size=(count, 4, 1))
+        want = f"statistic 'peak' returned shape {shape} for a stack of shape ({count}, 4, 1), " \
+               f"not ({count},)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            f.batch(stack)
 
 
 class TestSeededRng:

@@ -45,7 +45,6 @@ from weakstat import (
     evaluate_class,
     f_zeta_weight,
     gaussian_average,
-    kmeans_loss,
     l_statistic,
     linear_ranker_class,
     lstat_statistic,
@@ -109,13 +108,13 @@ def test_linear_ranker_class_matches_per_datum_loop(data, dim, count):
 
 @_SETTINGS
 @given(data=st.data(), dim=st.integers(1, 4), k=st.integers(1, 5))
-def test_cluster_loss_member_matches_kmeans_loss(data, dim, k):
+def test_cluster_loss_member_matches_the_one_point_loss(data, dim, k):
     # the held-out losses that `weakstat cluster` certifies, point by point
     centers = data.draw(_samples(-6.0, 6.0, dim, rows=st.just(k)))
     X = data.draw(_samples(-6.0, 6.0, dim))
     out = nearest_center_losses(X, centers)
     assert out.shape == (X.shape[0],)
-    assert (out == np.array([kmeans_loss(centers, x) for x in X])).all()
+    assert (out == np.array([nearest_center_losses(x[None], centers)[0] for x in X])).all()
 
 
 def test_empty_sample_is_rejected():
@@ -139,6 +138,12 @@ def _cube(d):
     return box([-1.0] * d, [1.0] * d)
 
 
+def _one_at_a_time(value):
+    """An evaluator from a function of one (n, d) configuration: a (B, n, d)
+    stack gets the (B,) values of its configurations, one call each."""
+    return lambda p: value(p) if p.ndim == 2 else np.array([value(q) for q in p])
+
+
 # family -> (builder of (n, d), smallest n, step of n, whether d is free)
 _FAMILIES = {
     "mean": (lambda n, d: mean_statistic(n, _cube(1)), 1, 1, False),
@@ -147,10 +152,10 @@ _FAMILIES = {
     "auc": (lambda n, d: auc_statistic(ramp_loss(0.5), n, _cube(1)), 2, 2, False),
     "lstat": (lambda n, d: lstat_statistic(f_zeta_weight(0.125), n, _cube(1)), 1, 1, False),
     "ridge": (lambda n, d: ridge_error_statistic(RidgeProblem(0.5, d), n), 1, 1, True),
-    # a user statistic written for one (n, d) configuration: batch falls
-    # back to calling value on each configuration
-    "unbatched": (lambda n, d: Statistic(lambda p: float(p[:, 0] @ np.sin(p[:, -1])),
-                                         _cube(d), n), 1, 1, True),
+    # a user statistic written for one (n, d) configuration, whose evaluator
+    # loops over a stack one configuration at a time
+    "unbatched": (lambda n, d: Statistic(
+        _one_at_a_time(lambda p: float(p[:, 0] @ np.sin(p[:, -1]))), _cube(d), n), 1, 1, True),
 }
 
 
@@ -174,9 +179,7 @@ def _block_size(family, n):
 
 def _family_statistic(family, n, d):
     build, _, _, _ = _FAMILIES[family]
-    f = build(n, d)
-    assert f.batched == (family != "unbatched")
-    return f
+    return build(n, d)
 
 
 @_SETTINGS
@@ -311,7 +314,7 @@ def _wide_statistic(n):
     or the values that fsum sees would show in the terms."""
     scales = 10.0 ** np.linspace(-150.0, 150.0, n)
     return Statistic(lambda pts: np.sum(np.asarray(pts)[..., 0] * scales, axis=-1),
-                     _cube(1), n, label="wide", batched=True)
+                     _cube(1), n, label="wide")
 
 
 @_SETTINGS

@@ -54,7 +54,7 @@ class TestPartialDifference:
 
 
 def _product_of_first_two(n: int) -> Statistic:
-    return Statistic(lambda pts: float(pts[0, 0] * pts[1, 0]), unit_interval(), n, "x1*x2")
+    return Statistic(lambda pts: pts[..., 0, 0] * pts[..., 1, 0], unit_interval(), n, "x1*x2")
 
 
 class TestDoubleDifference:
@@ -103,7 +103,7 @@ class TestEmpiricalSearch:
         assert rep.argmax_witness is not None
 
     def test_constant_statistic_all_zero(self):
-        f = Statistic(lambda pts: 3.5, unit_interval(), 4, "const")
+        f = Statistic(lambda pts: np.full(pts.shape[:-2], 3.5), unit_interval(), 4, "const")
         rep = empirical_seminorms(f, 4000, SeededRng(1))
         assert rep.m_lip == 0.0 and rep.j_lip == 0.0
         assert rep.m_plain == 0.0 and rep.j_plain == 0.0
@@ -150,7 +150,7 @@ class TestEmpiricalSearch:
 
     def test_sign_change_leaves_values_unchanged(self):
         base = mean_statistic(6)
-        neg = Statistic(lambda pts: -float(np.mean(pts[:, 0])), base.domain, base.n, "-mean")
+        neg = Statistic(lambda pts: -np.mean(pts[..., 0], axis=-1), base.domain, base.n, "-mean")
         a = empirical_seminorms(base, 6000, SeededRng(4))
         b = empirical_seminorms(neg, 6000, SeededRng(4))
         assert (a.m_lip, a.j_lip, a.m_plain, a.j_plain) == (b.m_lip, b.j_lip, b.m_plain, b.j_plain)
@@ -162,7 +162,7 @@ class TestEmpiricalSearch:
         g = lstat_statistic(f_zeta_weight(0.25), n, dom)
         a, b = 0.7, 0.5
         combo = Statistic(
-            lambda pts: a * f.value(pts) + b * g.value(pts), dom, n, "combo"
+            lambda pts: a * f.evaluator(pts) + b * g.evaluator(pts), dom, n, "combo"
         )
         # pure exploration: probes depend only on the seed, so all three
         # searches scan exactly the same points and subadditivity is exact
@@ -217,7 +217,7 @@ class TestEmpiricalSearch:
             assert (k, *(r.tolist() for r in rows)) == expected[5]
 
     def test_constant_statistic_draws_no_refinement(self):
-        f = Statistic(lambda pts: 3.5, unit_interval(), 4, "const")
+        f = Statistic(lambda pts: np.full(pts.shape[:-2], 3.5), unit_interval(), 4, "const")
         rep = empirical_seminorms(f, 4000, SeededRng(1))
         assert (rep.m_lip, rep.j_lip, rep.m_plain, rep.j_plain) == (0.0, 0.0, 0.0, 0.0)
         assert rep.argmax_witness is None
@@ -233,7 +233,7 @@ class TestEmpiricalSearch:
         # only the odd refinement steps run (2 restarts x 37 steps x 2 corners)
         monkeypatch.setattr(seminorms, "_REFINE_BLOCK", block)
         monkeypatch.setattr(seminorms, "_RESTARTS", 2)
-        f = Statistic(lambda pts: 5e-324 * float((pts[:, 0] > 0.0).sum()),
+        f = Statistic(lambda pts: 5e-324 * (pts[..., 0] > 0.0).sum(axis=-1),
                       box([-1000.0], [1000.0]), 4, "tiny")
         rep = empirical_seminorms(f, 3000, SeededRng(3))
         assert (rep.m_lip, rep.m_plain, rep.argmax_witness) == (0.0, 5e-324, None)
@@ -241,7 +241,8 @@ class TestEmpiricalSearch:
 
     def test_unbatched_statistic_gives_the_batched_report(self):
         f = auc_statistic(ramp_loss(), 4)
-        one = Statistic(f.evaluator, f.domain, f.n, f.label, batched=False)
+        # evaluated one configuration at a time
+        one = Statistic(lambda s: np.array([f.value(p) for p in s]), f.domain, f.n, f.label)
         a = empirical_seminorms(f, 3000, SeededRng(8))
         b = empirical_seminorms(one, 3000, SeededRng(8))
         assert (a.m_lip, a.j_lip, a.m_plain, a.j_plain, a.search_evals) == \

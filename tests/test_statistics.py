@@ -17,8 +17,8 @@ from weakstat import (
     f_zeta_weight,
     constant_weight,
     indicator_loss,
-    kmeans_loss,
     l_statistic,
+    nearest_center_losses,
     product_kernel,
     ramp_loss,
     ridge_error,
@@ -33,14 +33,7 @@ from weakstat import (
 )
 from weakstat import cli, oracle
 from weakstat.oracle import fk_decompose
-from weakstat.statistics import (
-    _BLOCK_VALUES,
-    _max_quotient,
-    _squared_distances,
-    probe_kernel_lipschitz,
-    probe_loss_function,
-    probe_weight_function,
-)
+from weakstat.statistics import _BLOCK_VALUES, _squared_distances
 
 
 class TestSampleMean:
@@ -316,19 +309,25 @@ class TestFZeta:
             f_zeta(0.5, 0.3)
 
 
+def _one_point_loss(centers, point) -> float:
+    """nearest_center_losses of a single point."""
+    return float(nearest_center_losses(np.array([point], dtype=float),
+                                       np.array(centers, dtype=float))[0])
+
+
 class TestKmeansLoss:
     def test_single_center(self):
-        assert kmeans_loss([[0.0, 0.0]], [3.0, 4.0]) == pytest.approx(25.0)
+        assert _one_point_loss([[0.0, 0.0]], [3.0, 4.0]) == pytest.approx(25.0)
 
     def test_point_on_center(self):
-        assert kmeans_loss([[1.0, 2.0], [0.0, 0.0]], [1.0, 2.0]) == 0.0
+        assert _one_point_loss([[1.0, 2.0], [0.0, 0.0]], [1.0, 2.0]) == 0.0
 
     def test_min_over_centers(self):
-        assert kmeans_loss([[0.0, 0.0], [1.0, 0.0]], [0.9, 0.0]) == pytest.approx(0.01)
+        assert _one_point_loss([[0.0, 0.0], [1.0, 0.0]], [0.9, 0.0]) == pytest.approx(0.01)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            kmeans_loss([[0.0, 0.0]], [1.0, 2.0, 3.0])
+            _one_point_loss([[0.0, 0.0]], [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("m", range(1, 14))
     def test_distances_equal_the_contiguous_sum(self, m):
@@ -393,26 +392,30 @@ class TestRidge:
             RidgeProblem(lam=1.0, d=1)
 
 
-class TestProbes:
-    def test_product_kernel_constants_hold(self):
-        worst = probe_kernel_lipschitz(product_kernel(), unit_interval(), SeededRng(1))
-        assert worst <= 1.0 + 1e-9
-
-    def test_trimming_weight_norms_hold(self):
-        F = f_zeta_weight(0.25)
-        sup, lip = probe_weight_function(F, SeededRng(2))
-        assert sup <= F.sup_norm + 1e-9
-        assert lip <= F.lip_norm + 1e-9
-
-    def test_ramp_loss_certificates_hold(self):
-        excess, lip, below = probe_loss_function(ramp_loss(), SeededRng(3))
-        assert excess == 0.0
-        assert lip <= 1.0 + 1e-9
-        assert below
+def _looped_kernel_probe(kernel, domain, rng, probes=200):
+    """Largest one-argument difference quotient of a kernel, one probe per
+    loop step: the arguments of every probe, then every slot, then every
+    moved argument are drawn first, each in one draw."""
+    gen = rng.generator()
+    args = domain.uniform(gen, (kernel.m, probes))
+    slot = gen.integers(kernel.m, size=probes)
+    alt = domain.uniform(gen, probes)
+    worst = 0.0
+    for t in range(probes):
+        moved = list(args[:, t])
+        moved[slot[t]] = alt[t]
+        dist = float(np.linalg.norm(args[slot[t], t] - alt[t]))
+        if dist < 1e-9:
+            continue
+        change = abs(float(kernel.evaluator(*args[:, t]) - kernel.evaluator(*moved)))
+        worst = max(worst, change / dist)
+    return worst
 
 
 def _looped_weight_probe(F, rng, probes=500):
-    """probe_weight_function as one pair per loop step, the reference."""
+    """(max |F| on a grid, max difference quotient over random pairs), one
+    pair per loop step: the spot check of the norms that
+    analytic_seminorms_lstat takes."""
     gen = rng.generator()
     grid = np.linspace(0.0, 1.0, 101)
     sup = float(np.max(np.abs(np.asarray(F.evaluator(grid), dtype=float))))
@@ -427,7 +430,9 @@ def _looped_weight_probe(F, rng, probes=500):
 
 
 def _looped_loss_probe(loss, rng, probes=500, span=3.0):
-    """probe_loss_function as one pair per loop step, the reference."""
+    """(range excess beyond [0, 1], max difference quotient, below-indicator
+    ok), one pair per loop step: the spot check of what the ranking
+    certificate takes of a loss."""
     gen = rng.generator()
     ts = gen.uniform(-span, span, size=probes)
     vals = np.asarray(loss.evaluator(ts), dtype=float)
@@ -443,59 +448,69 @@ def _looped_loss_probe(loss, rng, probes=500, span=3.0):
     return excess, worst, below
 
 
+def _one_pass_quotient(evaluator, t: np.ndarray, s: np.ndarray) -> float:
+    """The loops' largest quotient from one evaluator call per side, over
+    the pairs whose gap is at least 1e-9."""
+    keep = np.abs(t - s) >= 1e-9
+    change = (np.asarray(evaluator(t[keep]), dtype=float)
+              - np.asarray(evaluator(s[keep]), dtype=float))
+    return float(np.max(np.abs(change) / np.abs(t - s)[keep], initial=0.0))
+
+
+class TestProbes:
+    def test_product_kernel_constants_hold(self):
+        worst = _looped_kernel_probe(product_kernel(), unit_interval(), SeededRng(1))
+        assert worst <= 1.0 + 1e-9
+
+    def test_trimming_weight_norms_hold(self):
+        F = f_zeta_weight(0.25)
+        sup, lip = _looped_weight_probe(F, SeededRng(2))
+        assert sup <= F.sup_norm + 1e-9
+        assert lip <= F.lip_norm + 1e-9
+
+    def test_ramp_loss_certificates_hold(self):
+        excess, lip, below = _looped_loss_probe(ramp_loss(), SeededRng(3))
+        assert excess == 0.0
+        assert lip <= 1.0 + 1e-9
+        assert below
+
+
 class TestProbesInOnePass:
-    """The probes draw every pair in one call and reduce the quotients with
-    _max_quotient; the weight and loss probes equal the one-pair loop bit
-    for bit, and every probe returns Python floats."""
+    """A weight or a loss evaluates an array of pairs in one call, as
+    l_statistic and smoothed_auc call it, with the bits of the one-pair
+    loop; each stated norm, range and below-indicator flag holds on that
+    loop's probes."""
 
     @pytest.mark.parametrize("seed", [0, 2, 11])
     @pytest.mark.parametrize("probes", [1, 7, 500])
     @pytest.mark.parametrize("F", [f_zeta_weight(0.25), f_zeta_weight(0.05), f_zeta_weight(0.0),
                                    constant_weight(-2.0)], ids=lambda F: F.label)
     def test_weight_probe_equals_the_loop(self, F, probes, seed):
-        got = probe_weight_function(F, SeededRng(seed), probes)
-        want = _looped_weight_probe(F, SeededRng(seed), probes)
-        assert [type(v) for v in got] == [float, float]
-        assert np.array_equal(np.array(got).view(np.uint64), np.array(want).view(np.uint64))
+        sup, lip = _looped_weight_probe(F, SeededRng(seed), probes)
+        t, s = SeededRng(seed).generator().uniform(0.0, 1.0, size=(probes, 2)).T
+        one_pass = _one_pass_quotient(F.evaluator, t, s)
+        assert np.array_equal(np.array(one_pass).view(np.uint64), np.array(lip).view(np.uint64))
+        assert sup <= F.sup_norm + 1e-9
+        assert lip <= F.lip_norm + 1e-9
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("probes, span", [(1, 3.0), (7, 0.5), (500, 3.0), (500, 40.0)])
     @pytest.mark.parametrize("loss", [ramp_loss(), ramp_loss(0.25), indicator_loss()],
                              ids=lambda loss: loss.label)
     def test_loss_probe_equals_the_loop(self, loss, probes, span, seed):
-        got = probe_loss_function(loss, SeededRng(seed), probes, span)
-        want = _looped_loss_probe(loss, SeededRng(seed), probes, span)
-        assert [type(v) for v in got] == [float, float, bool]
-        assert got[2] == want[2]
-        assert np.array_equal(np.array(got[:2]).view(np.uint64),
-                              np.array(want[:2]).view(np.uint64))
+        excess, lip, below = _looped_loss_probe(loss, SeededRng(seed), probes, span)
+        gen = SeededRng(seed).generator()
+        gen.uniform(-span, span, size=probes)  # the range probes come first
+        t, s = gen.uniform(-span, span, size=(probes, 2)).T
+        one_pass = _one_pass_quotient(loss.evaluator, t, s)
+        assert np.array_equal(np.array(one_pass).view(np.uint64), np.array(lip).view(np.uint64))
+        assert excess == 0.0
+        assert lip <= loss.lipschitz_L + 1e-9
+        assert below == loss.below_indicator
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_kernel_probe_draws_arguments_then_slots_then_moves(self, d):
-        # the arguments of every probe, then every slot, then every moved
-        # argument, each in one draw; the quotients as a per-probe loop
-        # over those draws computes them
-        kernel, dom, probes = product_kernel(), box([0.0] * d, [1.0] * d), 50
-        gen = SeededRng(4).generator()
-        args = dom.uniform(gen, (2, probes))
-        slot = gen.integers(2, size=probes)
-        alt = dom.uniform(gen, probes)
-        worst = 0.0
-        for t in range(probes):
-            moved = [args[0, t], args[1, t]]
-            moved[slot[t]] = alt[t]
-            dist = float(np.linalg.norm(args[slot[t], t] - alt[t]))
-            change = abs(float(kernel.evaluator(args[0, t], args[1, t]) - kernel.evaluator(*moved)))
-            worst = max(worst, change / dist)
-        got = probe_kernel_lipschitz(kernel, dom, SeededRng(4), probes)
-        assert type(got) is float
-        assert got == pytest.approx(worst, rel=1e-12)
         # the constant L = 1 holds on [0, 1] only; the products reach
         # sqrt(d) on the unit cube
-        assert got <= np.sqrt(d) + 1e-9
-
-    def test_max_quotient_skips_close_pairs_and_nan(self):
-        gap = np.array([1e-10, 2.0, 1.0, np.nan, 4.0])
-        assert _max_quotient([5.0, 1.0, np.nan, 9.0, 0.0], [0.0, 0.0, 0.0, 0.0, 8.0], gap) == 2.0
-        assert _max_quotient([1.0], [0.0], np.array([0.0])) == 0.0
-        assert type(_max_quotient([], [], np.array([]))) is float
+        dom = box([0.0] * d, [1.0] * d)
+        assert _looped_kernel_probe(product_kernel(), dom, SeededRng(4), 50) <= np.sqrt(d) + 1e-9

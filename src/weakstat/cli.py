@@ -65,7 +65,7 @@ class AggregationError(ValueError):
 
 
 def load_schema(name: str) -> dict:
-    with resources.files("weakstat.schemas").joinpath(name).open("r") as fh:
+    with (resources.files(__package__) / "schemas" / name).open("r") as fh:
         return json.load(fh)
 
 

@@ -1,9 +1,11 @@
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -88,6 +90,26 @@ class TestConfigValidation:
     def test_unknown_extra_key_rejected(self):
         with pytest.raises(ConfigError):
             validate_config(_seminorm_config(plot=True))
+
+    def test_schema_comes_from_the_package_that_asks(self, tmp_path, monkeypatch):
+        # a copy of the package loaded under another name reads its own
+        # schema, here with the seed capped at 10, not the one of `weakstat`
+        copy = tmp_path / "weakstat_copy"
+        shutil.copytree(Path(weakstat.cli.__file__).parent, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / "schemas" / "experiment_config.schema.json"
+        schema = json.loads(path.read_text())
+        schema["properties"]["seed"]["maximum"] = 10
+        path.write_text(json.dumps(schema))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            copied = importlib.import_module("weakstat_copy.cli")
+            with pytest.raises(copied.ConfigError, match="config.seed"):
+                copied.validate_config(_seminorm_config(seed=11))
+        finally:
+            for name in [m for m in sys.modules if m.startswith("weakstat_copy")]:
+                del sys.modules[name]
+        validate_config(_seminorm_config(seed=11))
 
 
 class TestRunners:

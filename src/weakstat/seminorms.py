@@ -434,15 +434,28 @@ def analytic_seminorms_auc(L: float, n: int) -> SeminormReport:
 
 def analytic_seminorms_lstat(F: WeightFunction, diameter: float, n: int) -> SeminormReport:
     """Seminorm bounds for the rank-weighted L-statistic on a bounded
-    interval of the given diameter."""
+    interval of the given diameter.
+
+    J_Lip takes no diameter.  For f = (1/n) sum_i F(i/n) x_(i), the first
+    difference in x_k from z to z' integrates the partial derivative
+    F(r_k/n)/n, with r_k the rank of x_k, over [z, z'].  Moving another x_l
+    from y to y' changes r_k by at most one, and only while x_k lies
+    between y and y'.  So the second-order difference is at most
+    |[y, y'] & [z, z']| max_i |F((i+1)/n) - F(i/n)| / n, which is at most
+    |y - y'| lip_norm / n^2, and J_Lip, n times its largest quotient by
+    |y - y'|, is at most lip_norm / n (inf for a step weight).  The
+    statistic scales with x, and a difference over a distance does not.
+    The range form j_plain bounds the difference itself and keeps the
+    diameter.
+    """
     if diameter < 0:
         raise ValueError("diameter must be nonnegative")
     return SeminormReport(
         m_lip=F.sup_norm / n,
-        j_lip=diameter * F.lip_norm / n if F.lip_norm != math.inf else math.inf,
+        j_lip=F.lip_norm / n,
         m_plain=diameter * F.sup_norm / n,
         # second-order differences are bounded by lip_norm * diameter / n^2,
-        # so the n-scaled range seminorm shares the j_lip value.
+        # the length of [y, y'] & [z, z'] being at most the diameter.
         j_plain=diameter * F.lip_norm / n if F.lip_norm != math.inf else math.inf,
         method=ANALYTIC_BOUND,
     )

@@ -294,7 +294,9 @@ class TestClusteringCertificate:
     def test_trimming_slope_enters_second_order_term(self):
         cert = clustering_certificate(ball_radius=6.0, zeta=0.25, n=60, g=_g(1.0), delta=0.1)
         diam = (2.0 * 6.0) ** 2
-        assert cert.seminorms.j_lip == pytest.approx(diam * (8.0 / 3.0) / 60)
+        # J_Lip is scale-free; the range form carries the loss diameter
+        assert cert.seminorms.j_lip == pytest.approx((8.0 / 3.0) / 60)
+        assert cert.seminorms.j_plain == pytest.approx(diam * (8.0 / 3.0) / 60)
 
     def test_step_weight_is_refused(self):
         with pytest.raises(UnboundedLipschitzError):

@@ -566,7 +566,7 @@ def _cluster_document(centers, iterations, fit_objective, held_out_objective, re
                            "replicates": 0, "std_error": 0.0},
             "delta": 0.05, "direction": "pop_minus_emp",
             "kind": "bound_certificate", "n": 120,
-            "seminorms": {"j_lip": 6.4, "j_plain": 6.4, "m_lip": 0.01111111111111111,
+            "seminorms": {"j_lip": 0.04444444444444444, "j_plain": 6.4, "m_lip": 0.01111111111111111,
                           "m_plain": 1.6, "method": "analytic_bound", "search_evals": 0},
             "symmetrization_term": 0.0, "tail_term": 30.336264675068122,
             "total": 30.336264675068122,

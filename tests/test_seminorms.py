@@ -349,6 +349,60 @@ class TestSandwich:
                 assert getattr(emp, name) <= getattr(bound, name) * (1 + FLOAT_SLACK) + 1e-12
 
 
+def _random_box(gen):
+    """An interval of diameter log-uniform on [0.05, 20], placed in [-10, 30]."""
+    diam = float(np.exp(gen.uniform(np.log(0.05), np.log(20.0))))
+    lower = float(gen.uniform(-10.0, 10.0))
+    return box([lower], [lower + diam])
+
+
+class TestLstatOffTheUnitBox:
+    """The L-statistic closed form holds on boxes of any diameter: J_Lip is
+    scale-free, so no diameter enters it (ROADMAP item 29)."""
+
+    @pytest.mark.parametrize("zeta", [0.05, 0.125, 0.25])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_search_stays_below_the_closed_form(self, n, zeta):
+        F, gen = f_zeta_weight(zeta), SeededRng(n, int(zeta * 1000)).generator()
+        for rep in range(3):
+            dom = _random_box(gen)
+            emp = empirical_seminorms(lstat_statistic(F, n, dom), 6000, SeededRng(rep))
+            bound = analytic_seminorms_lstat(F, dom.diameter, n)
+            for name in ("m_lip", "j_lip", "m_plain", "j_plain"):
+                assert getattr(emp, name) <= getattr(bound, name) * (1 + FLOAT_SLACK) + 1e-12
+
+    def test_search_reaches_the_closed_form_j_lip(self):
+        # at zeta = 0.25 a rank step moves the weight by lip_norm / n, and
+        # the search finds it on a box of diameter 0.3 as on one of 20
+        n, F = 8, f_zeta_weight(0.25)
+        for dom in (box([0.0], [0.3]), box([-10.0], [10.0])):
+            emp = empirical_seminorms(lstat_statistic(F, n, dom), 6000, SeededRng(5))
+            assert emp.j_lip >= 0.95 * analytic_seminorms_lstat(F, dom.diameter, n).j_lip
+
+
+# family -> (degree p of homogeneity, closed form on the box scaled by c):
+# scaling the box by c (and the AUC's ramp width with it) scales the
+# statistic by c^p
+_SCALED_FORMS = {
+    "mean": (1, lambda c: analytic_seminorms_lstat(constant_weight(1.0), c * 1.5, 8)),
+    "lstat": (1, lambda c: analytic_seminorms_lstat(f_zeta_weight(0.125), c * 1.5, 8)),
+    "auc": (0, lambda c: analytic_seminorms_auc(1.0 / (c * 0.5), 8)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SCALED_FORMS))
+@pytest.mark.parametrize("c", [2.0**-6, 0.5, 2.0, 2.0**9, 0.3, 7.0])
+def test_closed_forms_scale_with_the_box(family, c):
+    # m_lip and j_lip scale by c^(p - 1), m_plain and j_plain by c^p;
+    # exactly at powers of two, where every product and quotient is exact
+    p, form = _SCALED_FORMS[family]
+    base, scaled = form(1.0), form(c)
+    exact = np.log2(c).is_integer()
+    for name, power in (("m_lip", p - 1), ("j_lip", p - 1), ("m_plain", p), ("j_plain", p)):
+        want = getattr(base, name) * c**power
+        assert getattr(scaled, name) == (want if exact else pytest.approx(want, rel=1e-12))
+
+
 class TestDerivativeSeminorms:
     def test_mean_gradient_is_one_over_n(self):
         f = mean_statistic(4)

@@ -178,8 +178,7 @@ def _block_size(family, n):
 
 
 def _family_statistic(family, n, d):
-    build, _, _, _ = _FAMILIES[family]
-    return build(n, d)
+    return _FAMILIES[family][0](n, d)
 
 
 @_SETTINGS
